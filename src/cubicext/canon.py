@@ -207,14 +207,6 @@ def _is_zero(v) -> bool:
     return v.is_zero()
 
 
-def frac_apply(M: FracLinear, y: Value) -> Value:
-    return M.apply(y)
-
-
-def frac_invert(M: FracLinear) -> FracLinear:
-    return M.inverse()
-
-
 # ---------------------------------------------------------------------------
 # reduction to canonical form
 # ---------------------------------------------------------------------------
@@ -372,7 +364,7 @@ def is_galois(shape: CanonicalCubic) -> bool:
         raise ReducibleInput("X^3 - 3X is reducible")
     u = 1 / (a * a) + 1
     if isinstance(base, Field):
-        return trace_to_prime(u).coeffs[0] == 0
+        return trace_to_prime(u).is_zero()
     from .arith import artin_schreier_solve
     return artin_schreier_solve(u) is not None
 

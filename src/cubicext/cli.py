@@ -282,16 +282,10 @@ def parse_ratfunc(source: str, ff: FuncField) -> RatFunc:
 # rendering
 # ---------------------------------------------------------------------------
 
-def _render_value(v) -> str:
-    if isinstance(v, FieldElem):
-        return v.render()
-    return v.render()
-
-
 def _render_map(mob: FracLinear) -> dict:
     m00, m01, m10, m11 = mob.entries()
-    return {"m00": _render_value(m00), "m01": _render_value(m01),
-            "m10": _render_value(m10), "m11": _render_value(m11)}
+    return {"m00": m00.render(), "m01": m01.render(),
+            "m10": m10.render(), "m11": m11.render()}
 
 
 _FORM_NAMES = {
@@ -306,10 +300,10 @@ _FORM_NAMES = {
 def _shape_result(shape, mob: FracLinear, base) -> dict:
     out = {"form": _FORM_NAMES[type(shape)]}
     if isinstance(shape, Reducible):
-        out["root"] = _render_value(shape.root)
-        out["quad"] = [_render_value(shape.quad[0]), _render_value(shape.quad[1])]
+        out["root"] = shape.root.render()
+        out["quad"] = [shape.quad[0].render(), shape.quad[1].render()]
     else:
-        out["a"] = _render_value(shape.a)
+        out["a"] = shape.a.render()
     out["map"] = _render_map(mob)
     out["base"] = repr(base) if isinstance(base, Field) else f"{base.field!r}(x)"
     return out
@@ -318,15 +312,15 @@ def _shape_result(shape, mob: FracLinear, base) -> dict:
 def _decomp_result(d: ffcubic.Decomp) -> dict:
     out = {"kind": d.kind}
     if isinstance(d, ffcubic.LinTimesQuad):
-        out["root"] = _render_value(d.root)
-        out["quad"] = [_render_value(d.quad[0]), _render_value(d.quad[1])]
+        out["root"] = d.root.render()
+        out["quad"] = [d.quad[0].render(), d.quad[1].render()]
     elif isinstance(d, ffcubic.ThreeDistinct):
-        out["roots"] = [_render_value(r) for r in d.roots]
+        out["roots"] = [r.render() for r in d.roots]
     elif isinstance(d, ffcubic.LinTimesSquare):
-        out["simple"] = _render_value(d.simple)
-        out["double"] = _render_value(d.double)
+        out["simple"] = d.simple.render()
+        out["double"] = d.double.render()
     elif isinstance(d, ffcubic.Triple):
-        out["root"] = _render_value(d.root)
+        out["root"] = d.root.render()
     return out
 
 
@@ -372,12 +366,12 @@ def _witness_json(res) -> Optional[dict]:
         return None
     w = res.witness
     if isinstance(w, tuple) and len(w) == 2 and isinstance(w[0], int):
-        return {"j": w[0], "w": _render_value(w[1])}
+        return {"j": w[0], "w": w[1].render()}
     if isinstance(w, tuple) and len(w) == 2:
-        return {"alpha": _render_value(w[0]), "beta": _render_value(w[1])}
+        return {"alpha": w[0].render(), "beta": w[1].render()}
     if w is None:
         return {}
-    return {"value": _render_value(w)}
+    return {"value": w.render()}
 
 
 def _cmd_isom(args) -> dict:
@@ -440,8 +434,8 @@ def _cmd_galois(args) -> dict:
     out["galois"] = canon.is_galois(shape)
     if _is_shanks_shape(cubic) and field.p != 3:
         dep, _ = canon.shanks_to_canonical(cubic.e)
-        out["shanks"] = {"parameter": _render_value(cubic.e),
-                         "canonical_a": _render_value(dep.a)}
+        out["shanks"] = {"parameter": cubic.e.render(),
+                         "canonical_a": dep.a.render()}
     else:
         out["shanks"] = None
     return out
@@ -457,7 +451,7 @@ def _extension_of(args, source: str) -> Tuple[arith.Extension, dict]:
     if not isinstance(shape, InseparablePure) and canon.has_rational_root(shape) is not None:
         raise ReducibleInput("the cubic has a root in GF(q)(x)")
     ext = arith.Extension(shape)
-    head = {"form": _FORM_NAMES[type(shape)], "a": _render_value(shape.a)}
+    head = {"form": _FORM_NAMES[type(shape)], "a": shape.a.render()}
     return ext, head
 
 
@@ -487,7 +481,7 @@ def _cmd_constant(args) -> dict:
     res = arith.is_constant_extension(ext)
     if isinstance(res, arith.Constant):
         head["constant"] = True
-        head["unit"] = _render_value(res.unit) if res.unit is not None else None
+        head["unit"] = res.unit.render() if res.unit is not None else None
         head["certificate"] = None
     else:
         head["constant"] = False

@@ -8,10 +8,23 @@ Representation invariants:
     the first monic irreducible of degree m in counter order (candidates are
     enumerated by writing 0, 1, 2, ... in base p, least-significant digit as
     the constant term).  This makes every derived value reproducible.
-  * An element is an immutable tuple of m ints in [0, p), low degree first.
-  * Elements are totally ordered by their counter value sum(c_i * p^i); every
-    "least root" / "least witness" promise in this package refers to that
-    order.
+  * An element is stored as one int, its counter value sum(c_i * p^i) over
+    its coefficients c_i in t, low degree first; ``coeffs`` reads the digits
+    back.  Elements are totally ordered by that value; every "least root" /
+    "least witness" promise in this package refers to that order.
+  * GF(p) computes with % p and pow(v, e, p).  For m > 1 each field builds,
+    on first use and never at import, array tables exp[k] = g^k (two
+    periods) and log, for the least generator g in counter order: multiply,
+    inverse and power are lookups.  Addition is XOR in characteristic 2; for
+    odd p it goes through Zech logarithms, zech[k] = log(1 + g^k)
+    (K. Huber, IEEE Trans. IT 36, 1990), since 1 + v in counter form only
+    bumps the lowest digit of v.
+  * Table memory is 12(q-1) + 4 bytes, plus 4(q-1) for zech when p is odd:
+    0.75 MiB at q = 2^16, 12 MiB at the MAX_ORDER cap q = 2^20 (16 MiB for
+    odd p just below it).  On a 2-core x86-64 host under CPython 3.11 the
+    tables of GF(2^16) build in 11-19 ms and those of GF(2^20) in 0.25 s;
+    odd p adds digit by digit while building, so GF(7^7) and GF(1021^2)
+    take 2.1-2.3 s, paid once per process.
 
 The quadratic solver lives here (rather than with the polynomial machinery)
 because the square/cube classifiers below need it; polyring re-exports it.
@@ -19,6 +32,8 @@ because the square/cube classifiers below need it; polyring re-exports it.
 from __future__ import annotations
 
 import functools
+import operator
+from array import array
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
@@ -150,15 +165,31 @@ def least_irreducible(p: int, d: int) -> tuple:
     coefficient as the least significant digit.
     """
     for i in range(p ** d):
-        coeffs = []
-        k = i
-        for _ in range(d):
-            coeffs.append(k % p)
-            k //= p
-        cand = coeffs + [1]
+        cand = _digits(i, p, d) + [1]
         if _pirreducible(cand, p):
             return tuple(cand)
     raise AssertionError("no irreducible found")  # pragma: no cover
+
+
+def _digits(v: int, p: int, m: int) -> list:
+    """The m base-p digits of the counter value v, low first."""
+    return [v // p ** i % p for i in range(m)]
+
+
+def _counter(digits: Sequence[int], p: int) -> int:
+    """Counter value sum(d_i p^i) of a digit list, low first."""
+    return sum(d * p ** i for i, d in enumerate(digits))
+
+
+def _span(cols: list, p: int, add) -> list:
+    """[sum_j d_j cols[j]] for every digit vector d, listed in counter order."""
+    out = [0]
+    for col in cols:
+        block, c = list(out), col
+        for _ in range(p - 1):
+            out.extend(add(b, c) for b in block)
+            c = add(c, col)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -166,18 +197,112 @@ def least_irreducible(p: int, d: int) -> tuple:
 # ---------------------------------------------------------------------------
 
 class Field:
-    """The finite field GF(p^m).  Obtain instances through field_make."""
+    """The finite field GF(p^m).  Obtain instances through field_make.
 
-    __slots__ = ("p", "m", "order", "modulus", "zero", "one", "_elems")
+    Besides the element constructors it holds the arithmetic on counter
+    values (the _add ... _pow methods), which FieldElem wraps.
+    """
+
+    __slots__ = ("p", "m", "order", "modulus", "zero", "one", "exp", "log", "zech")
 
     def __init__(self, p: int, m: int):
         self.p = p
         self.m = m
         self.order = p ** m
         self.modulus = least_irreducible(p, m) if m > 1 else (0, 1)
-        self.zero = FieldElem(self, (0,) * m)
-        self.one = FieldElem(self, (1,) + (0,) * (m - 1))
-        self._elems = None
+        self.zero = FieldElem(self, 0)
+        self.one = FieldElem(self, 1)
+
+    def __getattr__(self, name):
+        # only reached while a table slot is still unset
+        if name in ("exp", "log", "zech") and self.m > 1:
+            self._build_tables()
+            return getattr(self, name)
+        raise AttributeError(name)
+
+    def _build_tables(self):
+        """exp[k] = g^k for 0 <= k < 2(q-1), log[g^k] = k, and for odd p
+        zech[k] = log(1 + g^k), or -1 where 1 + g^k = 0; g is the least
+        generator.  Multiplying by g is GF(p)-linear, so g*x is the sum of
+        two lookups, on the low m//2 digits of x and on the rest."""
+        p, m, q = self.p, self.m, self.order
+        n = q - 1
+        mod = list(self.modulus)
+        gd = next(d for d in (_digits(g, p, m) for g in range(p, q))
+                  if all(_ppowmod(d, n // ell, mod, p) != [1] for ell in _prime_divisors(n)))
+        cols = [_counter(_pmod(_pmul(gd, [0] * j + [1], p), mod, p), p) for j in range(m)]
+        places = [p ** i for i in range(m)]
+        add = operator.xor if p == 2 else (
+            lambda u, w: sum((u // P + w // P) % p * P for P in places))
+        h = m // 2
+        ph = p ** h
+        lo, hi = _span(cols[:h], p, add), _span(cols[h:], p, add)
+        exp = array("i", [0]) * (2 * n)
+        log = array("i", [0]) * q
+        x = 1
+        for k in range(n):
+            exp[k] = x
+            log[x] = k
+            x = add(hi[x // ph], lo[x % ph])
+        if x != 1:  # g is a unit of order q - 1 only if the modulus is irreducible
+            raise AssertionError(f"{self!r}: the modulus {self.modulus} is reducible")
+        memoryview(exp)[n:] = memoryview(exp)[:n]
+        self.exp, self.log, self.zech = exp, log, None
+        if p != 2:
+            # 1 + v in counter form bumps the lowest digit of v
+            zech = array("i", [0]) * n
+            for k in range(n):
+                v = exp[k]
+                w = v + 1 if v % p != p - 1 else v + 1 - p
+                zech[k] = log[w] if w else -1
+            self.zech = zech
+
+    # -- arithmetic on counter values ----------------------------------------
+
+    def _add(self, a: int, b: int) -> int:
+        p = self.p
+        if p == 2:
+            return a ^ b
+        if self.m == 1:
+            return (a + b) % p
+        if not a or not b:
+            return a or b
+        la = self.log[a]
+        z = self.zech[self.log[b] - la]  # a negative index wraps mod q - 1
+        return self.exp[la + z] if z >= 0 else 0
+
+    def _neg(self, a: int) -> int:
+        if self.p == 2 or not a:
+            return a
+        if self.m == 1:
+            return self.p - a
+        return self.exp[self.log[a] + (self.order - 1) // 2]  # -1 = g^((q-1)/2)
+
+    def _sub(self, a: int, b: int) -> int:
+        if self.p == 2:
+            return a ^ b
+        if self.m == 1:
+            return (a - b) % self.p
+        return self._add(a, self._neg(b))
+
+    def _mul(self, a: int, b: int) -> int:
+        if self.m == 1:
+            return a * b % self.p
+        if not a or not b:
+            return 0
+        return self.exp[self.log[a] + self.log[b]]
+
+    def _div(self, a: int, b: int) -> int:
+        return self._mul(a, self._pow(b, -1))
+
+    def _pow(self, a: int, e: int) -> int:
+        if not a:
+            if e < 0:
+                raise DivisionByZero("inverse of 0")
+            return 0 if e else 1
+        if self.m == 1:
+            return pow(a, e, self.p)
+        return self.exp[self.log[a] * e % (self.order - 1)]
 
     # -- constructors ------------------------------------------------------
 
@@ -185,31 +310,26 @@ class Field:
         c = [int(v) % self.p for v in coeffs]
         if len(c) > self.m:
             c = _pmod(c, list(self.modulus), self.p)
-        c = c + [0] * (self.m - len(c))
-        return FieldElem(self, tuple(c))
+        return FieldElem(self, _counter(c, self.p))
 
     def from_int(self, n: int) -> "FieldElem":
-        return self.elem([n])
+        return FieldElem(self, n % self.p)
 
     def from_value(self, v: int) -> "FieldElem":
-        """Inverse of FieldElem.value: base-p digits, low digit = constant."""
-        digits = []
-        for _ in range(self.m):
-            digits.append(v % self.p)
-            v //= self.p
-        return FieldElem(self, tuple(digits))
+        """Inverse of FieldElem.value (taken modulo the order)."""
+        return FieldElem(self, v % self.order)
 
     def gen(self) -> "FieldElem":
         if self.m == 1:
             return self.one
-        return self.elem([0, 1])
+        return FieldElem(self, self.p)
 
     # -- enumeration ---------------------------------------------------------
 
     def elements(self) -> Iterator["FieldElem"]:
         """All p^m elements, ascending counter value."""
         for v in range(self.order):
-            yield self.from_value(v)
+            yield FieldElem(self, v)
 
     def __repr__(self):
         return f"GF({self.p})" if self.m == 1 else f"GF({self.p}^{self.m})"
@@ -218,163 +338,79 @@ class Field:
         return (field_make, (self.p, self.m))
 
 
+def _binary(kernel, swap: bool = False, wrap: bool = True):
+    """A FieldElem operator: kernel(field, a, b) on counter values a of self
+    and b of other (swapped if swap), where other is an element of the same
+    field or an int; the result is wrapped as an element if wrap."""
+    def op(self, other):
+        F = self.field
+        if isinstance(other, FieldElem):
+            if other.field is not F:
+                raise FieldMismatch(f"{F} vs {other.field}")
+            b = other.value
+        elif isinstance(other, int):
+            b = other % F.p
+        else:
+            return NotImplemented
+        r = kernel(F, b, self.value) if swap else kernel(F, self.value, b)
+        return FieldElem(F, r) if wrap else r
+    return op
+
+
 class FieldElem:
     """An element of a Field; immutable, operator-overloaded.
 
-    Integers mix freely on either side of +,-,*,/ and == (they coerce through
-    Field.from_int), which keeps formulas with small literals readable.
+    ``value`` is the counter value sum(c_i p^i) of the coefficients c_i in t,
+    the package-wide total order.  Integers mix freely on either side of
+    +,-,*,/ and == (they coerce through Field.from_int), which keeps formulas
+    with small literals readable.
     """
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "value")
 
-    def __init__(self, field: Field, coeffs: tuple):
+    def __init__(self, field: Field, value: int):
         self.field = field
-        self.coeffs = coeffs
-
-    # -- helpers -------------------------------------------------------------
-
-    def _coerce(self, other):
-        if isinstance(other, FieldElem):
-            if other.field is not self.field:
-                raise FieldMismatch(f"{self.field} vs {other.field}")
-            return other
-        if isinstance(other, int):
-            return self.field.from_int(other)
-        return None
+        self.value = value
 
     @property
-    def value(self) -> int:
-        """Counter value sum(c_i p^i); the package-wide total order."""
-        v = 0
-        for c in reversed(self.coeffs):
-            v = v * self.field.p + c
-        return v
+    def coeffs(self) -> tuple:
+        """The m coefficients in t, low degree first (the digits of value)."""
+        return tuple(_digits(self.value, self.field.p, self.field.m))
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not self.value
 
     def __bool__(self):
-        return any(self.coeffs)
+        return bool(self.value)
 
     # -- ring operations ------------------------------------------------------
 
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        p = self.field.p
-        return FieldElem(self.field, tuple((a + b) % p for a, b in zip(self.coeffs, o.coeffs)))
-
-    __radd__ = __add__
+    __add__ = __radd__ = _binary(Field._add)
+    __sub__ = _binary(Field._sub)
+    __rsub__ = _binary(Field._sub, swap=True)
+    __mul__ = __rmul__ = _binary(Field._mul)
+    __truediv__ = _binary(Field._div)
+    __rtruediv__ = _binary(Field._div, swap=True)
 
     def __neg__(self):
-        p = self.field.p
-        return FieldElem(self.field, tuple((-a) % p for a in self.coeffs))
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        p = self.field.p
-        return FieldElem(self.field, tuple((a - b) % p for a, b in zip(self.coeffs, o.coeffs)))
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        F = self.field
-        if F.m == 1:
-            return FieldElem(F, ((self.coeffs[0] * o.coeffs[0]) % F.p,))
-        prod = _pmod(_pmul(self.coeffs, o.coeffs, F.p), list(F.modulus), F.p)
-        return FieldElem(F, tuple(prod) + (0,) * (F.m - len(prod)))
-
-    __rmul__ = __mul__
+        return FieldElem(self.field, self.field._neg(self.value))
 
     def inverse(self) -> "FieldElem":
-        if self.is_zero():
-            raise DivisionByZero("inverse of 0")
-        F = self.field
-        if F.m == 1:
-            return FieldElem(F, (pow(self.coeffs[0], -1, F.p),))
-        # extended Euclid in GF(p)[t]
-        p = F.p
-        r0, r1 = list(F.modulus), _ptrim(list(self.coeffs))
-        s0, s1 = [], [1]
-        while r1:
-            # divide r0 by r1
-            q = []
-            r = list(r0)
-            inv_lead = pow(r1[-1], -1, p)
-            while len(r) >= len(r1) and r:
-                c = (r[-1] * inv_lead) % p
-                d = len(r) - len(r1)
-                qq = [0] * (d + 1)
-                qq[d] = c
-                q = _ptrim([(a + b) % p for a, b in _zipl(q, qq)])
-                r = _ptrim([(a - b) % p for a, b in _zipl(r, _pmul(qq, r1, p))])
-            r0, r1 = r1, r
-            s0, s1 = s1, _ptrim([(a - b) % p for a, b in _zipl(s0, _pmul(q, s1, p))])
-        # r0 = gcd (a unit times 1), s0 * self == r0 mod modulus
-        c = pow(r0[0], -1, p)
-        inv = [(v * c) % p for v in s0]
-        inv = _pmod(inv, list(F.modulus), p)
-        return FieldElem(F, tuple(inv) + (0,) * (F.m - len(inv)))
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
+        return FieldElem(self.field, self.field._pow(self.value, -1))
 
     def __pow__(self, e: int):
         if not isinstance(e, int):
             return NotImplemented
-        base = self
-        if e < 0:
-            base = self.inverse()
-            e = -e
-        result = self.field.one
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return FieldElem(self.field, self.field._pow(self.value, e))
 
     # -- comparisons ------------------------------------------------------------
 
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.coeffs == o.coeffs
+    __eq__ = _binary(lambda F, a, b: a == b, wrap=False)
+    __lt__ = _binary(lambda F, a, b: a < b, wrap=False)
+    __le__ = _binary(lambda F, a, b: a <= b, wrap=False)
 
     def __hash__(self):
-        return hash((self.field.p, self.field.m, self.coeffs))
-
-    def __lt__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.value < o.value
-
-    def __le__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.value <= o.value
+        return hash((self.field.p, self.field.m, self.value))
 
     # -- rendering ----------------------------------------------------------------
 
@@ -411,10 +447,6 @@ def _field_cached(p: int, m: int) -> Field:
     return Field(p, m)
 
 
-def enumerate_field(F: Field) -> Iterator[FieldElem]:
-    return F.elements()
-
-
 # ---------------------------------------------------------------------------
 # trace
 # ---------------------------------------------------------------------------
@@ -427,8 +459,8 @@ def trace_to_prime(x: FieldElem) -> FieldElem:
     for _ in range(F.m - 1):
         term = term ** F.p
         acc = acc + term
-    assert not any(acc.coeffs[1:]), "trace landed outside the prime field"
-    return field_make(F.p, 1).from_int(acc.coeffs[0])
+    assert acc.value < F.p, "trace landed outside the prime field"
+    return field_make(F.p, 1).from_int(acc.value)
 
 
 # ---------------------------------------------------------------------------
@@ -596,15 +628,6 @@ def _lst_gcd(F: Field, a: list, b: list) -> list:
     return a
 
 
-def primitive_cube_root_of_unity(F: Field) -> Optional[FieldElem]:
-    """Least xi with xi^3 = 1, xi != 1; None unless |F| = 1 mod 3."""
-    if F.order % 3 != 1:
-        return None
-    roots = _solve_quadratic(F, F.one, F.one)  # X^2 + X + 1
-    assert roots, "X^2+X+1 must split when |F| = 1 mod 3"
-    return roots[0]
-
-
 # ---------------------------------------------------------------------------
 # monic quadratics (shared with polyring.quadratic_roots)
 # ---------------------------------------------------------------------------
@@ -631,7 +654,7 @@ def _solve_quadratic(F: Field, b: FieldElem, c: FieldElem) -> tuple:
     if b.is_zero():
         return (square_classify(c).roots[0],)  # (X + sqrt(c))^2
     u = c / (b * b)
-    if trace_to_prime(u).coeffs[0] != 0:
+    if trace_to_prime(u):
         return ()
     y0 = _artin_schreier_particular(F, u)
     return tuple(sorted((b * y0, b * y0 + b)))

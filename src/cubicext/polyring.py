@@ -10,9 +10,6 @@ functions have equal representations.
 
 Determinism contracts honoured here:
 
-  * deterministic_irreducible enumerates monic candidates in counter order
-    (the constant coefficient is the fastest digit) and returns the first
-    irreducible one;
   * factor_fq uses distinct-degree splitting followed by equal-degree
     splitting driven by random.Random(FACTOR_SEED), so repeated runs produce
     identical factor lists;
@@ -22,12 +19,12 @@ from __future__ import annotations
 
 import functools
 import random
-from typing import Callable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence
 
 from . import ffield
 from .errors import (DivisionByZero, DomainMismatch, FieldMismatch,
                      SizeExceeded, ZeroDenominator, ZeroPolynomial)
-from .ffield import Field, FieldElem, field_make
+from .ffield import Field, FieldElem
 
 FACTOR_SEED = 2718281828459045
 FACTOR_DEGREE_LIMIT = 512
@@ -580,16 +577,6 @@ def monic_polys(F: Field, d: int) -> Iterator[Poly]:
             digits.append(F.from_value(k % q))
             k //= q
         yield Poly(F, digits + [F.one])
-
-
-def deterministic_irreducible(F: Union[Field, int], d: int) -> Poly:
-    """First monic irreducible of degree d over F in counter order."""
-    if isinstance(F, int):
-        F = field_make(F)
-    for cand in monic_polys(F, d):
-        if is_irreducible(cand):
-            return cand
-    raise AssertionError("no irreducible candidate")  # pragma: no cover
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,9 @@ from cubicext.ffield import (
     NonSquare,
     Square,
     _artin_schreier_particular,
+    _pmod,
+    _pmul,
+    _ppowmod,
     _solve_quadratic,
     cube_classify,
     field_make,
@@ -174,3 +177,49 @@ def test_artin_schreier_particular(F):
             continue
         w = _artin_schreier_particular(F, u)
         assert w * w + w == u
+
+
+def _digit_list(F, v):
+    return [v // F.p ** i % F.p for i in range(F.m)]
+
+
+def _from_digits(F, digits):
+    return sum(d * F.p ** i for i, d in enumerate(digits))
+
+
+@pytest.mark.parametrize("F", FIELDS + [field_make(3, 4), field_make(5, 3), field_make(2, 8),
+                               field_make(13, 2), field_make(2, 16)], ids=repr)
+def test_kernel_matches_schoolbook_arithmetic(F):
+    """Counter-value arithmetic against _pmul/_pmod on digit lists modulo
+    F.modulus: every pair on fields up to 125 elements, 2000 seeded pairs
+    above that; the unary operations on the elements of the first 250 pairs."""
+    p, mod, q = F.p, list(F.modulus), F.order
+    if q <= 125:
+        pairs = [(a, b) for a in F.elements() for b in F.elements()]
+    else:
+        rng = random.Random(20261018)
+        pairs = [(F.from_value(rng.randrange(q)), F.from_value(rng.randrange(q)))
+                 for _ in range(2000)]
+    exponents = (-q, -3, -1, 0, 1, 2, 3, q - 1, q + 5, 3 * q * q + 7)
+
+    def mul(x, y):
+        return _from_digits(F, _pmod(_pmul(x, y, p), mod, p))
+
+    for a, b in pairs:
+        x, y = _digit_list(F, a.value), _digit_list(F, b.value)
+        assert (a * b).value == mul(x, y)
+        assert (a + b).value == _from_digits(F, [(u + w) % p for u, w in zip(x, y)])
+        assert (a - b).value == _from_digits(F, [(u - w) % p for u, w in zip(x, y)])
+    for a in {e for pair in pairs[:250] for e in pair}:
+        x = _digit_list(F, a.value)
+        assert a.coeffs == tuple(x)
+        assert F.from_value(a.value) == a
+        assert F.elem(x).value == a.value
+        assert (-a).value == _from_digits(F, [-u % p for u in x])
+        if a.is_zero():
+            with pytest.raises(DivisionByZero):
+                a ** -1
+            continue
+        assert mul(x, _digit_list(F, a.inverse().value)) == 1
+        for e in exponents:
+            assert (a ** e).value == _from_digits(F, _ppowmod(x, e % (q - 1), mod, p))
