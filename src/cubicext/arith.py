@@ -522,12 +522,13 @@ def genus(ext: Extension) -> int:
     would need the larger field) and NonIntegralGenus if the collected
     different degree is inconsistent (odd, or too small for a field).
     """
-    ice = is_constant_extension(ext)
-    if isinstance(ice, Constant):
+    rep = ramification_report(ext)
+    if rep.is_empty:
+        is_constant_extension(ext)  # raises ReducibleInput for a cube parameter
         raise ConstantExtension(
             "the extension only enlarges the constant field; its genus over the"
             " larger constants is 0")
-    deg = ramification_report(ext).different_degree
+    deg = rep.different_degree
     if deg % 2 != 0 or deg < 4:
         # geometric irreducible forces deg >= 4 and even; anything else means
         # the defining cubic already had a root in K (or an internal bug)

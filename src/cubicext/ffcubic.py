@@ -9,11 +9,14 @@ A monic cubic over GF(s) lands in exactly one of five bins:
 * ``Triple``          one root of multiplicity three.
 
 ``decompose_pure``, ``decompose_depressed`` and ``decompose_char3`` classify
-the three canonical one-parameter families by closed-form criteria (cube
-characters, discriminants, absolute traces); witnesses are then pulled out by
-direct root finding.  ``decompose_any`` accepts an arbitrary monic cubic (or
-an already-reduced canonical shape), reduces it, and transports the witnesses
-back through the inverse fractional-linear substitution.
+the three canonical one-parameter families and take every witness root from a
+closed form, with no general factorizer: the cube roots of a (pure);
+y = c + 1/c over the cube roots c of a root w of W^2 - aW + 1, in GF(s) or in
+the norm-1 torus of GF(s^2) (trace form); one GF(3)-linear solve
+(characteristic 3).  Cube roots come from ``ffield._cube_roots``
+(Adleman-Manders-Miller).  ``decompose_any`` accepts an arbitrary monic cubic
+(or an already-reduced canonical shape), reduces it, and transports the
+witnesses back through the inverse fractional-linear substitution.
 
 ``brute_factor`` is an independent oracle: it scans every field element and
 never consults the criteria.  Keep it dumb; the tests rely on that.
@@ -38,13 +41,12 @@ from .ffield import (
     Field,
     FieldElem,
     NonSquare,
-    Square,
+    _cube_roots,
+    _solve_additive,
     _solve_quadratic,
     cube_classify,
     square_classify,
-    trace_to_prime,
 )
-from .polyring import poly_roots
 
 BRUTE_LIMIT = 1 << 16
 
@@ -108,43 +110,53 @@ def _cofactor(c: Cubic, r: FieldElem) -> Tuple[FieldElem, FieldElem]:
     return (b, c.f + r * b)
 
 
-def _single_root(c: Cubic) -> FieldElem:
-    roots = poly_roots(c.as_poly())
-    assert len(roots) == 1, "criterion promised exactly one root"
-    return roots[0]
+def _from_roots(c: Cubic, roots: list) -> Decomp:
+    """The bin of a separable cubic from all its roots in GF(s): 0, 1 or 3."""
+    if not roots:
+        return Irreducible()
+    if len(roots) == 1:
+        return LinTimesQuad(roots[0], _cofactor(c, roots[0]))
+    assert len(roots) == 3, "a separable cubic has 0, 1 or 3 roots"
+    return ThreeDistinct(tuple(sorted(roots)))
 
 
-def _three_roots(c: Cubic) -> Tuple[FieldElem, FieldElem, FieldElem]:
-    roots = poly_roots(c.as_poly())
-    assert len(roots) == 3, "criterion promised a full split"
-    return tuple(roots)
+def _torus_roots(F: Field, a: FieldElem) -> list:
+    """Tr(c) for every cube root c of W in GF(s)[W]/(W^2 - aW + 1), the
+    quadratic irreducible.
 
-
-def _quad_root_is_cube(F: Field, beta: FieldElem, gamma: FieldElem) -> bool:
-    """Is a root of the irreducible W^2 + beta*W + gamma a cube in GF(s^2)?
-
-    Works in GF(s)[W]/(W^2 + beta*W + gamma) directly -- no extension field
-    is materialised.  Cube-ness of a unit u in GF(s^2) is u^((s^2-1)/3) = 1,
-    so raise W to that power by square-and-multiply on coefficient pairs.
+    Elements are pairs (c0, c1) = c0 + c1 W with W^2 = aW - 1, and
+    Tr(c) = 2 c0 + a c1.  W has norm 1, so it and its cube roots lie in the
+    cyclic torus T of order n = s + 1.  3 not dividing n: cubing is a
+    bijection on T, c = W^(3^-1 mod n).  3 | n: W is a cube iff
+    W^(n/3) = 1, and then _cube_roots runs on T with the non-cube
+    z = (delta + W)^(s-1) for the least delta with z^(n/3) != 1.
     """
-    s = F.order
-    assert s % 3 == 2, "only the inert-cube case needs the quadratic detour"
-    n = (s * s - 1) // 3
+    n = F.order + 1
+    one = (F.one, F.zero)
 
     def mul(u, v):
-        c0 = u[0] * v[0]
-        c1 = u[0] * v[1] + u[1] * v[0]
-        c2 = u[1] * v[1]
-        return (c0 - c2 * gamma, c1 - c2 * beta)
+        x = u[1] * v[1]
+        return (u[0] * v[0] - x, u[0] * v[1] + u[1] * v[0] + a * x)
 
-    acc = (F.one, F.zero)
-    base = (F.zero, F.one)
-    while n:
-        if n & 1:
-            acc = mul(acc, base)
-        base = mul(base, base)
-        n >>= 1
-    return acc == (F.one, F.zero)
+    def pw(u, e):
+        acc = one
+        while e:
+            if e & 1:
+                acc = mul(acc, u)
+            u = mul(u, u)
+            e >>= 1
+        return acc
+
+    W = (F.zero, F.one)
+    if n % 3:
+        cs = [pw(W, pow(3, -1, n))]
+    elif pw(W, n // 3) != one:
+        return []
+    else:
+        zs = (pw((delta, F.one), n - 2) for delta in F.elements())
+        z = next(z for z in zs if pw(z, n // 3) != one)
+        cs = _cube_roots(W, z, n, mul, pw, one)
+    return [2 * c0 + a * c1 for c0, c1 in cs]
 
 
 # ---------------------------------------------------------------------------
@@ -218,80 +230,55 @@ def decompose_pure(a: FieldElem) -> Decomp:
 def decompose_depressed(a: FieldElem) -> Decomp:
     """X^3 - 3X - a over GF(s), p != 3.
 
-    Odd p: a = +-2 are the square cases; otherwise the discriminant
-    -27(a^2-4) sorts reducible-with-quadratic from the Galois half, and the
-    Galois half is decided by whether a root w of W^2 - aW + 1 is a cube --
-    in GF(s) when s = 1 mod 3, in GF(s^2) when s = 2 mod 3.
-
-    p = 2: a = 0 gives X(X+1)^2; otherwise Tr(1/a^2) != Tr(1) means a single
-    root, and when the traces agree the same resolvent-cube test applies
-    (roots of T^2 + aT + 1 live in GF(s) for even m, GF(s^2) for odd m).
+    a = +-2 (odd p) and a = 0 (p = 2) are the square cases.  Otherwise the
+    cubic is separable and its roots are exactly y = c + 1/c over the c with
+    c^3 = w, w a root of W^2 - aW + 1 (then y^3 - 3y = w + 1/w = a).  When w
+    lies in GF(s) the c are its cube roots from cube_classify: one for
+    s = 2 mod 3, three or none for s = 1 mod 3.  Otherwise w lies in the
+    norm-1 torus of GF(s^2), where 1/c is the conjugate of c and y = Tr(c)
+    (_torus_roots).  One root leaves an irreducible quadratic cofactor.
     """
     F = _require_finite(a.field)
     if F.p == 3:
         raise WrongCharacteristic("X^3 - 3X - a degenerates to a pure cubic in characteristic 3")
-    cubic = Cubic(F.zero, F.from_int(-3), -a)
     if F.p == 2:
         if a.is_zero():
             return LinTimesSquare(simple=F.zero, double=F.one)
-        u = (a * a).inverse()
-        if trace_to_prime(u + F.one).value != 0:
-            r = _single_root(cubic)
-            return LinTimesQuad(r, _cofactor(cubic, r))
-        if F.m % 2 == 0:
-            roots = _solve_quadratic(F, a, F.one)
-            assert len(roots) == 2
-            split = isinstance(cube_classify(roots[0]), Cube)
-        else:
-            split = _quad_root_is_cube(F, a, F.one)
-        if split:
-            return ThreeDistinct(_three_roots(cubic))
-        return Irreducible()
-    two = F.from_int(2)
-    if a == two:
-        return LinTimesSquare(simple=two, double=-F.one)
-    if a == -two:
-        return LinTimesSquare(simple=-two, double=F.one)
-    d = a * a - F.from_int(4)
-    if isinstance(square_classify(F.from_int(-27) * d), NonSquare):
-        r = _single_root(cubic)
-        return LinTimesQuad(r, _cofactor(cubic, r))
-    if F.order % 3 == 1:
-        # -3 is a square here, so delta = sqrt(a^2 - 4) exists in GF(s)
-        sq = square_classify(d)
-        assert isinstance(sq, Square)
-        w = (a + sq.roots[0]) / two
-        split = isinstance(cube_classify(w), Cube)
     else:
-        # w lives in GF(s^2); its two conjugates are w, 1/w, so the choice
-        # of root of W^2 - aW + 1 does not matter
-        split = _quad_root_is_cube(F, -a, F.one)
-    if split:
-        return ThreeDistinct(_three_roots(cubic))
-    return Irreducible()
+        two = F.from_int(2)
+        if a == two:
+            return LinTimesSquare(simple=two, double=-F.one)
+        if a == -two:
+            return LinTimesSquare(simple=-two, double=F.one)
+    ws = _solve_quadratic(F, -a, F.one)
+    if ws:
+        cube = cube_classify(ws[0])
+        roots = [c + c.inverse() for c in cube.roots] if isinstance(cube, Cube) else []
+    else:
+        roots = _torus_roots(F, a)
+    return _from_roots(Cubic(F.zero, F.from_int(-3), -a), roots)
 
 
 def decompose_char3(a: FieldElem) -> Decomp:
     """X^3 + aX + a^2 over GF(3^m).
 
-    a = 0 is the triple root.  For a != 0 put -a = b^2 when possible: the
-    substitution X = bZ turns the cubic into b^3 (Z^3 - Z + b), so the split
-    is governed by the absolute trace of b; when -a is a non-square there is
-    exactly one root.  A square factor never appears for a != 0.
+    a = 0 is the triple root.  Otherwise X -> X^3 + aX is GF(3)-linear with
+    kernel 0 and the square roots of -a, so one linear solve of
+    X^3 + aX = -a^2 finds a root r or shows there is none.  If -a = b^2 the
+    roots are r, r + b and r - b; if -a is a non-square the map is a
+    bijection and r is the only root.  A square factor never appears.
     """
     F = _require_finite(a.field)
     if F.p != 3:
         raise WrongCharacteristic("X^3 + aX + a^2 is the characteristic-3 family")
     if a.is_zero():
         return Triple(F.zero)
-    cubic = Cubic(F.zero, a, a * a)
-    sq = square_classify(-a)
-    if isinstance(sq, NonSquare):
-        r = _single_root(cubic)
-        return LinTimesQuad(r, _cofactor(cubic, r))
-    if trace_to_prime(sq.roots[0]).value != 0:
+    r = _solve_additive(F, lambda x: x ** 3 + a * x, -(a * a))
+    if r is None:
         return Irreducible()
-    return ThreeDistinct(_three_roots(cubic))
+    sq = square_classify(-a)
+    roots = [r] if isinstance(sq, NonSquare) else [r, r + sq.roots[0], r - sq.roots[0]]
+    return _from_roots(Cubic(F.zero, a, a * a), roots)
 
 
 # ---------------------------------------------------------------------------

@@ -26,8 +26,11 @@ Representation invariants:
     odd p adds digit by digit while building, so GF(7^7) and GF(1021^2)
     take 2.1-2.3 s, paid once per process.
 
-The quadratic solver lives here (rather than with the polynomial machinery)
-because the square/cube classifiers below need it; polyring re-exports it.
+Square roots use Tonelli-Shanks, cube roots Adleman-Manders-Miller
+(``_cube_roots``, generic over the group, so ffcubic runs it on the norm-1
+torus too).  The quadratic solver lives here (rather than with the polynomial
+machinery) because the square/cube classifiers below need it; polyring
+re-exports it.
 """
 from __future__ import annotations
 
@@ -104,12 +107,13 @@ def _ppowmod(base: Sequence[int], e: int, mod: Sequence[int], p: int) -> list:
 
 
 def _pgcd(a: Sequence[int], b: Sequence[int], p: int) -> list:
+    """Monic gcd of a monic a and b; each divisor is made monic first, since
+    _pmod assumes a monic divisor."""
     a, b = list(a), list(b)
     while b:
+        inv = pow(b[-1], -1, p)
+        b = [(c * inv) % p for c in b]
         a, b = b, _pmod(a, b, p)
-    if a:
-        inv = pow(a[-1], -1, p)
-        a = [(c * inv) % p for c in a]
     return a
 
 
@@ -545,7 +549,8 @@ def cube_classify(x: FieldElem):
     """Cube(roots)/NonCube for x in GF(p^m) = GF(s).
 
     s = 0, 2 mod 3: cubing is a bijection, one root.
-    s = 1 mod 3: cube character first; if trivial, all three roots.
+    s = 1 mod 3: cube character first; if trivial, all three roots by
+    _cube_roots in GF(s)*, with the least non-cube in counter order.
     """
     F = x.field
     if x.is_zero():
@@ -555,77 +560,40 @@ def cube_classify(x: FieldElem):
         return Cube((x ** (3 ** (F.m - 1)),))
     if s % 3 == 2:
         return Cube((x ** pow(3, -1, s - 1),))
-    chi = x ** ((s - 1) // 3)
-    if chi != F.one:
+    third = (s - 1) // 3
+    if x ** third != F.one:
         return NonCube()
-    return Cube(tuple(sorted(_cube_roots_split(F, x))))
+    z = next(z for z in F.elements() if z and z ** third != F.one)
+    return Cube(tuple(sorted(_cube_roots(x, z, s - 1, operator.mul, operator.pow, F.one))))
 
 
-def _cube_roots_split(F: Field, x: FieldElem) -> list:
-    """All roots of Y^3 - x when they lie in F (s = 1 mod 3, x a cube)."""
-    elems3 = (F.order - 1) // 3
-    # arithmetic mod Y^3 - x on length-3 coefficient lists over F
-    def mulmod(u, v):
-        out = [F.zero] * 5
-        for i in range(3):
-            if u[i].is_zero():
-                continue
-            for j in range(3):
-                out[i + j] = out[i + j] + u[i] * v[j]
-        # Y^3 = x, Y^4 = x Y
-        return [out[0] + x * out[3], out[1] + x * out[4], out[2]]
+def _cube_roots(w, z, n: int, mul, pw, one) -> tuple:
+    """The three cube roots of a cube w in a cyclic group of order n, 3 | n.
 
-    def powmod(u, e):
-        result = [F.one, F.zero, F.zero]
-        while e:
-            if e & 1:
-                result = mulmod(result, u)
-            u = mulmod(u, u)
-            e >>= 1
-        return result
-
-    for delta in F.elements():
-        h = powmod([delta, F.one, F.zero], elems3)
-        h[0] = h[0] - F.one
-        g = _lst_gcd(F, h, [-x, F.zero, F.zero, F.one])
-        if len(g) == 2:  # linear: one root split off
-            r1 = -g[0]
-            rest = _solve_quadratic(F, r1, r1 * r1)
-            return [r1, *rest]
-        if len(g) == 3:  # quadratic: two roots split off
-            r1, r2 = _solve_quadratic(F, g[1], g[0])
-            return [r1, r2, x / (r1 * r2)]
-    raise AssertionError("cube splitting did not terminate")  # pragma: no cover
-
-
-def _lst_trim(c: list) -> list:
-    while c and c[-1].is_zero():
-        c.pop()
-    return c
-
-
-def _lst_divmod(F: Field, a: list, b: list):
-    q = [F.zero] * max(1, len(a) - len(b) + 1)
-    r = list(a)
-    inv = b[-1].inverse()
-    while len(r) >= len(b) and r:
-        c = r[-1] * inv
-        d = len(r) - len(b)
-        q[d] = q[d] + c
-        for i, bi in enumerate(b):
-            r[d + i] = r[d + i] - c * bi
-        _lst_trim(r)
-    return _lst_trim(q), r
-
-
-def _lst_gcd(F: Field, a: list, b: list) -> list:
-    a, b = _lst_trim(list(a)), _lst_trim(list(b))
-    while b:
-        a, b = b, _lst_divmod(F, a, b)[1]
-    if a:
-        inv = a[-1].inverse()
-        a = [c * inv for c in a]
-    return a
+    Adleman-Manders-Miller for r = 3 (FOCS 1977), generic over the group:
+    mul(x, y) multiplies, pw(x, e) raises to an exponent e >= 0, one is the
+    identity and z is a known non-cube.  Write n = 3^t u with 3 not dividing
+    u.  c = w^k with 3k = 1 mod u leaves c^3/w in the 3-Sylow subgroup,
+    which g = z^u generates; its discrete log j to base g is read off in
+    base-3 digits, one per step, and is divisible by 3 since w is a cube, so
+    c g^(-j/3) is a cube root.  zeta = g^(3^(t-1)) has order 3 and gives the
+    other two.
+    """
+    t, u = 0, n
+    while u % 3 == 0:
+        t, u = t + 1, u // 3
+    order = 3 ** t  # of g
+    g = pw(z, u)
+    zeta = pw(g, order // 3)
+    c = pw(w, pow(3, -1, u))
+    e = mul(pw(c, 3), pw(w, n - 1))
+    j = 0
+    for i in range(1, t):  # digit 0 of j is 0
+        d = pw(mul(e, pw(g, order - j)), order // 3 ** (i + 1))
+        if d != one:
+            j += 3 ** i * (1 if d == zeta else 2)
+    c = mul(c, pw(g, order - j // 3))
+    return (c, mul(c, zeta), mul(c, mul(zeta, zeta)))
 
 
 # ---------------------------------------------------------------------------
@@ -670,18 +638,23 @@ def _artin_schreier_particular(F: Field, u: FieldElem) -> FieldElem:
             term = (term * term) ** 2  # u^(2^(2(i+1)))
         assert ht * ht + ht == u
         return ht
-    # even m: solve the GF(2)-linear system (y^2 + y = u) on coefficients
-    cols = []
-    for j in range(F.m):
-        basis = F.elem([0] * j + [1])
-        img = basis * basis + basis
-        cols.append(img.coeffs)
-    matrix = [[cols[j][i] for j in range(F.m)] for i in range(F.m)]
-    sol = solve_modp(matrix, list(u.coeffs), 2)
-    assert sol is not None, "trace-zero element must be reachable"
-    y = F.elem(sol)
+    # even m: a GF(2)-linear solve of y^2 + y = u
+    y = _solve_additive(F, lambda y: y * y + y, u)
+    assert y is not None, "trace-zero element must be reachable"
     assert y * y + y == u
     return y
+
+
+def _solve_additive(F: Field, L, u: FieldElem) -> Optional[FieldElem]:
+    """Some y with L(y) = u for a GF(p)-linear map L on F, or None.
+
+    L is applied to the basis 1, t, ..., t^(m-1) and the system is solved
+    on coefficients by solve_modp.
+    """
+    cols = [L(F.from_value(F.p ** j)).coeffs for j in range(F.m)]
+    matrix = [[col[i] for col in cols] for i in range(F.m)]
+    sol = solve_modp(matrix, list(u.coeffs), F.p)
+    return None if sol is None else F.elem(sol)
 
 
 # ---------------------------------------------------------------------------

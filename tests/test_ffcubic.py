@@ -16,7 +16,7 @@ from cubicext.ffcubic import (
     decompose_depressed,
     decompose_pure,
 )
-from cubicext.ffield import field_make
+from cubicext.ffield import Cube, cube_classify, field_make
 from cubicext.polyring import Poly, func_field, is_irreducible
 
 F2 = field_make(2)
@@ -182,3 +182,38 @@ def test_depressed_corrected_region_small_scan():
             seen.add(type(got).__name__)
             assert type(got) == type(brute_factor(DepressedTrace(a).cubic()))
         assert "Irreducible" in seen and "ThreeDistinct" in seen
+
+
+# Fields that reach every branch of the closed-form witnesses: 9 | s + 1
+# (Adleman-Manders-Miller on the norm-1 torus), 9 | s - 1 (the same in
+# GF(s)*) and characteristic 3 (the linear solve).
+WITNESS_FIELDS = [field_make(17), field_make(53), field_make(2, 9),
+                  field_make(19), field_make(37), field_make(2, 6),
+                  field_make(3, 3), field_make(3, 4), field_make(3, 5)]
+
+
+def _witness_params(F):
+    if F.order > 256:
+        rng = random.Random(F.order)
+        return [F.from_value(rng.randrange(F.order)) for _ in range(128)]
+    return list(F.elements())
+
+
+@pytest.mark.parametrize("F", WITNESS_FIELDS, ids=repr)
+def test_closed_form_witnesses_match_brute_force(F):
+    for a in _witness_params(F):
+        if F.p == 3:
+            assert decompose_char3(a) == brute_factor(Cubic(F.zero, a, a * a)), a
+            continue
+        assert decompose_pure(a) == brute_factor(Cubic(F.zero, F.zero, -a)), a
+        assert decompose_depressed(a) == brute_factor(Cubic(F.zero, F.from_int(-3), -a)), a
+
+
+@pytest.mark.parametrize("F", [F for F in WITNESS_FIELDS if F.p != 3], ids=repr)
+def test_cube_roots_match_a_scan(F):
+    roots = {}
+    for y in F.elements():
+        roots.setdefault(y ** 3, []).append(y)
+    for x in F.elements():
+        got = cube_classify(x)
+        assert (list(got.roots) if isinstance(got, Cube) else []) == roots.get(x, []), x

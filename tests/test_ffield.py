@@ -19,6 +19,7 @@ from cubicext.ffield import (
     square_classify,
     trace_to_prime,
 )
+from cubicext.polyring import Poly, is_irreducible
 
 FIELDS = [field_make(2), field_make(3), field_make(5), field_make(7),
           field_make(2, 2), field_make(2, 3), field_make(3, 2),
@@ -49,6 +50,12 @@ def test_least_irreducible_is_stable():
     assert least_irreducible(2, 3) == (1, 1, 0, 1)
     assert least_irreducible(3, 2) == (1, 0, 1)
     assert least_irreducible(5, 2) == (2, 0, 1)
+
+
+def test_least_irreducible_needs_monic_gcd_divisors():
+    # the gcd in the irreducibility test must divide by monic remainders
+    assert least_irreducible(3, 6) == (2, 1, 0, 0, 0, 0, 1)
+    assert is_irreducible(Poly.of_ints(field_make(3), list(least_irreducible(3, 12))))
 
 
 @pytest.mark.parametrize("F", FIELDS, ids=repr)
