@@ -21,12 +21,13 @@ import functools
 import math
 from typing import Iterator, Optional, Union
 
-from .errors import DomainMismatch, NegativeValuation, ZeroInput
+from .errors import DomainMismatch, NegativeValuation, SizeExceeded, ZeroInput
 from .ffield import FieldElem, invert_modp
 from .polyring import (Embedding, FuncField, Poly, RatFunc, embedding,
                        is_irreducible, monic_polys)
 
 INFINITE_VALUATION = math.inf
+PLACE_SCAN_LIMIT = 1 << 16  # places_up_to scans at most this many carriers per degree
 
 
 class Place:
@@ -152,10 +153,7 @@ class ResidueData:
         """f(root) with coefficients pushed through the embedding."""
         if self.place.is_infinite:
             raise DomainMismatch("no carrier root at infinity")
-        acc = self.field.zero
-        for c in reversed(f.coeffs):
-            acc = acc * self.root + self.embed(c)
-        return acc
+        return self.embed.evaluate(f, self.root)
 
     def reduce(self, a: RatFunc) -> FieldElem:
         """The residue of a at the place; caller guarantees v_P(a) >= 0."""
@@ -243,7 +241,14 @@ def divisor_of(a: RatFunc) -> list:
 
 @functools.lru_cache(maxsize=None)
 def places_up_to(ff: FuncField, dmax: int) -> tuple:
-    """Infinity plus every finite place of degree <= dmax, in place order."""
+    """Infinity plus every finite place of degree <= dmax, in place order.
+
+    The q^d monic polynomials of each degree d are tested one by one, so
+    SizeExceeded is raised up front when q^dmax exceeds PLACE_SCAN_LIMIT.
+    """
+    # q >= 2, so every dmax > 16 exceeds the 2^16 limit: no need for q^dmax
+    if dmax > 16 or ff.field.order ** dmax > PLACE_SCAN_LIMIT:
+        raise SizeExceeded(f"{ff.field.order}^{dmax} candidate places exceed {PLACE_SCAN_LIMIT}")
     out = [Place.infinity(ff)]
     for d in range(1, dmax + 1):
         for f in monic_polys(ff.field, d):

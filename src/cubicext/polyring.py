@@ -5,6 +5,15 @@ functions), or a PolyRing (polynomials again, for the nested reductions the
 identity checks use).  Coefficients are a trimmed tuple, low degree first;
 the zero polynomial has an empty tuple and degree -1.
 
+Add, sub, mul, divmod, monic, gcd, powmod, xgcd and Horner evaluation run
+in one kernel on coefficient lists, parametrised by the domain's _Kernel.
+Over a Field a Poly's FieldElem coefficients are unwrapped once to their
+counter values, the kernel computes on ints with the field's own
+_add/_sub/_mul/_pow (over GF(p) the quadratic loops reduce % p inline), and
+the result is wrapped once; gcd, powmod and xgcd stay on int lists from start
+to end.  Over other domains the kernel runs on the elements' operators.
+Division is the classical quadratic one and accepts non-monic divisors.
+
 Rational functions are kept reduced with a monic denominator, so equal
 functions have equal representations.
 
@@ -18,8 +27,9 @@ Determinism contracts honoured here:
 from __future__ import annotations
 
 import functools
+import operator
 import random
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from . import ffield
 from .errors import (DivisionByZero, DomainMismatch, FieldMismatch,
@@ -31,18 +41,198 @@ FACTOR_DEGREE_LIMIT = 512
 
 
 # ---------------------------------------------------------------------------
+# the polynomial kernel: coefficient lists, low degree first, trimmed
+# ---------------------------------------------------------------------------
+
+class _Kernel:
+    """The coefficient arithmetic of one domain, as the list kernel runs it.
+
+    Over a Field the list entries are counter values and add/sub/mul/inv are
+    the field's own methods on them; over GF(p) (p set, else 0) the loops of
+    _mul, _divmod and _horner reduce % p inline instead.  Over any other
+    domain the entries are the elements and the operations their operators.
+    load unwraps a Poly into a list once, store wraps a trimmed list once.
+    """
+
+    __slots__ = ("dom", "field", "p", "zero", "one", "add", "sub", "mul", "inv")
+
+    def __init__(self, dom):
+        self.dom = dom
+        if isinstance(dom, Field):
+            self.field, self.p = dom, (dom.p if dom.m == 1 else 0)
+            self.zero, self.one = 0, 1
+            self.add, self.sub, self.mul = dom._add, dom._sub, dom._mul
+            self.inv = lambda c: dom._pow(c, -1)
+        else:
+            self.field, self.p = None, 0
+            self.zero, self.one = dom.zero, dom.one
+            self.add, self.sub, self.mul = operator.add, operator.sub, operator.mul
+            self.inv = self._inverse
+
+    def _inverse(self, c):
+        try:
+            return self.dom.one / c
+        except TypeError:
+            raise DomainMismatch("division needs a monic divisor over this domain")
+
+    def load(self, f: Poly) -> list:
+        return [c.value for c in f.coeffs] if self.field else list(f.coeffs)
+
+    def store(self, cs: list) -> Poly:
+        F = self.field
+        out = Poly.__new__(Poly)
+        out.dom = self.dom
+        out.coeffs = tuple([FieldElem(F, v) for v in cs]) if F else tuple(cs)
+        return out
+
+
+@functools.lru_cache(maxsize=None)
+def _kernel(dom) -> _Kernel:
+    return _Kernel(dom)
+
+
+def _trim(cs: list) -> list:
+    while cs and not cs[-1]:
+        cs.pop()
+    return cs
+
+
+def _add(K: _Kernel, a: list, b: list) -> list:
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    add = K.add
+    for i, c in enumerate(b):
+        out[i] = add(out[i], c)
+    return _trim(out)
+
+
+def _sub(K: _Kernel, a: list, b: list) -> list:
+    out = list(a) + [K.zero] * (len(b) - len(a))
+    sub = K.sub
+    for i, c in enumerate(b):
+        out[i] = sub(out[i], c)
+    return _trim(out)
+
+
+def _scale(K: _Kernel, a: list, c) -> list:
+    mul = K.mul
+    return [mul(v, c) for v in a]
+
+
+def _mul(K: _Kernel, a: list, b: list) -> list:
+    # the domains are integral, so the top coefficient is never zero
+    if not a or not b:
+        return []
+    p = K.p
+    if p:
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    out[j] += x * y
+        return [v % p for v in out]
+    add, mul = K.add, K.mul
+    out = [K.zero] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] = add(out[j], mul(x, y))
+    return out
+
+
+def _divmod(K: _Kernel, a: list, b: list):
+    """(q, r) with a = q*b + r and deg r < deg b, for nonzero b; b need not
+    be monic (its leading coefficient is inverted once)."""
+    n = len(b) - 1
+    if len(a) <= n:
+        return [], list(a)
+    inv = None if b[-1] == K.one else K.inv(b[-1])
+    r = list(a)
+    q = [K.zero] * (len(a) - n)
+    low = b[:n]
+    p = K.p
+    if p:  # r is reduced % p only where it is read
+        inv = 1 if inv is None else inv
+        for d in range(len(q) - 1, -1, -1):
+            c = r[d + n] * inv % p
+            if c:
+                q[d] = c
+                for i, y in enumerate(low, d):
+                    r[i] -= c * y
+        return q, _trim([v % p for v in r[:n]])
+    mul, sub = K.mul, K.sub
+    for d in range(len(q) - 1, -1, -1):
+        c = r[d + n] if inv is None else mul(r[d + n], inv)
+        if c:
+            q[d] = c
+            for i, y in enumerate(low, d):
+                r[i] = sub(r[i], mul(c, y))
+    return q, _trim(r[:n])
+
+
+def _monic(K: _Kernel, a: list) -> list:
+    if not a or a[-1] == K.one:
+        return a
+    return _scale(K, a, K.inv(a[-1]))
+
+
+def _gcd(K: _Kernel, a: list, b: list) -> list:
+    """The monic gcd of a and b, [] when both are zero."""
+    while b:
+        a, b = b, _divmod(K, a, b)[1]
+    return _monic(K, a)
+
+
+def _powmod(K: _Kernel, base: list, e: int, mod: list) -> list:
+    """base^e modulo mod, for e >= 0 (e = 0 gives 1 unreduced)."""
+    result = [K.one]
+    base = _divmod(K, base, mod)[1]
+    while e:
+        if e & 1:
+            result = _divmod(K, _mul(K, result, base), mod)[1]
+        e >>= 1
+        if e:
+            base = _divmod(K, _mul(K, base, base), mod)[1]
+    return result
+
+
+def _horner(K: _Kernel, a: Sequence, v):
+    """a(v) by Horner's rule."""
+    acc = K.zero
+    p = K.p
+    if p:
+        for c in reversed(a):
+            acc = (acc * v + c) % p
+        return acc
+    add, mul = K.add, K.mul
+    for c in reversed(a):
+        acc = add(mul(acc, v), c)
+    return acc
+
+
+# ---------------------------------------------------------------------------
 # polynomials
 # ---------------------------------------------------------------------------
+
+def _binop(kernel_op):
+    """A Poly operator: kernel_op(K, a, b) on the coefficient lists of self
+    and of other (a Poly over the same domain, an int or a domain element)."""
+    def op(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        K = _kernel(self.dom)
+        return K.store(kernel_op(K, K.load(self), K.load(o)))
+    return op
+
 
 class Poly:
     __slots__ = ("dom", "coeffs")
 
     def __init__(self, dom, coeffs: Sequence):
-        cs = list(coeffs)
-        while cs and _is_zero(cs[-1]):
-            cs.pop()
         self.dom = dom
-        self.coeffs = tuple(cs)
+        self.coeffs = tuple(_trim(list(coeffs)))
 
     # -- constructors -------------------------------------------------------
 
@@ -104,50 +294,13 @@ class Poly:
             return Poly.const(self.dom, c)
         return None
 
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        a, b = self.coeffs, o.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return Poly(self.dom, out)
-
-    __radd__ = __add__
+    __add__ = __radd__ = _binop(_add)
+    __sub__ = _binop(_sub)
+    __rsub__ = _binop(lambda K, a, b: _sub(K, b, a))
+    __mul__ = __rmul__ = _binop(_mul)
 
     def __neg__(self):
         return Poly(self.dom, [-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if self.is_zero() or o.is_zero():
-            return Poly.zero(self.dom)
-        out = [self.dom.zero] * (len(self.coeffs) + len(o.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if _is_zero(a):
-                continue
-            for j, b in enumerate(o.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return Poly(self.dom, out)
-
-    __rmul__ = __mul__
 
     def __pow__(self, e: int):
         if not isinstance(e, int) or e < 0:
@@ -167,24 +320,9 @@ class Poly:
             return NotImplemented
         if o.is_zero():
             raise DivisionByZero("polynomial division by zero")
-        if o.lc == self.dom.one:
-            inv = None
-        else:
-            try:
-                inv = self.dom.one / o.lc
-            except TypeError:
-                raise DomainMismatch("division needs a monic divisor over this domain")
-        q = [self.dom.zero] * max(1, len(self.coeffs) - len(o.coeffs) + 1)
-        r = list(self.coeffs)
-        while len(r) >= len(o.coeffs) and r:
-            c = r[-1] if inv is None else r[-1] * inv
-            d = len(r) - len(o.coeffs)
-            q[d] = q[d] + c
-            for i, bi in enumerate(o.coeffs):
-                r[d + i] = r[d + i] - c * bi
-            while r and _is_zero(r[-1]):
-                r.pop()
-        return Poly(self.dom, q), Poly(self.dom, r)
+        K = _kernel(self.dom)
+        q, r = _divmod(K, K.load(self), K.load(o))
+        return K.store(q), K.store(r)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -197,24 +335,25 @@ class Poly:
             raise ZeroPolynomial("monic of 0")
         if self.is_monic():
             return self
-        inv = self.dom.one / self.lc
-        return Poly(self.dom, [c * inv for c in self.coeffs])
+        K = _kernel(self.dom)
+        return K.store(_monic(K, K.load(self)))
 
     def gcd(self, other: "Poly") -> "Poly":
-        a, b = self, self._coerce(other)
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic() if not a.is_zero() else a
+        """The monic gcd (zero when both are zero)."""
+        K = _kernel(self.dom)
+        return K.store(_gcd(K, K.load(self), K.load(self._coerce(other))))
 
     def derivative(self) -> "Poly":
         return Poly(self.dom, [self.coeffs[i] * i for i in range(1, len(self.coeffs))])
 
     def __call__(self, v):
         """Horner evaluation at an element of the coefficient domain."""
-        acc = self.dom.zero
-        for c in reversed(self.coeffs):
-            acc = acc * v + c
-        return acc
+        K = _kernel(self.dom)
+        if K.field is None:
+            return _horner(K, self.coeffs, v)
+        F = K.field
+        v = F.zero + v  # coerces an int, refuses an element of another field
+        return FieldElem(F, _horner(K, K.load(self), v.value))
 
     def compose(self, q: "Poly") -> "Poly":
         acc = Poly.zero(self.dom)
@@ -248,7 +387,7 @@ class Poly:
     def render(self, var: str = "x") -> str:
         terms = []
         for i, c in enumerate(self.coeffs):
-            if _is_zero(c):
+            if not c:
                 continue
             cs = c.render() if hasattr(c, "render") else str(c)
             if i == 0:
@@ -265,12 +404,6 @@ class Poly:
 
     def __repr__(self):
         return self.render()
-
-
-def _is_zero(c) -> bool:
-    if hasattr(c, "is_zero"):
-        return c.is_zero()
-    return not c
 
 
 def _as_domain_elem(dom, v):
@@ -390,9 +523,6 @@ class RatFunc:
     def height(self) -> int:
         """max(deg num, deg den); 0 for constants (including 0)."""
         return max(self.num.degree, self.den.degree, 0)
-
-    def is_poly(self) -> bool:
-        return self.den.degree == 0
 
     # -- arithmetic ---------------------------------------------------------------
 
@@ -528,14 +658,8 @@ def quadratic_roots(f: Poly) -> tuple:
 # ---------------------------------------------------------------------------
 
 def _powmod_q(base: Poly, e: int, mod: Poly) -> Poly:
-    result = Poly.one(base.dom)
-    base = base % mod
-    while e:
-        if e & 1:
-            result = (result * base) % mod
-        base = (base * base) % mod
-        e >>= 1
-    return result
+    K = _kernel(base.dom)
+    return K.store(_powmod(K, K.load(base), e, K.load(mod)))
 
 
 def is_irreducible(f: Poly) -> bool:
@@ -653,12 +777,15 @@ def _equal_degree_split(f: Poly, d: int, rng: random.Random) -> list:
         r = Poly(F, [F.from_value(rng.randrange(q)) for _ in range(n)])
         if r.degree < 1:
             continue
-        if F.p == 2:
-            w = Poly.zero(F)
-            t = r % f
+        if F.p == 2:  # the trace map r + r^2 + ... + r^(2^(dm-1)) mod f
+            K = _kernel(F)
+            fl = K.load(f)
+            t = _divmod(K, K.load(r), fl)[1]
+            w = []
             for _ in range(d * F.m):
-                w = (w + t) % f
-                t = (t * t) % f
+                w = _add(K, w, t)
+                t = _divmod(K, _mul(K, t, t), fl)[1]
+            w = K.store(w)
         else:
             w = _powmod_q(r, (q ** d - 1) // 2, f) - Poly.one(F)
         g = f.gcd(w)
@@ -702,19 +829,19 @@ def poly_roots(f: Poly) -> list:
 
 def xgcd(a: Poly, b: Poly):
     """(g, u, v) with u*a + v*b = g, g the monic gcd (or zero)."""
-    dom = a.dom
-    r0, r1 = a, b
-    s0, s1 = Poly.one(dom), Poly.zero(dom)
-    t0, t1 = Poly.zero(dom), Poly.one(dom)
-    while not r1.is_zero():
-        q, r = divmod(r0, r1)
+    K = _kernel(a.dom)
+    r0, r1 = K.load(a), K.load(a._coerce(b))
+    s0, s1 = [K.one], []
+    t0, t1 = [], [K.one]
+    while r1:
+        q, r = _divmod(K, r0, r1)
         r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    if r0.is_zero():
-        return r0, s0, t0
-    inv = dom.one / r0.lc
-    return r0 * inv, s0 * inv, t0 * inv
+        s0, s1 = s1, _sub(K, s0, _mul(K, q, s1))
+        t0, t1 = t1, _sub(K, t0, _mul(K, q, t1))
+    if r0:
+        inv = K.inv(r0[-1])
+        r0, s0, t0 = (_scale(K, v, inv) for v in (r0, s0, t0))
+    return K.store(r0), K.store(s0), K.store(t0)
 
 
 # ---------------------------------------------------------------------------
@@ -733,12 +860,25 @@ class Embedding:
         self.root = root
 
     def __call__(self, e: FieldElem) -> FieldElem:
+        return FieldElem(self.dst, self._image(e))
+
+    def evaluate(self, f: Poly, x: FieldElem) -> FieldElem:
+        """f(x) for f over the source and x in the target field, with f's
+        coefficients mapped by the embedding."""
+        if x.field is not self.dst:
+            raise FieldMismatch("point not in the embedding's target field")
+        K = _kernel(self.dst)
+        return FieldElem(self.dst, _horner(K, [self._image(c) for c in f.coeffs], x.value))
+
+    def _image(self, e: FieldElem) -> int:
+        """The counter value of the image of e.  An element c of GF(p) maps to
+        c*1, whose value is c; otherwise its digits are the coefficients of a
+        polynomial evaluated at root."""
         if e.field is not self.src:
             raise FieldMismatch("element not in the embedding's source field")
-        acc = self.dst.zero
-        for c in reversed(e.coeffs):
-            acc = acc * self.root + self.dst.from_int(c)
-        return acc
+        if self.src.m == 1:
+            return e.value
+        return _horner(_kernel(self.dst), e.coeffs, self.root.value)
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -190,6 +191,15 @@ def test_errors_exit_codes_and_stderr(capsys):
     # unbound x in a finite-field command: 2
     code, out, err = run_cli(capsys, "factor", "--field", "5", "X^3+x")
     assert code == 2 and "UnboundSymbol" in err
+
+
+def test_place_table_bound_is_checked_before_enumerating(capsys):
+    # 13^5 = 371293 candidate carriers of degree 5 exceed the 2^16 scan limit
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "splitting", "--field", "13", "--max-degree", "5",
+                             "X^3-x")
+    assert code == 4 and out == "" and "SizeExceeded" in err
+    assert time.perf_counter() - start < 1.0
 
 
 def test_isom_command(capsys):

@@ -8,6 +8,7 @@ from cubicext.polyring import (
     Poly,
     PolyRing,
     RatFunc,
+    _powmod_q,
     embedding,
     factor_fq,
     func_field,
@@ -224,6 +225,101 @@ def test_embedding_is_a_homomorphism():
             assert emb(a + b) == emb(a) + emb(b)
             assert emb(a * b) == emb(a) * emb(b)
     assert emb(F3.one) == F9.one
+
+
+# ---------------------------------------------------------------------------
+# the coefficient-list kernel against an element-wise schoolbook
+# ---------------------------------------------------------------------------
+
+def _sb_trim(c):
+    c = list(c)
+    while c and c[-1].is_zero():
+        c.pop()
+    return c
+
+
+def _sb_mul(F, a, b):
+    if not a or not b:
+        return []
+    out = [F.zero] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return _sb_trim(out)
+
+
+def _sb_divmod(F, a, b):
+    q = [F.zero] * max(0, len(a) - len(b) + 1)
+    r = list(a)
+    inv = b[-1].inverse()
+    while len(r) >= len(b):
+        c = r[-1] * inv
+        d = len(r) - len(b)
+        q[d] = c
+        for i, y in enumerate(b):
+            r[d + i] = r[d + i] - c * y
+        r = _sb_trim(r)
+    return _sb_trim(q), r
+
+
+def _sb_gcd(F, a, b):
+    while b:
+        a, b = b, _sb_divmod(F, a, b)[1]
+    if not a:
+        return a
+    inv = a[-1].inverse()
+    return [c * inv for c in a]
+
+
+def _sb_powmod(F, a, e, mod):
+    result, base = [F.one], _sb_divmod(F, a, mod)[1]
+    while e:
+        if e & 1:
+            result = _sb_divmod(F, _sb_mul(F, result, base), mod)[1]
+        base = _sb_divmod(F, _sb_mul(F, base, base), mod)[1]
+        e >>= 1
+    return result
+
+
+def _sb_eval(F, a, v):
+    acc = F.zero
+    for c in reversed(a):
+        acc = acc * v + c
+    return acc
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (7, 1), (13, 1), (2, 2), (3, 2), (5, 3), (2, 8)])
+def test_kernel_matches_elementwise_schoolbook(p, m):
+    F = field_make(p, m)
+    rng = random.Random(f"kernel {p}^{m}")
+
+    def elem(nonzero=False):
+        return F.from_value(rng.randrange(1 if nonzero else 0, F.order))
+
+    def rand(dmax=12):
+        """Degree 0..dmax, leading coefficient usually not 1."""
+        d = rng.randrange(dmax + 1)
+        return [elem() for _ in range(d)] + [elem(nonzero=True)]
+
+    zero = Poly.zero(F)
+    for _ in range(60):
+        a, b = rand(), rand()
+        f, g = Poly(F, a), Poly(F, b)
+        assert list((f * g).coeffs) == _sb_mul(F, a, b)
+        q, r = divmod(f, g)
+        assert [list(q.coeffs), list(r.coeffs)] == list(_sb_divmod(F, a, b))
+        assert divmod(zero, g) == (zero, zero)
+        c = [elem(nonzero=True)]  # a constant divisor leaves no remainder
+        q, r = divmod(f, Poly(F, c))
+        assert list(q.coeffs) == _sb_divmod(F, a, c)[0] and r.is_zero()
+        assert list(f.gcd(g).coeffs) == _sb_gcd(F, a, b)
+        assert list(f.gcd(zero).coeffs) == _sb_gcd(F, a, [])
+        mod = rand(6) + [elem(nonzero=True)]  # degree >= 1
+        for e in (0, 1, 2, F.order, rng.randrange(F.order ** 2)):
+            got = _powmod_q(f, e, Poly(F, mod))
+            assert list(got.coeffs) == _sb_powmod(F, a, e, mod)
+        v = elem()
+        assert f(v) == _sb_eval(F, a, v)
 
 
 # ---------------------------------------------------------------------------
