@@ -16,6 +16,12 @@ Local normalisation comes first in each family:
                               parameter surgery that keeps the extension
                               isomorphic (an explicit witness each time).
 
+Each signature reads its two local quantities, v_P(a) and the residue of the
+unit part a * pi^(-v), off one evaluation of a's numerator and denominator at
+the carrier's root (``places.unit_residue``); no RatFunc is built for them.
+Only the char-3 poles of order divisible by three still go through the
+RatFunc surgery of ``char3_local_form``.
+
 The characteristic-2 resolvent is additive, so its local and global solvers
 (``as_local_reduce``, ``artin_schreier_solve``) live here too; the canonical-
 form layer borrows them.
@@ -46,7 +52,7 @@ from .ffcubic import (
 )
 from .ffield import Cube, Square, cube_classify, square_classify, trace_to_prime
 from .ffield import _artin_schreier_particular
-from .places import Place, divisor_of, residue_field, uniformizer, valuation
+from .places import Place, divisor_of, residue_field, uniformizer, unit_residue, valuation
 from .polyring import RatFunc, factor_fq
 
 
@@ -78,6 +84,9 @@ class Extension:
         if a.is_zero():
             raise ReducibleInput("parameter 0 makes the cubic reducible")
         if isinstance(form, DepressedTrace):
+            if a.ff.field.p == 3:
+                raise WrongCharacteristic(
+                    "y^3 - 3y = a is y^3 = a, inseparable in characteristic 3")
             two = a.ff.from_int(2)
             if (a - two).is_zero() or (a + two).is_zero():
                 raise ReducibleInput("parameter +-2 makes the trace form reducible")
@@ -178,13 +187,11 @@ def pure_local_form(a: RatFunc, P: Place) -> Tuple[RatFunc, RatFunc]:
 
 
 def signature_pure(ext: Extension, P: Place) -> Signature:
-    a = ext.form.a
-    v = valuation(a, P)
+    # v = 3j: the residue of a * pi^(-v) is that of pure_local_form's a'
+    v, res = unit_residue(ext.form.a, P)
     if v % 3 != 0:
         return SIG_FULLY_RAMIFIED
-    ap, _ = pure_local_form(a, P)
-    abar = residue_field(P).reduce(ap)
-    return _sig_unramified(decompose_pure(abar))
+    return _sig_unramified(decompose_pure(res))
 
 
 # -- characteristic-2 resolvent ---------------------------------------------
@@ -269,11 +276,9 @@ def resolvent_place_behavior(a: RatFunc, P: Place) -> ResolventBehavior:
         disc = ff.from_int(-27) * (a * a - ff.from_int(4))
         if disc.is_zero():
             raise ReducibleInput("parameter +-2 makes the trace form reducible")
-        v = valuation(disc, P)
+        v, res = unit_residue(disc, P)
         if v % 2 == 1:
             return Ramified
-        unit = disc * uniformizer(P) ** (-v)
-        res = residue_field(P).reduce(unit)
         if isinstance(square_classify(res), Square):
             return Split
         return Inert
@@ -297,16 +302,14 @@ def resolvent_place_behavior(a: RatFunc, P: Place) -> ResolventBehavior:
 
 def signature_depressed(ext: Extension, P: Place) -> Signature:
     a = ext.form.a
-    v = valuation(a, P)
+    v, res = unit_residue(a, P)
     if v < 0:
         if v % 3 != 0:
             return SIG_FULLY_RAMIFIED
         # deep pole: y = z/pi^(v/3) turns the form into z^3 = a*pi^(-v) + small,
         # a separable pure residual
-        abar = residue_field(P).reduce(a * uniformizer(P) ** (-v))
-        return _sig_unramified(decompose_pure(abar))
-    abar = residue_field(P).reduce(a)
-    d = decompose_depressed(abar)
+        return _sig_unramified(decompose_pure(res))
+    d = decompose_depressed(res if v == 0 else res.field.zero)
     if not isinstance(d, LinTimesSquare):
         return _sig_unramified(d)
     # residual double root: the merged pair is separated by the resolvent
@@ -338,12 +341,11 @@ def char3_local_form(a: RatFunc, P: Place) -> Tuple[RatFunc, int, Tuple[RatFunc,
     pi = uniformizer(P)
     steps: List[RatFunc] = []
     while True:
-        v = valuation(a, P)
+        v, res = unit_residue(a, P)
         if v >= 0 or v % 3 != 0:
             break
         k = (-v) // 3
-        rho = rd.reduce(-(a * a) * pi ** (6 * k))
-        w1 = cube_classify(rho).roots[0]
+        w1 = cube_classify(-(res * res)).roots[0]  # residue of -a^2 * pi^(6k)
         w2 = ff.from_poly(rd.lift(w1)) * pi ** (-2 * k)
         n = a * a + w2 ** 3 + a * w2
         if n.is_zero():
@@ -354,18 +356,23 @@ def char3_local_form(a: RatFunc, P: Place) -> Tuple[RatFunc, int, Tuple[RatFunc,
 
 
 def signature_char3(ext: Extension, P: Place) -> Signature:
-    astar, vstar, _ = char3_local_form(ext.form.a, P)
-    if vstar < 0:
-        return SIG_FULLY_RAMIFIED  # v* prime to 3: one place, e = 3
-    rd = residue_field(P)
-    if vstar == 0:
-        return _sig_unramified(decompose_char3(rd.reduce(astar)))
+    a = ext.form.a
+    v, res = unit_residue(a, P)
+    if v < 0:
+        if v % 3 != 0:
+            return SIG_FULLY_RAMIFIED  # v prime to 3: one place, e = 3
+        # only poles of order divisible by 3 need the surgery
+        astar, v, _ = char3_local_form(a, P)
+        if v < 0:
+            return SIG_FULLY_RAMIFIED
+        v, res = unit_residue(astar, P)
+    if v == 0:
+        return _sig_unramified(decompose_char3(res))
     # a* = 0 at P: Newton polygon gives one unit root and a pair of slope
     # v*/2; parity of v* decides ramification, the square class of the
     # leading coefficient decides split vs inert
-    if vstar % 2 == 1:
+    if v % 2 == 1:
         return SIG_PARTIAL
-    res = rd.reduce(astar * uniformizer(P) ** (-vstar))
     if isinstance(square_classify(-res), Square):
         return SIG_SPLIT
     return SIG_MIXED
@@ -423,13 +430,12 @@ def ramification_report(ext: Extension) -> RamificationReport:
             if v < 0 and v % 3 != 0:
                 fully.append((P, 2))
         if ff.field.p != 2:
+            # a - 2 and a + 2 differ by the unit 4, so at a zero P of either,
+            # v_P(-27(a^2 - 4)) is that zero's order: the resolvent ramifies
+            # iff it is odd (resolvent_place_behavior), read off the divisor
             two = ff.from_int(2)
-            cands = []
             for shifted in (a - two, a + two):
-                cands.extend(P for P, v in divisor_of(shifted) if v > 0)
-            for P in sorted(set(cands)):
-                if resolvent_place_behavior(a, P) is Ramified:
-                    partial.append((P, 1))
+                partial.extend((P, 1) for P, v in divisor_of(shifted) if v > 0 and v % 2 == 1)
         else:
             u = ff.one / (a * a) + ff.one
             for P, v in divisor_of(a):

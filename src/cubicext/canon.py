@@ -21,6 +21,7 @@ of maps is then the matrix product.  Matrices are normalized projectively
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -528,19 +529,10 @@ def _separate_by_signature(shape1, shape2, search_bound: int):
     from . import arith
     e1 = arith.Extension(shape1)
     e2 = arith.Extension(shape2)
-    ff = shape1.base
-    dmax = max(1, min(search_bound, 4))
-    # where q^dmax crosses the scan limit, the places of lower degree alone
-    # exceed the budget, so dropping degree dmax scans the same places
-    while dmax > 1 and ff.field.order ** dmax > places_mod.PLACE_SCAN_LIMIT:
-        dmax -= 1
-    scanned = 0
-    for P in places_mod.places_up_to(ff, dmax):
+    places = places_mod.iter_places(shape1.base, max(1, min(search_bound, 4)))
+    for P in itertools.islice(places, SEPARATION_PLACE_BUDGET):
         if arith.signature(e1, P) != arith.signature(e2, P):
             return P
-        scanned += 1
-        if scanned >= SEPARATION_PLACE_BUDGET:
-            break
     return None
 
 

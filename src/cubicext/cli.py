@@ -38,7 +38,7 @@ from .errors import (
 )
 from .ffield import Field, FieldElem, field_make
 from .places import places_up_to
-from .polyring import FuncField, Poly, RatFunc, func_field
+from .polyring import FACTOR_DEGREE_LIMIT, FuncField, Poly, RatFunc, func_field
 
 SCHEMA_FILE = "cli-schema.json"
 
@@ -229,7 +229,12 @@ def eval_ast(node, scope: _Scope) -> Poly:
     if tag == "sym":
         return scope.symbol(node[1])
     if tag == "^":
-        return eval_ast(node[1], scope) ** node[2][1]
+        base, e = eval_ast(node[1], scope), node[2][1]
+        # the power multiplies the degree in X and the height in x by e
+        size = max([base.degree] + [c.height for c in base.coeffs if isinstance(c, RatFunc)])
+        if e * size > FACTOR_DEGREE_LIMIT:
+            raise SizeExceeded(f"a power of degree or height {e * size} exceeds {FACTOR_DEGREE_LIMIT}")
+        return base ** e
     lhs = eval_ast(node[1], scope)
     rhs = eval_ast(node[2], scope)
     if tag == "+":

@@ -442,12 +442,14 @@ def field_make(p: int, m: int = 1) -> Field:
 
 @functools.lru_cache(maxsize=None)
 def _field_cached(p: int, m: int) -> Field:
-    if not _is_prime(p):
-        raise NotPrime(f"{p} is not prime")
     if m < 1:
         raise NotPrime(f"extension degree must be >= 1, got {m}")
-    if p ** m > MAX_ORDER:
+    # the size first: trial division of a huge p, or p^m for a huge m, would
+    # not finish; p >= 2 and m > log2(MAX_ORDER) already exceed the cap
+    if p >= 2 and (m >= MAX_ORDER.bit_length() or p ** m > MAX_ORDER):
         raise SizeExceeded(f"field order {p}^{m} exceeds {MAX_ORDER}")
+    if not _is_prime(p):
+        raise NotPrime(f"{p} is not prime")
     return Field(p, m)
 
 

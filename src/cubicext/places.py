@@ -13,13 +13,14 @@ residue_field returns a ResidueData bundle: the residue field GF(q^d)
 itself, the embedding GF(q) -> GF(q^d), and the distinguished root of the
 carrier (the least one), so that reduction is literally evaluation at the
 root.  ResidueData.lift inverts reduction on polynomials of degree < d,
-which the local Artin-Schreier machinery in arith relies on.
+which the local Artin-Schreier machinery in arith relies on.  unit_residue
+gives v_P(a) together with the residue of a * pi^(-v) from that evaluation.
 """
 from __future__ import annotations
 
 import functools
 import math
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional, Tuple, Union
 
 from .errors import DomainMismatch, NegativeValuation, SizeExceeded, ZeroInput
 from .ffield import FieldElem, invert_modp
@@ -97,12 +98,13 @@ def func_field_of(p: Poly) -> FuncField:
 # valuations
 # ---------------------------------------------------------------------------
 
-def _ord_in(f: Poly, pi: Poly) -> int:
+def _strip(f: Poly, pi: Poly) -> Tuple[int, Poly]:
+    """(n, f / pi^n) for the largest n with pi^n dividing f."""
     n = 0
     while True:
         q, r = divmod(f, pi)
         if not r.is_zero():
-            return n
+            return n, f
         f = q
         n += 1
 
@@ -114,11 +116,8 @@ def valuation(a: RatFunc, P: Place) -> Union[int, float]:
     if P.is_infinite:
         return a.den.degree - a.num.degree
     # the fraction is reduced, so at most one of num/den is divisible
-    if (a.num % P.pi).is_zero():
-        return _ord_in(a.num, P.pi)
-    if (a.den % P.pi).is_zero():
-        return -_ord_in(a.den, P.pi)
-    return 0
+    v = _strip(a.num, P.pi)[0]
+    return v if v else -_strip(a.den, P.pi)[0]
 
 
 def uniformizer(P: Place) -> RatFunc:
@@ -209,6 +208,31 @@ def residue_field(P: Place) -> ResidueData:
     return ResidueData(P, k, emb, root)
 
 
+def unit_residue(a: RatFunc, P: Place) -> Tuple[int, FieldElem]:
+    """(v, r): v = v_P(a) and r the (nonzero) residue of a * pi^(-v).
+
+    No RatFunc is built.  At infinity the residue is lc(num)/lc(den).  At a
+    finite place the carrier is the minimal polynomial of the residue field's
+    root, so pi divides num or den exactly when it vanishes there; that side
+    is divided by pi until it does not, and the quotient is evaluated.
+    """
+    if a.is_zero():
+        raise ZeroInput("the zero function has no unit part")
+    num, den = a.num, a.den
+    if P.is_infinite:
+        return den.degree - num.degree, num.lc / den.lc
+    rd = residue_field(P)
+    n, d = rd.eval_poly(num), rd.eval_poly(den)
+    # the fraction is reduced, so at most one of n, d is zero
+    if not n:
+        v, num = _strip(num, P.pi)
+        return v, rd.eval_poly(num) / d
+    if not d:
+        v, den = _strip(den, P.pi)
+        return -v, n / rd.eval_poly(den)
+    return 0, n / d
+
+
 def reduce_at(a: RatFunc, P: Place) -> FieldElem:
     """The image of a in the residue field; NegativeValuation at a pole."""
     v = valuation(a, P)
@@ -239,6 +263,19 @@ def divisor_of(a: RatFunc) -> list:
     return out
 
 
+def iter_places(ff: FuncField, dmax: int) -> Iterator[Place]:
+    """Infinity, then every finite place of degree <= dmax, in place order.
+
+    Lazy: each carrier is built and tested when it is reached, so a caller
+    that stops early pays only for the places it took.
+    """
+    yield Place.infinity(ff)
+    for d in range(1, dmax + 1):
+        for f in monic_polys(ff.field, d):
+            if is_irreducible(f):
+                yield Place(ff, f)
+
+
 @functools.lru_cache(maxsize=None)
 def places_up_to(ff: FuncField, dmax: int) -> tuple:
     """Infinity plus every finite place of degree <= dmax, in place order.
@@ -249,9 +286,4 @@ def places_up_to(ff: FuncField, dmax: int) -> tuple:
     # q >= 2, so every dmax > 16 exceeds the 2^16 limit: no need for q^dmax
     if dmax > 16 or ff.field.order ** dmax > PLACE_SCAN_LIMIT:
         raise SizeExceeded(f"{ff.field.order}^{dmax} candidate places exceed {PLACE_SCAN_LIMIT}")
-    out = [Place.infinity(ff)]
-    for d in range(1, dmax + 1):
-        for f in monic_polys(ff.field, d):
-            if is_irreducible(f):
-                out.append(Place(ff, f))
-    return tuple(out)
+    return tuple(iter_places(ff, dmax))

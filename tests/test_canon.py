@@ -408,6 +408,25 @@ def test_isom_depressed_not_isomorphic_has_certificate():
     assert res.witness is not None  # a separating place
 
 
+def test_lazy_separation_scan_matches_the_place_table():
+    from cubicext import arith
+    from cubicext.canon import SEPARATION_PLACE_BUDGET, _separate_by_signature
+    from cubicext.places import places_up_to
+    x3, x5, x7 = K3.x, K5.x, K7.x
+    cases = [
+        (DepressedTrace(x5), DepressedTrace(x5 + 1)),
+        (Pure(x7), Pure((4 + 4 * x7 * x7) / x7)),     # first separated at 1+x^2
+        (Char3(x3), Char3(x3 + 1)),
+        (DepressedTrace(x7), DepressedTrace(x7)),     # the budget ends the scan
+    ]
+    for s1, s2 in cases:
+        e1, e2 = arith.Extension(s1), arith.Extension(s2)
+        table = places_up_to(s1.base, 4)[:SEPARATION_PLACE_BUDGET]
+        expected = next((P for P in table
+                         if arith.signature(e1, P) != arith.signature(e2, P)), None)
+        assert _separate_by_signature(s1, s2, 4) == expected
+
+
 def test_isom_char3_twist():
     x = K3.x
     # w = x, j = 1: a2 = (a1^2 + w^3 + a1 w)^2 / a1^3 with a1 = x

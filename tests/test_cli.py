@@ -202,6 +202,23 @@ def test_place_table_bound_is_checked_before_enumerating(capsys):
     assert time.perf_counter() - start < 1.0
 
 
+def test_field_size_is_checked_before_the_primality_test(capsys):
+    # trial division of this 25-digit prime would not finish
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "classify", "--field", "1000000000000000000000007",
+                             "X^3-2")
+    assert code == 4 and out == "" and "SizeExceeded" in err
+    assert time.perf_counter() - start < 1.0
+
+
+def test_power_size_is_checked_before_computing_it(capsys):
+    for expr in ("X^3+X+(X+1)^2000000", "X^3+x*X+(x+1)^2000000", "X^3+x*X+((x+1)^200)^3"):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "classify", "--field", "7", expr)
+        assert code == 4 and out == "" and "SizeExceeded" in err, expr
+        assert time.perf_counter() - start < 1.0
+
+
 def test_isom_command(capsys):
     code, out, _ = run_cli(capsys, "isom", "--field", "7", "--json", "X^3-2", "X^3-4")
     assert code == 0

@@ -13,6 +13,7 @@ from cubicext.places import (
     reduce_at,
     residue_field,
     uniformizer,
+    unit_residue,
     valuation,
 )
 from cubicext.polyring import Poly, RatFunc, func_field, monic_polys
@@ -21,6 +22,8 @@ F2 = field_make(2)
 F3 = field_make(3)
 F5 = field_make(5)
 F9 = field_make(3, 2)
+F4 = field_make(2, 2)
+F13 = field_make(13)
 K5 = func_field(F5)
 K2 = func_field(F2)
 K9 = func_field(F9)
@@ -179,3 +182,19 @@ def test_reduce_at_infinity_uses_leading_behavior():
     assert reduce_at(a, Pinf) == F5.from_int(2)
     b = (x + 1) / (x * x)
     assert reduce_at(b, Pinf) == F5.zero
+
+
+def test_unit_residue_matches_ratfunc_reduction():
+    """(v, r) against valuation and reduce_at of a * pi^(-v), built as a RatFunc."""
+    rng = random.Random(2024)
+    for F in (F2, F3, F4, F5, F9, F13):
+        K = func_field(F)
+        for P in places_up_to(K, 2):
+            pi = uniformizer(P)
+            for k in range(-4, 5):
+                a = pi ** k * rand_rat(rng, K, dmax=3)
+                v, r = unit_residue(a, P)
+                assert v == valuation(a, P)
+                assert r == reduce_at(a * pi ** (-v), P) and not r.is_zero()
+    with pytest.raises(ZeroInput):
+        unit_residue(K5.zero, Place.infinity(K5))
