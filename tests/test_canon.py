@@ -3,7 +3,9 @@ import random
 
 import pytest
 
+from cubicext import arith
 from cubicext.canon import (
+    SEPARATION_PLACE_BUDGET,
     Char3,
     Cubic,
     DepressedTrace,
@@ -28,6 +30,7 @@ from cubicext.canon import (
     purely_cubic_root,
     reduce_cubic,
     shanks_to_canonical,
+    _separate_by_signature,
 )
 from cubicext.errors import (
     DegenerateParameter,
@@ -39,6 +42,7 @@ from cubicext.errors import (
     WrongFieldClass,
 )
 from cubicext.ffield import field_make, _solve_quadratic
+from cubicext.places import places_up_to
 from cubicext.polyring import Poly, embedding, func_field, poly_roots
 
 F2 = field_make(2)
@@ -409,9 +413,6 @@ def test_isom_depressed_not_isomorphic_has_certificate():
 
 
 def test_lazy_separation_scan_matches_the_place_table():
-    from cubicext import arith
-    from cubicext.canon import SEPARATION_PLACE_BUDGET, _separate_by_signature
-    from cubicext.places import places_up_to
     x3, x5, x7 = K3.x, K5.x, K7.x
     cases = [
         (DepressedTrace(x5), DepressedTrace(x5 + 1)),
