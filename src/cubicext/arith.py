@@ -337,13 +337,13 @@ def char3_local_form(a: RatFunc, P: Place) -> Tuple[RatFunc, int, Tuple[RatFunc,
         raise WrongCharacteristic("this local form is the characteristic-3 family's")
     if a.is_zero():
         raise ZeroInput("no local form for the zero parameter")
-    rd = residue_field(P)
     pi = uniformizer(P)
     steps: List[RatFunc] = []
     while True:
         v, res = unit_residue(a, P)
         if v >= 0 or v % 3 != 0:
             break
+        rd = residue_field(P)  # only a pole of order divisible by 3 needs it
         k = (-v) // 3
         w1 = cube_classify(-(res * res)).roots[0]  # residue of -a^2 * pi^(6k)
         w2 = ff.from_poly(rd.lift(w1)) * pi ** (-2 * k)
@@ -450,6 +450,9 @@ def ramification_report(ext: Extension) -> RamificationReport:
             if v > 0:
                 if v % 2 == 1:
                     partial.append((P, 1))
+                continue
+            if v % 3 != 0:  # already normalised: no residue field needed
+                fully.append((P, -v + 2))
                 continue
             _, vstar, _ = char3_local_form(a, P)
             if vstar < 0:

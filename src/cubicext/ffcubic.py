@@ -18,6 +18,14 @@ the norm-1 torus of GF(s^2) (trace form); one GF(3)-linear solve
 (or an already-reduced canonical shape), reduces it, and transports the
 witnesses back through the inverse fractional-linear substitution.
 
+Everything after the reduction computes on counter values with the field's
+``_add/_sub/_mul/_pow/_neg`` and the counter-value solvers of ``ffield``; a
+result is wrapped in ``FieldElem`` only when its ``Decomp`` is built.  The
+torus arithmetic works on pairs mod W^2 - aW + 1 (inline % p over GF(p)), and
+its non-cube (delta + W)^(s-1) is built as conj(u)^2/N(u) with u = delta + W:
+one inverse in GF(s) per candidate delta.  Nothing is cached per input; the
+constants that depend only on the field live on the ``Field``.
+
 ``brute_factor`` is an independent oracle: it scans every field element and
 never consults the criteria.  Keep it dumb; the tests rely on that.
 """
@@ -37,15 +45,13 @@ from .canon import (
 )
 from .errors import SizeExceeded, WrongCharacteristic, WrongFieldClass
 from .ffield import (
-    Cube,
     Field,
     FieldElem,
-    NonSquare,
+    _cbrt_values,
     _cube_roots,
+    _quad_values,
     _solve_additive,
-    _solve_quadratic,
-    cube_classify,
-    square_classify,
+    _sqrt_values,
 )
 
 BRUTE_LIMIT = 1 << 16
@@ -103,60 +109,80 @@ def _require_finite(F) -> Field:
     return F
 
 
-def _cofactor(c: Cubic, r: FieldElem) -> Tuple[FieldElem, FieldElem]:
-    """Quadratic cofactor of a known root: c = (X - r)(X^2 + bX + cc)."""
-    assert c(r).is_zero()
-    b = c.e + r
-    return (b, c.f + r * b)
+def _lin_times_quad(F: Field, c: tuple, r: int) -> LinTimesQuad:
+    """(X - r)(X^2 + bX + cc) for a root r of X^3 + eX^2 + fX + g, with
+    c = (e, f, g) and r counter values."""
+    e, f, g = c
+    b = F._add(e, r)
+    cc = F._add(f, F._mul(r, b))
+    assert not F._add(F._mul(cc, r), g), "the cofactor needs a root"
+    return LinTimesQuad(FieldElem(F, r), (FieldElem(F, b), FieldElem(F, cc)))
 
 
-def _from_roots(c: Cubic, roots: list) -> Decomp:
-    """The bin of a separable cubic from all its roots in GF(s): 0, 1 or 3."""
+def _from_roots(F: Field, c: tuple, roots) -> Decomp:
+    """The bin of a separable cubic X^3 + eX^2 + fX + g, c = (e, f, g), from
+    all its roots in GF(s) (0, 1 or 3 counter values)."""
     if not roots:
         return Irreducible()
     if len(roots) == 1:
-        return LinTimesQuad(roots[0], _cofactor(c, roots[0]))
+        return _lin_times_quad(F, c, roots[0])
     assert len(roots) == 3, "a separable cubic has 0, 1 or 3 roots"
-    return ThreeDistinct(tuple(sorted(roots)))
+    return ThreeDistinct(tuple(FieldElem(F, r) for r in sorted(roots)))
 
 
-def _torus_roots(F: Field, a: FieldElem) -> list:
+def _torus_roots(F: Field, a: int) -> list:
     """Tr(c) for every cube root c of W in GF(s)[W]/(W^2 - aW + 1), the
-    quadratic irreducible.
+    quadratic irreducible, on counter values.
 
     Elements are pairs (c0, c1) = c0 + c1 W with W^2 = aW - 1, and
     Tr(c) = 2 c0 + a c1.  W has norm 1, so it and its cube roots lie in the
     cyclic torus T of order n = s + 1.  3 not dividing n: cubing is a
     bijection on T, c = W^(3^-1 mod n).  3 | n: W is a cube iff
     W^(n/3) = 1, and then _cube_roots runs on T with the non-cube
-    z = (delta + W)^(s-1) for the least delta with z^(n/3) != 1.
+    z = (delta + W)^(s-1) for the least delta with z^(n/3) != 1.  The
+    Frobenius sends W to its conjugate a - W, so with u = delta + W,
+    z = conj(u)/u = conj(u)^2/N(u), N(u) = delta^2 + a delta + 1: one
+    inverse in GF(s) per candidate instead of a power in T.
     """
+    add, sub, mul = F._add, F._sub, F._mul
     n = F.order + 1
-    one = (F.one, F.zero)
+    one = (1, 0)
 
-    def mul(u, v):
-        x = u[1] * v[1]
-        return (u[0] * v[0] - x, u[0] * v[1] + u[1] * v[0] + a * x)
+    if F.m == 1:
+        p = F.p
 
-    def pw(u, e):
+        def tmul(u, v):
+            x = u[1] * v[1]
+            return ((u[0] * v[0] - x) % p, (u[0] * v[1] + u[1] * v[0] + a * x) % p)
+    else:
+        def tmul(u, v):
+            x = mul(u[1], v[1])
+            return (sub(mul(u[0], v[0]), x),
+                    add(add(mul(u[0], v[1]), mul(u[1], v[0])), mul(a, x)))
+
+    def tpow(u, e):
         acc = one
         while e:
             if e & 1:
-                acc = mul(acc, u)
-            u = mul(u, u)
+                acc = tmul(acc, u)
+            u = tmul(u, u)
             e >>= 1
         return acc
 
-    W = (F.zero, F.one)
+    W = (0, 1)
     if n % 3:
-        cs = [pw(W, pow(3, -1, n))]
-    elif pw(W, n // 3) != one:
+        cs = [tpow(W, pow(3, -1, n))]
+    elif tpow(W, n // 3) != one:
         return []
     else:
-        zs = (pw((delta, F.one), n - 2) for delta in F.elements())
-        z = next(z for z in zs if pw(z, n // 3) != one)
-        cs = _cube_roots(W, z, n, mul, pw, one)
-    return [2 * c0 + a * c1 for c0, c1 in cs]
+        for delta in range(F.order):
+            d = add(delta, a)  # conj(u) = d - W, conj(u)^2 = d^2 - 1 - (d + delta) W
+            ninv = F._pow(add(mul(delta, d), 1), -1)
+            z = (mul(sub(mul(d, d), 1), ninv), mul(F._neg(add(d, delta)), ninv))
+            if tpow(z, n // 3) != one:
+                break
+        cs = _cube_roots(W, z, n, tmul, tpow, one)
+    return [add(add(c0, c0), mul(a, c1)) for c0, c1 in cs]
 
 
 # ---------------------------------------------------------------------------
@@ -191,8 +217,8 @@ def brute_factor(c: Cubic) -> Decomp:
                 m = 3
         mults.append(m)
     total = sum(mults)
-    if total == 1:
-        return LinTimesQuad(roots[0], _cofactor(c, roots[0]))
+    if total == 1:  # one simple root: e1, f1 are its cofactor
+        return LinTimesQuad(roots[0], (e1, f1))
     assert total == 3, "a cubic root count off the scan must be 1 or 3"
     if len(roots) == 3:
         return ThreeDistinct(tuple(roots))
@@ -216,15 +242,10 @@ def decompose_pure(a: FieldElem) -> Decomp:
     F = _require_finite(a.field)
     if F.p == 3:
         raise WrongCharacteristic("X^3 - a is inseparable in characteristic 3")
-    if a.is_zero():
+    v = a.value
+    if not v:
         return Triple(F.zero)
-    if F.order % 3 == 2:
-        r = cube_classify(a).roots[0]
-        return LinTimesQuad(r, (r, r * r))
-    out = cube_classify(a)
-    if isinstance(out, Cube):
-        return ThreeDistinct(out.roots)
-    return Irreducible()
+    return _from_roots(F, (0, 0, F._neg(v)), _cbrt_values(F, v))
 
 
 def decompose_depressed(a: FieldElem) -> Decomp:
@@ -233,7 +254,7 @@ def decompose_depressed(a: FieldElem) -> Decomp:
     a = +-2 (odd p) and a = 0 (p = 2) are the square cases.  Otherwise the
     cubic is separable and its roots are exactly y = c + 1/c over the c with
     c^3 = w, w a root of W^2 - aW + 1 (then y^3 - 3y = w + 1/w = a).  When w
-    lies in GF(s) the c are its cube roots from cube_classify: one for
+    lies in GF(s) the c are its cube roots from _cbrt_values: one for
     s = 2 mod 3, three or none for s = 1 mod 3.  Otherwise w lies in the
     norm-1 torus of GF(s^2), where 1/c is the conjugate of c and y = Tr(c)
     (_torus_roots).  One root leaves an irreducible quadratic cofactor.
@@ -241,22 +262,19 @@ def decompose_depressed(a: FieldElem) -> Decomp:
     F = _require_finite(a.field)
     if F.p == 3:
         raise WrongCharacteristic("X^3 - 3X - a degenerates to a pure cubic in characteristic 3")
+    v = a.value
     if F.p == 2:
-        if a.is_zero():
+        if not v:
             return LinTimesSquare(simple=F.zero, double=F.one)
-    else:
-        two = F.from_int(2)
-        if a == two:
-            return LinTimesSquare(simple=two, double=-F.one)
-        if a == -two:
-            return LinTimesSquare(simple=-two, double=F.one)
-    ws = _solve_quadratic(F, -a, F.one)
+    elif v in (2, F.p - 2):  # a = +-2, double root -+1
+        sign = 1 if v == 2 else -1
+        return LinTimesSquare(simple=F.from_int(2 * sign), double=F.from_int(-sign))
+    ws = _quad_values(F, F._neg(v), 1)
     if ws:
-        cube = cube_classify(ws[0])
-        roots = [c + c.inverse() for c in cube.roots] if isinstance(cube, Cube) else []
+        roots = [F._add(c, F._pow(c, -1)) for c in _cbrt_values(F, ws[0]) or ()]
     else:
-        roots = _torus_roots(F, a)
-    return _from_roots(Cubic(F.zero, F.from_int(-3), -a), roots)
+        roots = _torus_roots(F, v)
+    return _from_roots(F, (0, -3 % F.p, F._neg(v)), roots)
 
 
 def decompose_char3(a: FieldElem) -> Decomp:
@@ -271,14 +289,16 @@ def decompose_char3(a: FieldElem) -> Decomp:
     F = _require_finite(a.field)
     if F.p != 3:
         raise WrongCharacteristic("X^3 + aX + a^2 is the characteristic-3 family")
-    if a.is_zero():
+    v = a.value
+    if not v:
         return Triple(F.zero)
-    r = _solve_additive(F, lambda x: x ** 3 + a * x, -(a * a))
+    v2 = F._mul(v, v)
+    r = _solve_additive(F, lambda x: F._add(F._pow(x, 3), F._mul(v, x)), F._neg(v2))
     if r is None:
         return Irreducible()
-    sq = square_classify(-a)
-    roots = [r] if isinstance(sq, NonSquare) else [r, r + sq.roots[0], r - sq.roots[0]]
-    return _from_roots(Cubic(F.zero, a, a * a), roots)
+    sq = _sqrt_values(F, F._neg(v))
+    roots = [r] if sq is None else [r, F._add(r, sq[0]), F._sub(r, sq[0])]
+    return _from_roots(F, (0, v, v2), roots)
 
 
 # ---------------------------------------------------------------------------
@@ -312,8 +332,8 @@ def decompose_any(c) -> Decomp:
     if isinstance(shape, InseparablePure):
         # X^3 - a in characteristic 3: the Frobenius is surjective, so this
         # is always a triple root
-        r = cube_classify(shape.a).roots[0]
-        return _transport(Triple(r), mob, orig)
+        r = _cbrt_values(F, shape.a.value)[0]
+        return _transport(Triple(FieldElem(F, r)), mob, orig)
     if isinstance(shape, Pure):
         d = decompose_pure(shape.a)
     elif isinstance(shape, DepressedTrace):
@@ -325,39 +345,46 @@ def decompose_any(c) -> Decomp:
 
 def _decompose_reducible(shape: Reducible) -> Decomp:
     F = shape.base
-    r = shape.root
     b, cc = shape.quad
-    qroots = _solve_quadratic(F, b, cc)
+    r = shape.root.value
+    qroots = _quad_values(F, b.value, cc.value)
     if not qroots:
-        return LinTimesQuad(r, (b, cc))
+        return LinTimesQuad(shape.root, (b, cc))
     if len(qroots) == 1:
         u = qroots[0]
         if u == r:
-            return Triple(r)
-        return LinTimesSquare(simple=r, double=u)
+            return Triple(shape.root)
+        return LinTimesSquare(simple=shape.root, double=FieldElem(F, u))
     u, v = qroots
     if r == u:
-        return LinTimesSquare(simple=v, double=r)
+        return LinTimesSquare(simple=FieldElem(F, v), double=shape.root)
     if r == v:
-        return LinTimesSquare(simple=u, double=r)
-    return ThreeDistinct(tuple(sorted((r, u, v))))
+        return LinTimesSquare(simple=FieldElem(F, u), double=shape.root)
+    return ThreeDistinct(tuple(FieldElem(F, x) for x in sorted((r, u, v))))
 
 
 def _transport(d: Decomp, mob: FracLinear, orig: Cubic) -> Decomp:
     if mob.is_identity() or isinstance(d, Irreducible):
         return d
-    inv = mob.inverse()
+    F = orig.base
+    add, sub, mul = F._add, F._sub, F._mul
+    m00, m01, m10, m11 = mob.m00.value, mob.m01.value, mob.m10.value, mob.m11.value
+    c = (orig.e.value, orig.f.value, orig.g.value)
 
-    def pull(z: FieldElem) -> FieldElem:
-        y = inv.apply(z)
-        assert orig(y).is_zero(), "transported witness must be a root"
+    def pull(z: FieldElem) -> int:
+        # the inverse map z -> (m00 z - m10) / (m11 - m01 z)
+        den = sub(m11, mul(m01, z.value))
+        assert den, "no witness root sits on the pole"
+        y = F._div(sub(mul(m00, z.value), m10), den)
+        assert not add(mul(add(mul(add(y, c[0]), y), c[1]), y), c[2]), \
+            "transported witness must be a root"
         return y
 
     if isinstance(d, LinTimesQuad):
-        r = pull(d.root)
-        return LinTimesQuad(r, _cofactor(orig, r))
+        return _lin_times_quad(F, c, pull(d.root))
     if isinstance(d, ThreeDistinct):
-        return ThreeDistinct(tuple(sorted(pull(z) for z in d.roots)))
+        return ThreeDistinct(tuple(FieldElem(F, y) for y in sorted(pull(z) for z in d.roots)))
     if isinstance(d, LinTimesSquare):
-        return LinTimesSquare(simple=pull(d.simple), double=pull(d.double))
-    return Triple(pull(d.root))
+        return LinTimesSquare(simple=FieldElem(F, pull(d.simple)),
+                              double=FieldElem(F, pull(d.double)))
+    return Triple(FieldElem(F, pull(d.root)))

@@ -21,16 +21,30 @@ Representation invariants:
     bumps the lowest digit of v.
   * Table memory is 12(q-1) + 4 bytes, plus 4(q-1) for zech when p is odd:
     0.75 MiB at q = 2^16, 12 MiB at the MAX_ORDER cap q = 2^20 (16 MiB for
-    odd p just below it).  On a 2-core x86-64 host under CPython 3.11 the
-    tables of GF(2^16) build in 11-19 ms and those of GF(2^20) in 0.25 s;
-    odd p adds digit by digit while building, so GF(7^7) and GF(1021^2)
-    take 2.1-2.3 s, paid once per process.
+    odd p just below it).  For odd p the build adds digit vectors packed
+    into one int, a few int operations per step; its lookup lists, indexed
+    by packed half-vectors, hold at most 74,899 entries (GF(3^12)) and are
+    dropped after the build.  On a 2-core x86-64 host under CPython 3.11
+    the tables of GF(2^16) build in 11-19 ms, those of GF(2^20) in
+    0.4 s, GF(3^12) in 0.5 s and GF(7^7) and GF(1021^2) in 0.6-1.0 s, paid
+    once per process.
+  * The other per-field constants are built on first use as well and never
+    depend on an input: the least non-square (``nonsquare``, odd p) for
+    Tonelli-Shanks, the least non-cube (``noncube``, q = 1 mod 3) for
+    Adleman-Manders-Miller, and for q = 2^m with m even the echelon rows of
+    y -> y^2 + y (``as_section``), so y^2 + y = u is solved in at most
+    m - 1 XORs.  One int each for the first two, m - 1 triples of ints
+    (under 3 KiB at m = 20) for the last.
 
 Square roots use Tonelli-Shanks, cube roots Adleman-Manders-Miller
 (``_cube_roots``, generic over the group, so ffcubic runs it on the norm-1
-torus too).  The quadratic solver lives here (rather than with the polynomial
-machinery) because the square/cube classifiers below need it; polyring
-re-exports it.
+torus too).  The classifiers and solvers compute on counter values
+(``_sqrt_values``, ``_cbrt_values``, ``_quad_values``,
+``_artin_schreier_value``, ``_solve_additive``), which ffcubic calls
+directly; ``square_classify``, ``cube_classify`` and ``_solve_quadratic``
+wrap them for FieldElem callers.  The quadratic solver lives here (rather
+than with the polynomial machinery) because the square/cube classifiers
+below need it; polyring re-exports it.
 """
 from __future__ import annotations
 
@@ -204,10 +218,15 @@ class Field:
     """The finite field GF(p^m).  Obtain instances through field_make.
 
     Besides the element constructors it holds the arithmetic on counter
-    values (the _add ... _pow methods), which FieldElem wraps.
+    values (the _add ... _pow methods), which FieldElem wraps, and the
+    per-field constants, each built on first use: the tables exp, log and
+    zech, the least non-square (nonsquare, odd p), the least non-cube
+    (noncube, q = 1 mod 3) and the echelon rows of y -> y^2 + y
+    (as_section, q = 2^m with m even).
     """
 
-    __slots__ = ("p", "m", "order", "modulus", "zero", "one", "exp", "log", "zech")
+    __slots__ = ("p", "m", "order", "modulus", "zero", "one", "exp", "log", "zech",
+                 "nonsquare", "noncube", "as_section")
 
     def __init__(self, p: int, m: int):
         self.p = p
@@ -218,48 +237,118 @@ class Field:
         self.one = FieldElem(self, 1)
 
     def __getattr__(self, name):
-        # only reached while a table slot is still unset
+        # only reached while a per-field slot is still unset
         if name in ("exp", "log", "zech") and self.m > 1:
             self._build_tables()
-            return getattr(self, name)
-        raise AttributeError(name)
+        elif name == "nonsquare" and self.p != 2:
+            self.nonsquare = self._least_non_power(2)
+        elif name == "noncube" and self.order % 3 == 1:
+            self.noncube = self._least_non_power(3)
+        elif name == "as_section" and self.p == 2 and self.m % 2 == 0:
+            self.as_section = self._as_section()
+        else:
+            raise AttributeError(name)
+        return getattr(self, name)
+
+    def _least_non_power(self, r: int) -> int:
+        """The least counter value that is not an r-th power, for r | q - 1
+        (0 and 1 are powers)."""
+        e = (self.order - 1) // r
+        return next(v for v in range(2, self.order) if self._pow(v, e) != 1)
+
+    def _as_section(self) -> tuple:
+        """Rows (pivot, L(x), x) spanning the image of the GF(2)-linear map
+        L(y) = y^2 + y on counter values, for even m.  L(t^j), j = 1..m-1,
+        is reduced by the rows before it, so its pivot (highest set bit) is
+        no earlier row's pivot and every later row has that bit clear: u
+        reduced by the rows in this order leaves 0 exactly when Tr(u) = 0,
+        and the x of the rows used add up to a solution.  L(1) = 0, so the
+        solution has constant term 0."""
+        rows = []
+        for j in range(1, self.m):
+            x = 1 << j
+            r = self._mul(x, x) ^ x
+            for pivot, row, pre in rows:
+                if r >> pivot & 1:
+                    r ^= row
+                    x ^= pre
+            rows.append((r.bit_length() - 1, r, x))
+        return tuple(rows)
 
     def _build_tables(self):
         """exp[k] = g^k for 0 <= k < 2(q-1), log[g^k] = k, and for odd p
         zech[k] = log(1 + g^k), or -1 where 1 + g^k = 0; g is the least
         generator.  Multiplying by g is GF(p)-linear, so g*x is the sum of
-        two lookups, on the low m//2 digits of x and on the rest."""
+        two lookups, on the low h = m//2 digits of x and on the rest.
+
+        For odd p the loop holds x packed, digit i in bits [iW, iW + W) with
+        W = bitlen(p - 1) + 1, so the two lookups add digit by digit in one
+        int addition: adding 2^(W-1) - p to every digit sets a digit's top
+        bit exactly where it reached p, and p is taken off there.  Lists
+        indexed by the packed halves give the products and the counter value.
+        """
         p, m, q = self.p, self.m, self.order
         n = q - 1
         mod = list(self.modulus)
         gd = next(d for d in (_digits(g, p, m) for g in range(p, q))
                   if all(_ppowmod(d, n // ell, mod, p) != [1] for ell in _prime_divisors(n)))
-        cols = [_counter(_pmod(_pmul(gd, [0] * j + [1], p), mod, p), p) for j in range(m)]
-        places = [p ** i for i in range(m)]
-        add = operator.xor if p == 2 else (
-            lambda u, w: sum((u // P + w // P) % p * P for P in places))
+        cols = [_pmod(_pmul(gd, [0] * j + [1], p), mod, p) for j in range(m)]
         h = m // 2
-        ph = p ** h
-        lo, hi = _span(cols[:h], p, add), _span(cols[h:], p, add)
         exp = array("i", [0]) * (2 * n)
         log = array("i", [0]) * q
-        x = 1
-        for k in range(n):
-            exp[k] = x
-            log[x] = k
-            x = add(hi[x // ph], lo[x % ph])
+        if p == 2:
+            cols = [_counter(c, 2) for c in cols]
+            lo, hi = _span(cols[:h], 2, operator.xor), _span(cols[h:], 2, operator.xor)
+            mask = (1 << h) - 1
+            x = 1
+            for k in range(n):
+                exp[k] = x
+                log[x] = k
+                x = hi[x >> h] ^ lo[x & mask]
+        else:
+            top = (p - 1).bit_length()
+            W = top + 1
+
+            def pack(digits):
+                return sum(d << i * W for i, d in enumerate(digits))
+
+            over, tops = pack([(1 << top) - p] * m), pack([1 << top] * m)
+
+            def add(u, w):
+                s = u + w
+                return s - ((s + over & tops) >> top) * p
+
+            def lookups(cs, scale):
+                # product and counter value, indexed by the packed digit vector
+                keys = _span([1 << j * W for j in range(len(cs))], p, add)
+                prod, ctr = [0] * (max(keys) + 1), [0] * (max(keys) + 1)
+                for c, (key, v) in enumerate(zip(keys, _span(cs, p, add))):
+                    prod[key], ctr[key] = v, c * scale
+                return prod, ctr
+
+            pcols = [pack(c) for c in cols]
+            lo, lo_ctr = lookups(pcols[:h], 1)
+            hi, hi_ctr = lookups(pcols[h:], p ** h)
+            shift, mask = h * W, (1 << h * W) - 1
+            x = 1
+            for k in range(n):
+                xl, xh = x & mask, x >> shift
+                v = lo_ctr[xl] + hi_ctr[xh]
+                exp[k] = v
+                log[v] = k
+                s = hi[xh] + lo[xl]
+                x = s - ((s + over & tops) >> top) * p
         if x != 1:  # g is a unit of order q - 1 only if the modulus is irreducible
             raise AssertionError(f"{self!r}: the modulus {self.modulus} is reducible")
         memoryview(exp)[n:] = memoryview(exp)[:n]
         self.exp, self.log, self.zech = exp, log, None
         if p != 2:
-            # 1 + v in counter form bumps the lowest digit of v
-            zech = array("i", [0]) * n
-            for k in range(n):
-                v = exp[k]
-                w = v + 1 if v % p != p - 1 else v + 1 - p
-                zech[k] = log[w] if w else -1
-            self.zech = zech
+            # zech[k] = succ[g^k] with succ[v] = log(1 + v): 1 + v in counter
+            # form bumps the lowest digit of v, which wraps at p - 1
+            succ = array("i", log[1:]) + log[:1]
+            succ[p - 1::p] = log[::p]
+            succ[p - 1] = -1  # 1 + (-1) = 0
+            self.zech = array("i", map(succ.__getitem__, exp[:n]))
 
     # -- arithmetic on counter values ----------------------------------------
 
@@ -470,7 +559,7 @@ def trace_to_prime(x: FieldElem) -> FieldElem:
 
 
 # ---------------------------------------------------------------------------
-# squares
+# squares and cubes: FieldElem classifiers over counter-value kernels
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -486,56 +575,51 @@ class NonSquare:
 def square_classify(x: FieldElem):
     """Square(roots)/NonSquare for x in GF(p^m); roots listed ascending."""
     F = x.field
-    if x.is_zero():
-        return Square((F.zero,))
+    roots = _sqrt_values(F, x.value)
+    return NonSquare() if roots is None else Square(tuple(FieldElem(F, r) for r in roots))
+
+
+def _sqrt_values(F: Field, x: int) -> Optional[tuple]:
+    """The square roots of the counter value x, ascending, or None."""
+    if not x:
+        return (0,)
     if F.p == 2:
         # squaring is a bijection; the inverse is the (m-1)-fold square
-        r = x ** (2 ** (F.m - 1))
-        return Square((r,))
-    if x ** ((F.order - 1) // 2) != F.one:
-        return NonSquare()
+        return (F._pow(x, 2 ** (F.m - 1)),)
+    if F._pow(x, (F.order - 1) // 2) != 1:
+        return None
     r = _sqrt_odd(F, x)
-    return Square(tuple(sorted((r, -r))))
+    return tuple(sorted((r, F._neg(r))))
 
 
-def _sqrt_odd(F: Field, a: FieldElem) -> FieldElem:
-    """Tonelli-Shanks with the least non-residue as auxiliary; a is a square."""
+def _sqrt_odd(F: Field, a: int) -> int:
+    """Tonelli-Shanks with the least non-residue F.nonsquare as auxiliary;
+    a is a nonzero square."""
+    mul, pw = F._mul, F._pow
     u = F.order - 1
     e = 0
     while u % 2 == 0:
         u //= 2
         e += 1
+    x = pw(a, (u + 1) // 2)
     if e == 1:
-        return a ** ((u + 1) // 2)
-    n = None
-    half = (F.order - 1) // 2
-    for z in F.elements():
-        if z.is_zero():
-            continue
-        if z ** half != F.one:
-            n = z
-            break
-    z = n ** u
-    x = a ** ((u + 1) // 2)
-    b = a ** u
+        return x
+    z = pw(F.nonsquare, u)
+    b = pw(a, u)
     r = e
-    while b != F.one:
+    while b != 1:
         k = 0
         t = b
-        while t != F.one:
-            t = t * t
+        while t != 1:
+            t = mul(t, t)
             k += 1
-        w = z ** (2 ** (r - k - 1))
-        z = w * w
-        b = b * z
-        x = x * w
+        w = pw(z, 2 ** (r - k - 1))
+        z = mul(w, w)
+        b = mul(b, z)
+        x = mul(x, w)
         r = k
     return x
 
-
-# ---------------------------------------------------------------------------
-# cubes
-# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class Cube:
@@ -548,25 +632,29 @@ class NonCube:
 
 
 def cube_classify(x: FieldElem):
-    """Cube(roots)/NonCube for x in GF(p^m) = GF(s).
+    """Cube(roots)/NonCube for x in GF(p^m); roots listed ascending."""
+    F = x.field
+    roots = _cbrt_values(F, x.value)
+    return NonCube() if roots is None else Cube(tuple(FieldElem(F, r) for r in roots))
+
+
+def _cbrt_values(F: Field, x: int) -> Optional[tuple]:
+    """The cube roots of the counter value x in GF(s), ascending, or None.
 
     s = 0, 2 mod 3: cubing is a bijection, one root.
     s = 1 mod 3: cube character first; if trivial, all three roots by
-    _cube_roots in GF(s)*, with the least non-cube in counter order.
+    _cube_roots in GF(s)*, with the least non-cube F.noncube.
     """
-    F = x.field
-    if x.is_zero():
-        return Cube((F.zero,))
+    if not x:
+        return (0,)
     s = F.order
     if F.p == 3:
-        return Cube((x ** (3 ** (F.m - 1)),))
+        return (F._pow(x, 3 ** (F.m - 1)),)
     if s % 3 == 2:
-        return Cube((x ** pow(3, -1, s - 1),))
-    third = (s - 1) // 3
-    if x ** third != F.one:
-        return NonCube()
-    z = next(z for z in F.elements() if z and z ** third != F.one)
-    return Cube(tuple(sorted(_cube_roots(x, z, s - 1, operator.mul, operator.pow, F.one))))
+        return (F._pow(x, pow(3, -1, s - 1)),)
+    if F._pow(x, (s - 1) // 3) != 1:
+        return None
+    return tuple(sorted(_cube_roots(x, F.noncube, s - 1, F._mul, F._pow, 1)))
 
 
 def _cube_roots(w, z, n: int, mul, pw, one) -> tuple:
@@ -599,64 +687,87 @@ def _cube_roots(w, z, n: int, mul, pw, one) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# monic quadratics (shared with polyring.quadratic_roots)
+# monic quadratics (shared with polyring.quadratic_roots) and linear solves
 # ---------------------------------------------------------------------------
 
 def _solve_quadratic(F: Field, b: FieldElem, c: FieldElem) -> tuple:
-    """Roots of X^2 + bX + c over F, ascending; () if none, one entry if double.
+    """Roots of X^2 + bX + c over F, ascending; () if none, one entry if
+    double.  b and c may also be ints, taken mod p."""
+    b = b.value if isinstance(b, FieldElem) else b % F.p
+    c = c.value if isinstance(c, FieldElem) else c % F.p
+    return tuple(FieldElem(F, r) for r in _quad_values(F, b, c))
 
-    Odd characteristic goes through the discriminant; characteristic 2 uses
-    the absolute trace, with the half trace for odd m and a GF(2) linear
-    solve for even m.
+
+def _quad_values(F: Field, b: int, c: int) -> tuple:
+    """_solve_quadratic on counter values.
+
+    Odd characteristic goes through the discriminant.  Characteristic 2
+    substitutes X = bY, leaving Y^2 + Y = c/b^2 (_artin_schreier_value).
     """
-    b = F.from_int(b) if isinstance(b, int) else b
-    c = F.from_int(c) if isinstance(c, int) else c
+    mul = F._mul
     if F.p != 2:
-        disc = b * b - 4 * c
-        cls = square_classify(disc)
-        if isinstance(cls, NonSquare):
+        disc = F._sub(mul(b, b), mul(4 % F.p, c))
+        roots = _sqrt_values(F, disc)
+        if roots is None:
             return ()
-        if disc.is_zero():
-            return (-b / 2,)
-        r = cls.roots[1]
-        return tuple(sorted(((-b + r) / 2, (-b - r) / 2)))
-    # characteristic 2
-    if b.is_zero():
-        return (square_classify(c).roots[0],)  # (X + sqrt(c))^2
-    u = c / (b * b)
-    if trace_to_prime(u):
+        half, mb = F._pow(2, -1), F._neg(b)
+        if not disc:
+            return (mul(mb, half),)
+        r = roots[1]
+        return tuple(sorted((mul(F._add(mb, r), half), mul(F._sub(mb, r), half))))
+    if not b:
+        return _sqrt_values(F, c)  # (X + sqrt(c))^2
+    y = _artin_schreier_value(F, F._div(c, mul(b, b)))
+    if y is None:
         return ()
-    y0 = _artin_schreier_particular(F, u)
-    return tuple(sorted((b * y0, b * y0 + b)))
+    by = mul(b, y)
+    return tuple(sorted((by, by ^ b)))
 
 
 def _artin_schreier_particular(F: Field, u: FieldElem) -> FieldElem:
     """Some y with y^2 + y = u over GF(2^m); requires Tr(u) = 0."""
-    if F.m % 2 == 1:
-        ht = F.zero
-        term = u
-        for i in range((F.m + 1) // 2):
-            ht = ht + term
-            term = (term * term) ** 2  # u^(2^(2(i+1)))
-        assert ht * ht + ht == u
-        return ht
-    # even m: a GF(2)-linear solve of y^2 + y = u
-    y = _solve_additive(F, lambda y: y * y + y, u)
+    y = _artin_schreier_value(F, u.value)
     assert y is not None, "trace-zero element must be reachable"
-    assert y * y + y == u
+    return FieldElem(F, y)
+
+
+def _artin_schreier_value(F: Field, u: int) -> Optional[int]:
+    """Some y with y^2 + y = u on counter values of GF(2^m), or None when
+    Tr(u) = 1.
+
+    Odd m: the half trace H = sum of u^(4^i) for i <= (m-1)/2, since
+    H^2 + H = u + Tr(u).  Even m: u reduced by F.as_section, at most m - 1
+    XORs; this y has constant term 0.
+    """
+    if F.m % 2:
+        y = term = u
+        for _ in range(F.m // 2):
+            term = F._pow(term, 4)
+            y ^= term
+        return y if F._mul(y, y) ^ y == u else None
+    y, rest = 0, u
+    for pivot, row, pre in F.as_section:
+        if rest >> pivot & 1:
+            rest ^= row
+            y ^= pre
+    if rest:
+        return None
+    assert F._mul(y, y) ^ y == u
     return y
 
 
-def _solve_additive(F: Field, L, u: FieldElem) -> Optional[FieldElem]:
-    """Some y with L(y) = u for a GF(p)-linear map L on F, or None.
+def _solve_additive(F: Field, L, u: int) -> Optional[int]:
+    """Some y with L(y) = u for a GF(p)-linear map L on counter values of F,
+    or None.
 
     L is applied to the basis 1, t, ..., t^(m-1) and the system is solved
-    on coefficients by solve_modp.
+    on digits by solve_modp.
     """
-    cols = [L(F.from_value(F.p ** j)).coeffs for j in range(F.m)]
-    matrix = [[col[i] for col in cols] for i in range(F.m)]
-    sol = solve_modp(matrix, list(u.coeffs), F.p)
-    return None if sol is None else F.elem(sol)
+    p, m = F.p, F.m
+    cols = [_digits(L(p ** j), p, m) for j in range(m)]
+    matrix = [[col[i] for col in cols] for i in range(m)]
+    sol = solve_modp(matrix, _digits(u, p, m), p)
+    return None if sol is None else _counter(sol, p)
 
 
 # ---------------------------------------------------------------------------

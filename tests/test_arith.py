@@ -29,7 +29,7 @@ from cubicext.errors import (
 from cubicext.ffcubic import brute_factor
 from cubicext.ffield import field_make, trace_to_prime
 from cubicext.places import Place, places_up_to, residue_field, valuation
-from cubicext.polyring import Poly, RatFunc, func_field
+from cubicext.polyring import Poly, RatFunc, func_field, is_irreducible
 
 F2 = field_make(2)
 F3 = field_make(3)
@@ -351,3 +351,20 @@ def test_genus_small_random_integrality():
             tried += 1
             count += 1
     assert count == 60
+
+
+def test_char3_simple_pole_needs_no_residue_field():
+    """x^2/f over GF(9), f irreducible of degree d: f is a simple pole, fully
+    ramified with d = 3, and infinity (v = d - 2, odd) carries the tame
+    quadratic, so 2g - 2 = -6 + 3d + 1.  At d = 7 the residue field would
+    be GF(3^14), beyond the field-size cap."""
+    F9 = field_make(3, 2)
+    K9 = func_field(F9)
+    for d, g in ((5, 6), (7, 9)):
+        f = next(f for f in (Poly(F9, [F9.from_value(v // 9 ** i % 9) for i in range(d)] + [F9.one])
+                             for v in range(9 ** d)) if is_irreducible(f))
+        ext = Extension(Char3(K9.x ** 2 / K9.from_poly(f)))
+        rep = ramification_report(ext)
+        assert [(P.render(), e) for P, e in rep.fully_ramified] == [(f.render(), 3)]
+        assert [(P.render(), e) for P, e in rep.partially_ramified] == [("infinity", 1)]
+        assert genus(ext) == g

@@ -217,3 +217,21 @@ def test_cube_roots_match_a_scan(F):
     for x in F.elements():
         got = cube_classify(x)
         assert (list(got.roots) if isinstance(got, Cube) else []) == roots.get(x, []), x
+
+
+# Fields outside WITNESS_FIELDS: 9 | s + 1 (GF(5^3), GF(89)) and 3 exactly
+# dividing s + 1 (GF(101), GF(2^5)), so every depressed member without a
+# root w in GF(s) takes its witnesses from the norm-1 torus.
+@pytest.mark.parametrize("F", [field_make(5, 3), field_make(89), field_make(101),
+                               field_make(2, 5)], ids=repr)
+def test_decompose_any_matches_brute_force_on_every_family_member(F):
+    rng = random.Random(F.order)
+    for a in F.elements():
+        for shape in (Pure(a), DepressedTrace(a)):
+            c = shape.cubic()
+            assert decompose_any(shape) == brute_factor(c), shape
+            # c(X - s): decompose_any reduces it and transports the witnesses
+            s = F.from_value(rng.randrange(1, F.order))
+            moved = Cubic(c.e - 3 * s, c.f - 2 * c.e * s + 3 * s * s,
+                          c.g - c.f * s + c.e * s * s - s ** 3)
+            assert decompose_any(moved) == brute_factor(moved), (shape, s)

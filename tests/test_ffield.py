@@ -230,3 +230,58 @@ def test_kernel_matches_schoolbook_arithmetic(F):
         assert mul(x, _digit_list(F, a.inverse().value)) == 1
         for e in exponents:
             assert (a ** e).value == _from_digits(F, _ppowmod(x, e % (q - 1), mod, p))
+
+
+@pytest.mark.parametrize("p, m", [(7, 3), (5, 4), (3, 7), (101, 2)])
+def test_tables_match_a_schoolbook_build(p, m):
+    """exp, log and zech against powers of the least generator taken with
+    _pmul/_pmod on digit lists."""
+    F = field_make(p, m)
+    mod, q = list(F.modulus), F.order
+
+    def powers(g):
+        out, x = [], [1]
+        while True:
+            out.append(_from_digits(F, x))
+            x = _pmod(_pmul(x, g, p), mod, p)
+            if x == [1]:
+                return out
+
+    expected = next(ps for ps in (powers(_digit_list(F, v)) for v in range(2, q))
+                    if len(ps) == q - 1)
+    assert list(F.exp) == expected + expected
+    assert [F.log[v] for v in expected] == list(range(q - 1))
+    log = {v: k for k, v in enumerate(expected)}
+    for k, v in enumerate(expected):
+        x = _digit_list(F, v)
+        x[0] = (x[0] + 1) % p
+        w = _from_digits(F, x)
+        assert F.zech[k] == (log[w] if w else -1)
+
+
+@pytest.mark.parametrize("p, m", [(3, 1), (5, 1), (7, 1), (13, 1), (31, 1), (101, 1), (3, 2),
+                                  (5, 3), (7, 2), (11, 2), (2, 4), (2, 6), (3, 4)], ids=str)
+def test_cached_non_residue_and_non_cube_match_a_scan(p, m):
+    F = field_make(p, m)
+    if p != 2:
+        squares = {x * x for x in F.elements()}
+        assert F.nonsquare == next(z.value for z in F.elements() if z not in squares)
+    if F.order % 3 == 1:
+        cubes = {x ** 3 for x in F.elements()}
+        assert F.noncube == next(z.value for z in F.elements() if z not in cubes)
+    else:
+        with pytest.raises(AttributeError):
+            F.noncube
+
+
+@pytest.mark.parametrize("m", [6, 8, 10, 12])
+def test_artin_schreier_section_solves_every_trace_zero_element(m):
+    F = field_make(2, m)
+    for u in F.elements():
+        roots = _solve_quadratic(F, F.one, u)  # X^2 + X = u
+        if trace_to_prime(u).is_zero():
+            y = _artin_schreier_particular(F, u)
+            assert y * y + y == u
+            assert roots == tuple(sorted((y, y + 1)))
+        else:
+            assert roots == ()
