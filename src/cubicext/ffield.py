@@ -219,10 +219,8 @@ class Field:
 
     Besides the element constructors it holds the arithmetic on counter
     values (the _add ... _pow methods), which FieldElem wraps, and the
-    per-field constants, each built on first use: the tables exp, log and
-    zech, the least non-square (nonsquare, odd p), the least non-cube
-    (noncube, q = 1 mod 3) and the echelon rows of y -> y^2 + y
-    (as_section, q = 2^m with m even).
+    per-field constants of the module docstring (exp, log, zech, nonsquare,
+    noncube, as_section), each built on first use.
     """
 
     __slots__ = ("p", "m", "order", "modulus", "zero", "one", "exp", "log", "zech",
