@@ -50,8 +50,8 @@ from .ffcubic import (
     decompose_depressed,
     decompose_pure,
 )
-from .ffield import Cube, Square, cube_classify, square_classify, trace_to_prime
-from .ffield import _artin_schreier_particular
+from .ffield import (Cube, FieldElem, Square, cube_classify, square_classify,
+                     trace_to_prime, _artin_schreier_value)
 from .places import Place, divisor_of, residue_field, uniformizer, unit_residue, valuation
 from .polyring import RatFunc, factor_fq
 
@@ -244,10 +244,8 @@ def artin_schreier_solve(u: RatFunc) -> Optional[RatFunc]:
                 return w
     if any(v < 0 for _, v in divisor_of(u)):
         return None
-    c = u.constant_value()
-    if trace_to_prime(c).value != 0:
-        return None
-    return w + ff.from_elem(_artin_schreier_particular(ff.field, c))
+    y = _artin_schreier_value(ff.field, u.constant_value().value)  # None: trace 1
+    return None if y is None else w + ff.from_elem(FieldElem(ff.field, y))
 
 
 # -- trace (depressed) family ------------------------------------------------

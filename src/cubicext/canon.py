@@ -18,9 +18,14 @@ The substitution convention: FracLinear(m00, m01, m10, m11) acts as
 i.e. as the matrix [[m00, m01], [m10, m11]] on the column (1, y); composition
 of maps is then the matrix product.  Matrices are normalized projectively
 (first nonzero entry scaled to 1), so equal maps have equal entries.
+
+reduce_cubic and the map normalization run on the base's polyring._Kernel, on
+counter values over GF(q) and on RatFuncs over GF(q)(x); values are wrapped
+only in the returned shape and map entries.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -28,10 +33,9 @@ from typing import Optional, Union
 from .errors import (DegenerateParameter, DomainMismatch, FieldMismatch,
                      PoleHit, ReducibleInput, SingularMatrix,
                      WrongCharacteristic, WrongFieldClass)
-from .ffield import (Cube, Field, FieldElem, NonCube, NonSquare, Square,
-                     cube_classify, square_classify, trace_to_prime,
-                     _solve_quadratic)
-from .polyring import (FuncField, Poly, RatFunc, factor_fq, poly_roots, xgcd)
+from .ffield import (Field, FieldElem, NonCube, NonSquare, cube_classify,
+                     square_classify, trace_to_prime, _solve_quadratic)
+from .polyring import FuncField, Poly, RatFunc, _kernel, factor_fq, poly_roots, xgcd
 from . import places as places_mod
 
 Value = Union[FieldElem, RatFunc]
@@ -161,30 +165,27 @@ class FracLinear:
     m11: Value
 
     def __post_init__(self):
-        det = self.m00 * self.m11 - self.m01 * self.m10
-        if _is_zero(det):
+        K = _kernel(base_of(self.m00))
+        m00, m01, m10, m11 = ms = [K.value(m) for m in self.entries()]
+        if not K.sub(K.mul(m00, m11), K.mul(m01, m10)):
             raise SingularMatrix("zero determinant")
-        for pivot in (self.m00, self.m01, self.m10, self.m11):
-            if not _is_zero(pivot):
-                break
-        if pivot != base_of(pivot).one:
-            inv = 1 / pivot
-            object.__setattr__(self, "m00", self.m00 * inv)
-            object.__setattr__(self, "m01", self.m01 * inv)
-            object.__setattr__(self, "m10", self.m10 * inv)
-            object.__setattr__(self, "m11", self.m11 * inv)
+        pivot = next(m for m in ms if m)
+        if pivot != K.one:
+            inv = K.inv(pivot)
+            for name, m in zip(("m00", "m01", "m10", "m11"), ms):
+                object.__setattr__(self, name, K.elem(K.mul(m, inv)))
 
     @staticmethod
+    @functools.lru_cache(maxsize=None)
     def identity(base) -> "FracLinear":
         return FracLinear(base.one, base.zero, base.zero, base.one)
 
     def is_identity(self) -> bool:
-        return (_is_zero(self.m01) and _is_zero(self.m10)
-                and self.m00 == self.m11)
+        return not self.m01 and not self.m10 and self.m00 == self.m11
 
     def apply(self, y: Value) -> Value:
         den = self.m01 * y + self.m00
-        if _is_zero(den):
+        if not den:
             raise PoleHit("map evaluated at its pole")
         return (self.m11 * y + self.m10) / den
 
@@ -204,10 +205,6 @@ class FracLinear:
         return (self.m00, self.m01, self.m10, self.m11)
 
 
-def _is_zero(v) -> bool:
-    return v.is_zero()
-
-
 # ---------------------------------------------------------------------------
 # reduction to canonical form
 # ---------------------------------------------------------------------------
@@ -215,40 +212,54 @@ def _is_zero(v) -> bool:
 def reduce_cubic(T: Cubic):
     """(canonical shape, map sending roots of T to roots of the shape)."""
     b = T.base
-    e, f, g = T.e, T.f, T.g
     ident = FracLinear.identity(b)
-    if _is_zero(g):
-        return Reducible(b.zero, (e, f)), ident
+    if not T.g:
+        return Reducible(b.zero, (T.e, T.f)), ident
+    K = _kernel(b)
+    e, f, g = K.value(T.e), K.value(T.f), K.value(T.g)
     if char_of(b) == 3:
-        return _reduce_char3(b, e, f, g, ident)
+        return _reduce_char3(K, e, f, g, ident)
+    add, sub, mul, n = K.add, K.sub, K.mul, K.of_int
+    g2, f2 = mul(g, g), mul(f, f)
+    f3, efg, g27 = mul(f2, f), mul(mul(e, f), g), mul(n(27), g2)
     # a detected rational root ends the reduction
-    if _is_zero(27 * g * g + 2 * f ** 3 - 9 * e * f * g):
-        r = -3 * g / f  # f != 0 here, else g would be 0
-        return Reducible(r, (e + r, f + r * (e + r))), ident
-    if _is_zero(e) and f == b.from_int(-3):
-        return DepressedTrace(-g), ident
-    if 3 * e * g == f * f:
-        a = 27 * g ** 3 / (f ** 3 - 27 * g * g)
-        m = FracLinear(3 * g, f, b.zero, 3 * g)
-        return Pure(a), m
-    d = 3 * e * g - f * f
-    a = -2 - (27 * g * g - 9 * e * f * g + 2 * f ** 3) ** 2 / d ** 3
-    m = FracLinear(3 * g * d, f * d, 3 * g * d, f ** 3 + 27 * g * g - 6 * e * f * g)
-    return DepressedTrace(a), m
+    t = sub(add(g27, mul(n(2), f3)), mul(n(9), efg))
+    if not t:
+        r = mul(mul(n(-3), g), K.inv(f))  # f != 0 here, else g would be 0
+        er = add(e, r)
+        return Reducible(K.elem(r), (K.elem(er), K.elem(add(f, mul(r, er))))), ident
+    if not e and f == n(-3):
+        return DepressedTrace(K.elem(sub(K.zero, g))), ident
+    eg3 = mul(n(3), mul(e, g))
+    if eg3 == f2:
+        a = mul(mul(g27, g), K.inv(sub(f3, g27)))
+        g3 = K.elem(mul(n(3), g))
+        return Pure(K.elem(a)), FracLinear(g3, T.f, b.zero, g3)
+    d = sub(eg3, f2)
+    a = sub(n(-2), mul(mul(t, t), K.inv(mul(mul(d, d), d))))
+    gd3 = K.elem(mul(mul(n(3), g), d))
+    return DepressedTrace(K.elem(a)), FracLinear(
+        gd3, K.elem(mul(f, d)), gd3, K.elem(sub(add(f3, g27), mul(n(6), efg))))
 
 
-def _reduce_char3(b, e, f, g, ident):
-    if not _is_zero(e) and _is_zero(g * e ** 3 + f ** 3 - f * f * e * e):
-        r = f / e
-        return Reducible(r, (e + r, f + r * (e + r))), ident
-    if _is_zero(e) and _is_zero(f):
-        return InseparablePure(-g), ident
-    if _is_zero(e):
-        a = g * g / f ** 3
-        return Char3(a), FracLinear(b.one, b.zero, b.zero, g / (f * f))
-    n = g * e ** 3 + f ** 3 - f * f * e * e
-    a = n / e ** 6
-    return Char3(a), FracLinear(-f * e ** 4, e ** 5, n, b.zero)
+def _reduce_char3(K, e, f, g, ident):
+    b, mul = K.dom, K.mul
+    e2, f2 = mul(e, e), mul(f, f)
+    e3 = mul(e2, e)
+    n = K.sub(K.add(mul(g, e3), mul(f2, f)), mul(f2, e2))  # g e^3 + f^3 - f^2 e^2
+    if e and not n:
+        r = mul(f, K.inv(e))
+        er = K.add(e, r)
+        return Reducible(K.elem(r), (K.elem(er), K.elem(K.add(f, mul(r, er))))), ident
+    if not e and not f:
+        return InseparablePure(K.elem(K.sub(K.zero, g))), ident
+    if not e:
+        a = mul(mul(g, g), K.inv(mul(f2, f)))
+        return Char3(K.elem(a)), FracLinear(b.one, b.zero, b.zero,
+                                            K.elem(mul(g, K.inv(f2))))
+    e4, a = mul(e2, e2), mul(n, K.inv(mul(e3, e3)))
+    return Char3(K.elem(a)), FracLinear(K.elem(K.sub(K.zero, mul(f, e4))),
+                                        K.elem(mul(e4, e)), K.elem(n), b.zero)
 
 
 def cubic_of(shape) -> Cubic:
@@ -374,7 +385,7 @@ def galois_param(A: Value, B: Value) -> Value:
     """(2A^2 + 2AB - B^2)/(A^2 + AB + B^2): a parameter whose depressed
     form is always Galois.  DegenerateParameter when the denominator is 0."""
     den = A * A + A * B + B * B
-    if _is_zero(den):
+    if not den:
         raise DegenerateParameter("A^2 + AB + B^2 = 0")
     return (2 * A * A + 2 * A * B - B * B) / den
 
@@ -403,9 +414,9 @@ def shanks_to_canonical(a: Value):
     if char_of(base) == 3:
         raise WrongCharacteristic("the conversion degenerates in characteristic 3")
     d = a * a + 3 * a + 9
-    if _is_zero(d):
+    if not d:
         raise DegenerateParameter("a^2 + 3a + 9 = 0")
-    if _is_zero(2 * a + 3):
+    if not 2 * a + 3:
         raise ReducibleInput("2a + 3 = 0: that family member has the rational root 2")
     param = (2 * a * a + 6 * a - 9) / d
     m = FracLinear(base.from_int(3), -(a + 3), base.from_int(3), a)
@@ -456,7 +467,7 @@ def isom_pure(a1: Value, a2: Value) -> bool:
     base = base_of(a1)
     if base is not base_of(a2):
         raise FieldMismatch("parameters live over different bases")
-    if _is_zero(a1) or _is_zero(a2):
+    if not a1 or not a2:
         raise ReducibleInput("pure parameter 0")
     return (_cube_root_in(base, a1 / a2) is not None
             or _cube_root_in(base, a1 / (a2 * a2)) is not None)
@@ -586,7 +597,7 @@ def isom_char3(a1: Value, a2: Value, search_bound: int = 6) -> IsomResult:
     base = base_of(a1)
     if base is not base_of(a2):
         raise FieldMismatch("parameters live over different bases")
-    if _is_zero(a1) or _is_zero(a2):
+    if not a1 or not a2:
         raise ReducibleInput("char-3 parameter 0")
     if isinstance(base, Field):
         for j in (1, 2):

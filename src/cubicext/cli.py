@@ -21,7 +21,7 @@ exceeded.  Errors go to stderr -- in JSON mode as a machine-readable object
 import argparse
 import json
 import sys
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Tuple
 
 from . import arith, canon, ffcubic
 from .canon import Char3, Cubic, DepressedTrace, FracLinear, InseparablePure, Pure, Reducible
@@ -34,7 +34,6 @@ from .errors import (
     SizeExceeded,
     UnboundSymbol,
     WrongCharacteristic,
-    WrongFieldClass,
 )
 from .ffield import Field, FieldElem, field_make
 from .places import places_up_to

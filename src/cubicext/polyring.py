@@ -51,7 +51,8 @@ class _Kernel:
     the field's own methods on them; over GF(p) (p set, else 0) the loops of
     _mul, _divmod and _horner reduce % p inline instead.  Over any other
     domain the entries are the elements and the operations their operators.
-    load unwraps a Poly into a list once, store wraps a trimmed list once.
+    load/store and value/elem unwrap and wrap a Poly or one element (value
+    refuses another field's element); of_int gives the entry of an integer.
     """
 
     __slots__ = ("dom", "field", "p", "zero", "one", "add", "sub", "mul", "inv")
@@ -77,6 +78,17 @@ class _Kernel:
 
     def load(self, f: Poly) -> list:
         return [c.value for c in f.coeffs] if self.field else list(f.coeffs)
+
+    def of_int(self, n: int):
+        return n % self.field.p if self.field else self.dom.from_int(n)
+
+    def value(self, c):
+        if self.field and c.field is not self.field:
+            raise FieldMismatch(f"{self.field} vs {c.field}")
+        return c.value if self.field else c
+
+    def elem(self, v):
+        return FieldElem(self.field, v) if self.field else v
 
     def store(self, cs: list) -> Poly:
         F = self.field

@@ -368,3 +368,15 @@ def test_char3_simple_pole_needs_no_residue_field():
         assert [(P.render(), e) for P, e in rep.fully_ramified] == [(f.render(), 3)]
         assert [(P.render(), e) for P, e in rep.partially_ramified] == [("infinity", 1)]
         assert genus(ext) == g
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_artin_schreier_solve_of_constants_follows_the_trace(m):
+    F = field_make(2, m)
+    K = func_field(F)
+    for u in F.elements():
+        y = artin_schreier_solve(K.from_elem(u))
+        if trace_to_prime(u).value:
+            assert y is None
+        else:
+            assert y is not None and y * y + y == K.from_elem(u)

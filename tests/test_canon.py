@@ -17,6 +17,7 @@ from cubicext.canon import (
     Reducible,
     Unknown,
     artin_schreier_normalize,
+    base_of,
     cubic_of,
     galois_denominator_check,
     galois_param,
@@ -496,3 +497,150 @@ def test_has_rational_root_over_K():
     assert r2 ** 3 - 3 * r2 - a == K5.zero
     assert has_rational_root(DepressedTrace(x)) is None
     assert has_rational_root(Char3(K3.x)) is None
+
+
+# ---------------------------------------------------------------------------
+# reduce_cubic and FracLinear against element-operator formulas
+# ---------------------------------------------------------------------------
+
+def _normalized_entries(ms):
+    """First nonzero entry scaled to 1, on element operators."""
+    pivot = next(m for m in ms if not m.is_zero())
+    return tuple(m / pivot for m in ms)
+
+
+def _reduce_cubic_oracle(T):
+    """(shape, map entries) by reduce_cubic's formulas on FieldElem/RatFunc
+    operators, independent of the kernel it runs on."""
+    b = T.base
+    e, f, g = T.e, T.f, T.g
+    ident = (b.one, b.zero, b.zero, b.one)
+    if g.is_zero():
+        return Reducible(b.zero, (e, f)), ident
+    p = b.p if hasattr(b, "p") else b.field.p
+    if p == 3:
+        n = g * e ** 3 + f ** 3 - f * f * e * e
+        if not e.is_zero() and n.is_zero():
+            r = f / e
+            return Reducible(r, (e + r, f + r * (e + r))), ident
+        if e.is_zero() and f.is_zero():
+            return InseparablePure(-g), ident
+        if e.is_zero():
+            return Char3(g * g / f ** 3), _normalized_entries(
+                (b.one, b.zero, b.zero, g / (f * f)))
+        return Char3(n / e ** 6), _normalized_entries((-f * e ** 4, e ** 5, n, b.zero))
+    if (27 * g * g + 2 * f ** 3 - 9 * e * f * g).is_zero():
+        r = -3 * g / f
+        return Reducible(r, (e + r, f + r * (e + r))), ident
+    if e.is_zero() and f == b.from_int(-3):
+        return DepressedTrace(-g), ident
+    if 3 * e * g == f * f:
+        a = 27 * g ** 3 / (f ** 3 - 27 * g * g)
+        return Pure(a), _normalized_entries((3 * g, f, b.zero, 3 * g))
+    d = 3 * e * g - f * f
+    a = -2 - (27 * g * g - 9 * e * f * g + 2 * f ** 3) ** 2 / d ** 3
+    return DepressedTrace(a), _normalized_entries(
+        (3 * g * d, f * d, 3 * g * d, f ** 3 + 27 * g * g - 6 * e * f * g))
+
+
+def _branch_cubics(b, rand, count):
+    """count seeded cubics over b: random ones, and ones built to reach the
+    g = 0, depressed, pure, inseparable and char-3 reducible branches."""
+    char3 = (b.p if hasattr(b, "p") else b.field.p) == 3
+    for i in range(count):
+        e, f, g = rand(), rand(), rand()
+        kind = i % 5
+        if kind == 1:
+            g = b.zero
+        elif kind == 2:
+            e = b.zero
+            f = b.zero if char3 else b.from_int(-3)
+        elif kind == 3 and char3:
+            e = b.zero
+        elif kind == 3 and not g.is_zero():
+            e = f * f / (3 * g)
+        elif kind == 4 and char3 and not e.is_zero():
+            g = (f * f * e * e - f ** 3) / e ** 3
+        yield Cubic(e, f, g)
+
+
+def _rand_elem(F, rng):
+    return lambda: F.from_value(rng.randrange(F.order))
+
+
+def _rand_ratfunc(K, rng):
+    from cubicext.polyring import RatFunc
+    F = K.field
+
+    def rand():
+        num = Poly(F, [F.from_value(rng.randrange(F.order))
+                       for _ in range(rng.randint(0, 4))])
+        den = Poly(F, [F.from_value(rng.randrange(F.order))
+                       for _ in range(rng.randint(0, 3))] + [F.one])
+        return RatFunc(K, num, den)
+    return rand
+
+
+def _reduce_cubic_cases():
+    for F in (F2, F3, F4, F5, F7):
+        yield from all_cubics(F)
+    rng = random.Random(7070)
+    for p, m in ((3, 2), (3, 4), (5, 3), (101, 1), (2, 8)):
+        F = field_make(p, m)
+        yield from _branch_cubics(F, _rand_elem(F, rng), 300)
+    for F in (F3, F4, F5):
+        K = func_field(F)
+        yield from _branch_cubics(K, _rand_ratfunc(K, rng), 40)
+
+
+def test_reduce_cubic_matches_elementwise_formulas():
+    kinds = set()
+    for c in _reduce_cubic_cases():
+        shape, mob = reduce_cubic(c)
+        want_shape, want_entries = _reduce_cubic_oracle(c)
+        assert shape == want_shape, c
+        assert mob.entries() == want_entries, c
+        assert all(base_of(v) is c.base for v in mob.entries())
+        kinds.add((type(c.base).__name__, type(shape).__name__, mob.is_identity()))
+    # every branch is reached over both kinds of base
+    for dom in ("Field", "FuncField"):
+        for shape_name, ident in (("Reducible", True), ("DepressedTrace", True),
+                                  ("DepressedTrace", False), ("Pure", False),
+                                  ("Char3", False), ("InseparablePure", True)):
+            assert (dom, shape_name, ident) in kinds, (dom, shape_name, ident)
+
+
+@pytest.mark.parametrize("base", [F7, field_make(3, 2), K5], ids=repr)
+def test_frac_linear_normalizes_on_the_first_pivot(base):
+    one, zero, two = base.one, base.zero, base.from_int(2)
+    x = base.x if hasattr(base, "x") else base.from_value(base.order - 2)
+    c = x + one  # x, c and 2 are nonzero on every base here
+    # pivot m00, not 1: every entry divided by it
+    ms = (two, x, zero, c)
+    m = FracLinear(*ms)
+    assert m.entries() == tuple(v / two for v in ms)
+    assert all(type(v) is type(one) for v in m.entries())
+    # pivot m01 (m00 = 0)
+    ms = (zero, two, x, c)
+    assert FracLinear(*ms).entries() == tuple(v / two for v in ms)
+    # a pivot already 1 keeps every entry
+    ms = (one, x, zero, c)
+    assert FracLinear(*ms).entries() == ms
+    # a pivot in m10 or m11 leaves the first row zero: singular
+    with pytest.raises(SingularMatrix):
+        FracLinear(zero, zero, two, x)
+    with pytest.raises(SingularMatrix):
+        FracLinear(zero, zero, zero, two)
+    with pytest.raises(SingularMatrix):
+        FracLinear(two, two * x, one, x)
+    # the identity is one constant of the base
+    ident = FracLinear.identity(base)
+    assert ident is FracLinear.identity(base)
+    assert ident.is_identity() and ident.entries() == (one, zero, zero, one)
+
+
+def test_reduce_cubic_and_frac_linear_refuse_mixed_fields():
+    with pytest.raises(FieldMismatch):
+        reduce_cubic(Cubic(F5.one, F7.from_int(3), F7.one))
+    with pytest.raises(FieldMismatch):
+        FracLinear(F5.one, F7.one, F5.zero, F7.from_int(3))
