@@ -31,7 +31,8 @@ import enum
 from dataclasses import dataclass
 from typing import List, Optional, Tuple, Union
 
-from .canon import Char3, Cubic, DepressedTrace, InseparablePure, Pure, Reducible
+from .canon import (Char3, Cubic, DepressedTrace, InseparablePure, Pure, Reducible,
+                    has_rational_root)
 from .errors import (
     ConstantExtension,
     NonIntegralGenus,
@@ -539,7 +540,6 @@ def genus(ext: Extension) -> int:
     if deg % 2 != 0 or deg < 4:
         # geometric irreducible forces deg >= 4 and even; anything else means
         # the defining cubic already had a root in K (or an internal bug)
-        from .canon import has_rational_root
         if has_rational_root(ext.form) is not None:
             raise ReducibleInput("the defining cubic has a root in the base field")
         raise NonIntegralGenus(

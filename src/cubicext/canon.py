@@ -35,7 +35,8 @@ from .errors import (DegenerateParameter, DomainMismatch, FieldMismatch,
                      WrongCharacteristic, WrongFieldClass)
 from .ffield import (Field, FieldElem, NonCube, NonSquare, cube_classify,
                      square_classify, trace_to_prime, _solve_quadratic)
-from .polyring import FuncField, Poly, RatFunc, _kernel, factor_fq, poly_roots, xgcd
+from .polyring import (FuncField, Poly, RatFunc, _kernel, _pth_root_poly, factor_fq,
+                       poly_roots, xgcd)
 from . import places as places_mod
 
 Value = Union[FieldElem, RatFunc]
@@ -455,10 +456,11 @@ class NotIsomorphic:
 
 @dataclass(frozen=True)
 class Unknown:
-    pass
+    """No isom_* decision returns this: they decide every pair.  It stays
+    because callers (the tests among them) import it."""
 
 
-IsomResult = Union[Isomorphic, NotIsomorphic, Unknown]
+IsomResult = Union[Isomorphic, NotIsomorphic]
 
 
 def isom_pure(a1: Value, a2: Value) -> bool:
@@ -486,52 +488,6 @@ def _char3_witness_ok(a1: Value, a2: Value, j: int, w: Value) -> bool:
     return a2 == num * num / a1 ** 3
 
 
-def _polys_of_degree(F: Field, d: int):
-    """Polynomials over F of degree exactly d, counter order within each lead."""
-    q = F.order
-    if d == 0:
-        for v in range(1, q):
-            yield Poly.const(F, F.from_value(v))
-        return
-    for lead in range(1, q):
-        for rest in range(q ** d):
-            digits = []
-            k = rest
-            for _ in range(d):
-                digits.append(F.from_value(k % q))
-                k //= q
-            yield Poly(F, digits + [F.from_value(lead)])
-
-
-def _rat_candidates(ff: FuncField, max_height: int, budget: int):
-    """Reduced rational functions graded by height, at most budget of them."""
-    from .polyring import monic_polys
-    count = 0
-    F = ff.field
-    for h in range(max_height + 1):
-        if h == 0:
-            for c in F.elements():
-                yield ff.from_elem(c)
-                count += 1
-                if count >= budget:
-                    return
-            continue
-        for dd in range(h + 1):
-            for den in monic_polys(F, dd):
-                for dn in range(h + 1):
-                    if max(dn, dd) != h:
-                        continue
-                    for num in _polys_of_degree(F, dn):
-                        cand = RatFunc(ff, num, den)
-                        if cand.num.coeffs != num.coeffs or cand.den.coeffs != den.coeffs:
-                            continue  # not in lowest terms: seen earlier
-                        yield cand
-                        count += 1
-                        if count >= budget:
-                            return
-
-
-DEPRESSED_SEARCH_BUDGET = 6000
 SEPARATION_PLACE_BUDGET = 240
 
 
@@ -552,160 +508,166 @@ def isom_depressed(a1: Value, a2: Value, search_bound: int = 6) -> IsomResult:
 
     A witness is (alpha, beta) with alpha^2 + a2*alpha*beta + beta^2 = 1 and
     a1 = -3*a2*alpha^2*beta + a2*beta^3 + 6*alpha + a2^2*alpha^3 - 8*alpha^3;
-    then y1 = alpha*y2^2 + beta*y2 - 2*alpha.  Over GF(q)(x) the witness
-    search walks the conic's rational parametrization in height order under a
-    fixed budget, so Unknown is a possible (honest) outcome.
+    then y1 = alpha*y2^2 + beta*y2 - 2*alpha.  The conic's points are (0, 1),
+    (0, -1) and, on the chord through (0, 1) of slope t,
+    alpha = -(a2 + 2t)/D and beta = (1 - t^2)/D with D = t^2 + a2*t + 1; so
+    the chord witnesses are the roots t of a sextic with D(t) != 0.  The
+    least witness in value_key order is returned.  Over GF(q)(x) a negative
+    answer carries a place with differing signatures when a scan of places of
+    degree <= min(search_bound, 4) finds one.
     """
     base = base_of(a1)
     if base is not base_of(a2):
         raise FieldMismatch("parameters live over different bases")
+    t = Poly.gen(base)
+    D = t * t + t * a2 + 1
+    al, be = -(t * 2 + a2), 1 - t * t
+    sextic = D ** 3 * a1 - (be ** 3 * a2 - al * al * be * (3 * a2) + al * D * D * 6
+                            + al ** 3 * (a2 * a2 - 8))
+    points = [(base.zero, base.one), (base.zero, -base.one)]
+    for r in _roots_in(base, sextic.coeffs):
+        d = D(r)
+        if d:
+            points.append((-(a2 + 2 * r) / d, (1 - r * r) / d))
+    found = [w for w in points if _depressed_witness_ok(a1, a2, *w)]
+    if found:
+        return Isomorphic(min(found, key=lambda w: (value_key(w[0]), value_key(w[1]))))
     if isinstance(base, Field):
-        for alpha in base.elements():
-            for beta in base.elements():
-                if _depressed_witness_ok(a1, a2, alpha, beta):
-                    return Isomorphic((alpha, beta))
         return NotIsomorphic(None)
-    # conic points: the two axis points, then the chord parametrization
-    one = base.one
-    for beta in (one, -one):
-        if _depressed_witness_ok(a1, a2, base.zero, beta):
-            return Isomorphic((base.zero, beta))
-    tried = 0
-    for t in _rat_candidates(base, search_bound, DEPRESSED_SEARCH_BUDGET):
-        den = t * t + a2 * t + 1
-        if den.is_zero():
-            continue
-        alpha = -(a2 + 2 * t) / den
-        beta = 1 + t * alpha
-        tried += 1
-        if _depressed_witness_ok(a1, a2, alpha, beta):
-            return Isomorphic((alpha, beta))
     sep = _separate_by_signature(DepressedTrace(a1), DepressedTrace(a2), search_bound)
-    if sep is not None:
-        return NotIsomorphic(sep)
-    return Unknown()
-
-
-CHAR3_SEARCH_BUDGET = 6000
+    return NotIsomorphic(sep)
 
 
 def isom_char3(a1: Value, a2: Value, search_bound: int = 6) -> IsomResult:
     """Decide K(y1) = K(y2) for y_i^3 + a_i y_i + a_i^2 = 0 (both irreducible).
 
     A witness is (j, w), j in {1, 2}: a2 = (j*a1^2 + w^3 + a1*w)^2 / a1^3.
+    It exists iff a1^3*a2 = s^2 for some s in the base and
+    w^3 + a1*w + j*a1^2 - s or w^3 + a1*w + j*a1^2 + s has a root w there.
+    The least witness, j first and then w in value_key order, is returned;
+    search_bound bounds the certificate scan as in isom_depressed.
     """
     base = base_of(a1)
     if base is not base_of(a2):
         raise FieldMismatch("parameters live over different bases")
     if not a1 or not a2:
         raise ReducibleInput("char-3 parameter 0")
-    if isinstance(base, Field):
+    s = _square_root_in(base, a1 ** 3 * a2)
+    if s is not None:
         for j in (1, 2):
-            for w in base.elements():
-                if _char3_witness_ok(a1, a2, j, w):
-                    return Isomorphic((j, w))
+            ws = [w for c in (j * a1 * a1 - s, j * a1 * a1 + s)
+                  for w in _roots_in(base, (c, a1, base.zero, base.one))
+                  if _char3_witness_ok(a1, a2, j, w)]
+            if ws:
+                return Isomorphic((j, min(ws, key=value_key)))
+    if isinstance(base, Field):
         return NotIsomorphic(None)
-    for j in (1, 2):
-        for w in _rat_candidates(base, search_bound, CHAR3_SEARCH_BUDGET // 2):
-            if _char3_witness_ok(a1, a2, j, w):
-                return Isomorphic((j, w))
-    sep = _separate_by_signature(Char3(a1), Char3(a2), search_bound)
-    if sep is not None:
-        return NotIsomorphic(sep)
-    return Unknown()
+    return NotIsomorphic(_separate_by_signature(Char3(a1), Char3(a2), search_bound))
 
 
 # ---------------------------------------------------------------------------
-# rational roots of canonical shapes
+# roots in the base
 # ---------------------------------------------------------------------------
 
 def has_rational_root(shape: CanonicalCubic) -> Optional[Value]:
-    """The least root of the canonical cubic in its base, or None.
+    """The least root (in value_key order) of the canonical cubic in its
+    base, or None.
 
-    Over GF(q) this is plain factorization.  Over GF(q)(x) pure shapes go
-    through the global cube test, and the other shapes clear denominators to
-    a monic integral cubic whose polynomial roots are found by residue
-    interpolation (CRT over enough places, each candidate verified exactly).
+    Pure shapes over GF(q)(x) go through the global cube test; every other
+    shape through _roots_in.
     """
-    base = shape.base
     if isinstance(shape, Reducible):
         return shape.root
-    if isinstance(base, Field):
-        roots = poly_roots(shape.cubic().as_poly())
-        return roots[0] if roots else None
-    if isinstance(shape, (Pure, InseparablePure)):
+    base = shape.base
+    if isinstance(shape, (Pure, InseparablePure)) and not isinstance(base, Field):
         return global_cube_test(shape.a)
-    a = shape.a
-    B = a.den
-    A = a.num
-    ff = base
-    if isinstance(shape, DepressedTrace):
-        # y = z/B with z^3 - 3 B^2 z - A B^2 = 0
-        c1 = Poly.const(ff.field, ff.field.from_int(-3)) * B * B
-        c0 = -A * B * B
-        bound = max(B.degree, (A.degree + 2 * B.degree) // 3) + 1
-    else:  # Char3
-        # y = z/B with z^3 + A B z + A^2 B = 0
-        c1 = A * B
-        c0 = A * A * B
-        bound = max((A.degree + B.degree + 1) // 2, (2 * A.degree + B.degree) // 3) + 1
-    roots = _integral_cubic_roots(ff, c1, c0, bound)
-    if not roots:
-        return None
-    cands = sorted((RatFunc(ff, z, B) for z in roots), key=value_key)
-    return cands[0]
+    roots = _roots_in(base, shape.cubic().as_poly().coeffs)
+    return roots[0] if roots else None
 
 
-def _integral_cubic_roots(ff: FuncField, c1: Poly, c0: Poly, bound: int) -> list:
-    """All z in GF(q)[x] with z^3 + c1 z + c0 = 0 and deg z <= bound."""
-    from .polyring import monic_polys, is_irreducible
-    F = ff.field
-    # collect places with total degree > bound
-    chosen = []
-    total = 0
-    d = 1
-    while total <= bound:
-        for pi in monic_polys(F, d):
-            if is_irreducible(pi):
-                chosen.append(pi)
-                total += d
-                if total > bound:
-                    break
-        d += 1
-    # per-place root sets of the reduced cubic
-    root_sets = []
-    for pi in chosen:
-        P = places_mod.Place(ff, pi)
+def _roots_in(base, coeffs) -> list:
+    """Every root in base of the nonzero polynomial sum coeffs[i]*T^i, sorted
+    by value_key.
+
+    Over GF(q) this is poly_roots.  Over GF(q)(x) the polynomial is made
+    monic, and z = L*T, with L the lcm of the denominators, turns it into a
+    monic G with coefficients in GF(q)[x]; the roots of G in GF(q)(x) lie in
+    GF(q)[x] (Gauss's lemma), and _integral_roots finds them.
+    """
+    f = Poly(base, coeffs)
+    if isinstance(base, Field):
+        return poly_roots(f)
+    f = f.monic()
+    L = Poly.one(base.field)
+    for c in f.coeffs:
+        L = L * c.den // L.gcd(c.den)
+    n = f.degree
+    zs = _integral_roots(base, [c.num * (L ** (n - i) // c.den) for i, c in enumerate(f.coeffs)])
+    return sorted({RatFunc(base, z, L) for z in zs}, key=value_key)
+
+
+def _integral_roots(ff: FuncField, cs: list) -> list:
+    """The roots in GF(q)[x] of the monic G = sum cs[i]*z^i, cs in GF(q)[x].
+
+    With rho the largest deg cs[i]/(n - i), a root has degree at most rho,
+    since z^n must not dominate every cs[i]*z^i.  When G' = 0, G = H(z^p) and
+    the roots are the p-th roots of H's roots that have one.  Otherwise the
+    residue roots are Hensel-lifted at the first finite place where G reduces
+    squarefree, which is the first one dividing no denominator of the xgcd
+    cofactors of G and G', and each lift is verified exactly.  The places
+    where a squarefree G does not reduce squarefree divide its discriminant,
+    of degree at most n(n-1)*rho, so the scan stops once the failed places
+    exceed that degree: G then has a repeated factor, and it is split by
+    gcd(G, G') over GF(q)(x).
+    """
+    n = len(cs) - 1
+    if n < 1:
+        return []
+    if n == 1:
+        return [-cs[0]]
+    dcs = [c * i for i, c in enumerate(cs)][1:]
+    if not any(dcs):
+        return [_pth_root_poly(r) for r in _integral_roots(ff, cs[::ff.field.p])
+                if not r.derivative()]
+    low = [(c.degree, n - i) for i, c in enumerate(cs[:-1]) if c]
+    bound = max((d // k for d, k in low), default=0)
+    disc_bound = max((n * (n - 1) * d // k for d, k in low), default=0)
+    failed = 0
+    for P in itertools.islice(places_mod.iter_places(ff, disc_bound + 1), 1, None):
         rd = places_mod.residue_field(P)
-        k = rd.field
-        red = Poly(k, (rd.eval_poly(c0), rd.eval_poly(c1), k.zero, k.one))
-        rts = poly_roots(red)
-        if not rts:
-            return []
-        root_sets.append([rd.lift(r) for r in rts])
-    # CRT combinations
-    candidates = [Poly.zero(F)]
-    modulus = Poly.one(F)
-    for pi, lifts in zip(chosen, root_sets):
-        g, u, v = xgcd(modulus, pi)
-        assert g.degree == 0 and g.is_monic()
-        new = []
-        combined_mod = modulus * pi
-        for cand in candidates:
-            for lift in lifts:
-                # z = cand mod modulus, z = lift mod pi
-                z = cand * v * pi + lift * u * modulus
-                new.append(z % combined_mod)
-        candidates = new
-        modulus = combined_mod
-    out = []
-    seen = set()
-    for z in candidates:
-        if z.degree > bound:
-            continue
-        if z.coeffs in seen:
-            continue
-        seen.add(z.coeffs)
-        if (z ** 3 + c1 * z + c0).is_zero():
-            out.append(z)
-    return out
+        red = Poly(rd.field, [rd.eval_poly(c) for c in cs])
+        if red.gcd(red.derivative()).degree == 0:
+            lifts = (_newton_lift(cs, dcs, rd.lift(r), P.pi, bound) for r in poly_roots(red))
+            return [z for z in lifts if z.degree <= bound and not _eval(cs, z)]
+        failed += P.degree
+        if failed > disc_bound:
+            break
+    G = Poly(ff, [ff.from_poly(c) for c in cs])
+    g = G.gcd(Poly(ff, [ff.from_poly(c) for c in dcs]))
+    assert g.degree > 0
+    return (_integral_roots(ff, [c.num for c in (G // g).coeffs])
+            + _integral_roots(ff, [c.num for c in g.coeffs]))
+
+
+def _newton_lift(cs: list, dcs: list, z: Poly, pi: Poly, bound: int) -> Poly:
+    """z, a simple root of G = sum cs[i]*z^i modulo pi (dcs: the coefficients
+    of G'), lifted by Newton's iteration, the modulus squared each step, until
+    the modulus has degree above bound (von zur Gathen-Gerhard, Modern
+    Computer Algebra, sections 5.7 and 15)."""
+    m, s = pi, xgcd(_eval(dcs, z, pi), pi)[1]  # s = 1/G'(z) modulo m
+    while m.degree <= bound:
+        m = m * m
+        z = (z - _eval(cs, z, m) * s) % m
+        if m.degree <= bound:
+            s = s * (2 - _eval(dcs, z, m) * s) % m
+    return z
+
+
+def _eval(cs: list, z: Poly, m: Optional[Poly] = None) -> Poly:
+    """sum cs[i]*z^i by Horner's rule, reduced modulo m when m is given."""
+    acc = Poly.zero(z.dom)
+    for c in reversed(cs):
+        acc = acc * z + c
+        if m is not None:
+            acc = acc % m
+    return acc

@@ -391,15 +391,8 @@ def _cmd_isom(args) -> dict:
     out = {"form1": _FORM_NAMES[type(s1)], "form2": _FORM_NAMES[type(s2)]}
 
     def verdict(res):
-        if isinstance(res, canon.Isomorphic):
-            out["isomorphic"] = True
-            out["witness"] = _witness_json(res)
-        elif isinstance(res, canon.NotIsomorphic):
-            out["isomorphic"] = False
-            out["witness"] = None
-        else:
-            out["isomorphic"] = None
-            out["witness"] = None
+        out["isomorphic"] = isinstance(res, canon.Isomorphic)
+        out["witness"] = _witness_json(res)
         return out
 
     if isinstance(s1, Pure) and isinstance(s2, Pure):
@@ -522,7 +515,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-degree", type=int, default=3, metavar="N",
                        help="place degree bound for tables (default 3)")
         p.add_argument("--bound", type=int, default=6, metavar="N",
-                       help="search bound for isomorphism witnesses (default 6)")
+                       help="place degree bound for the scan that certifies a negative isom"
+                            " answer over GF(q)(x) (default 6)")
         for pos in positionals:
             p.add_argument(pos, help="expression over the chosen base")
     return top

@@ -23,9 +23,9 @@ import math
 from typing import Iterator, Optional, Tuple, Union
 
 from .errors import DomainMismatch, NegativeValuation, SizeExceeded, ZeroInput
-from .ffield import FieldElem, invert_modp
-from .polyring import (Embedding, FuncField, Poly, RatFunc, embedding,
-                       is_irreducible, monic_polys)
+from .ffield import FieldElem, field_make, invert_modp
+from .polyring import (Embedding, FuncField, Poly, RatFunc, embedding, factor_fq,
+                       func_field, is_irreducible, monic_polys, poly_roots)
 
 INFINITE_VALUATION = math.inf
 PLACE_SCAN_LIMIT = 1 << 16  # places_up_to scans at most this many carriers per degree
@@ -90,7 +90,6 @@ class Place:
 
 
 def func_field_of(p: Poly) -> FuncField:
-    from .polyring import func_field
     return func_field(p.dom)
 
 
@@ -192,7 +191,6 @@ class ResidueData:
 
 @functools.lru_cache(maxsize=None)
 def residue_field(P: Place) -> ResidueData:
-    from .ffield import field_make
     base = P.ff.field
     if P.is_infinite:
         return ResidueData(P, base, embedding(base, base), None)
@@ -202,7 +200,6 @@ def residue_field(P: Place) -> ResidueData:
     if d == 1:
         root = emb(-P.pi.coeff(0))
     else:
-        from .polyring import poly_roots
         lifted = Poly(k, [emb(c) for c in P.pi.coeffs])
         root = poly_roots(lifted)[0]
     return ResidueData(P, k, emb, root)
@@ -249,7 +246,6 @@ def divisor_of(a: RatFunc) -> list:
     """[(Place, v_P(a))] over the support, in place order; ZeroInput on 0."""
     if a.is_zero():
         raise ZeroInput("the zero function has no divisor")
-    from .polyring import factor_fq
     out = []
     v_inf = a.den.degree - a.num.degree
     if v_inf:
