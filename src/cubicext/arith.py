@@ -18,9 +18,10 @@ Local normalisation comes first in each family:
 
 Each signature reads its two local quantities, v_P(a) and the residue of the
 unit part a * pi^(-v), off one evaluation of a's numerator and denominator at
-the carrier's root (``places.unit_residue``); no RatFunc is built for them.
-Only the char-3 poles of order divisible by three still go through the
-RatFunc surgery of ``char3_local_form``.
+the carrier's root (``places.unit_residue``), and then only the bin of the
+residual cubic (``ffcubic.bin_*``), never its roots; no RatFunc is built for
+them, nor for the odd-p resolvent.  Only the char-3 poles of order divisible
+by three still go through the RatFunc surgery of ``char3_local_form``.
 
 The characteristic-2 resolvent is additive, so its local and global solvers
 (``as_local_reduce``, ``artin_schreier_solve``) live here too; the canonical-
@@ -41,19 +42,12 @@ from .errors import (
     WrongFieldClass,
     ZeroInput,
 )
-from .ffcubic import (
-    Decomp,
-    Irreducible,
-    LinTimesQuad,
-    LinTimesSquare,
-    ThreeDistinct,
-    decompose_char3,
-    decompose_depressed,
-    decompose_pure,
-)
+from .ffcubic import (Irreducible, LinTimesQuad, LinTimesSquare, ThreeDistinct, bin_char3,
+                      bin_depressed, bin_pure)
 from .ffield import (Cube, FieldElem, Square, cube_classify, square_classify,
                      trace_to_prime, _artin_schreier_value)
-from .places import Place, divisor_of, residue_field, uniformizer, unit_residue, valuation
+from .places import (Place, divisor_of, residue_field, uniformizer, unit_residue,
+                     unit_residue_of, valuation)
 from .polyring import RatFunc, factor_fq
 
 
@@ -149,16 +143,8 @@ SIG_MIXED = Signature(((1, 1), (1, 2)))
 SIG_PARTIAL = Signature(((2, 1), (1, 1)))
 
 
-def _sig_unramified(d: Decomp) -> Signature:
-    """Residual decomposition -> signature, valid when the residual cubic is
-    separable (Hensel lifts each factor)."""
-    if isinstance(d, Irreducible):
-        return SIG_INERT
-    if isinstance(d, ThreeDistinct):
-        return SIG_SPLIT
-    if isinstance(d, LinTimesQuad):
-        return SIG_MIXED
-    raise AssertionError(f"residual cubic unexpectedly inseparable: {d}")
+# residual bin -> signature, for a separable residual cubic (Hensel lifts each factor)
+_UNRAMIFIED = {Irreducible: SIG_INERT, ThreeDistinct: SIG_SPLIT, LinTimesQuad: SIG_MIXED}
 
 
 def signature(ext: Extension, P: Place) -> Signature:
@@ -192,7 +178,7 @@ def signature_pure(ext: Extension, P: Place) -> Signature:
     v, res = unit_residue(ext.form.a, P)
     if v % 3 != 0:
         return SIG_FULLY_RAMIFIED
-    return _sig_unramified(decompose_pure(res))
+    return _UNRAMIFIED[bin_pure(res)]
 
 
 # -- characteristic-2 resolvent ---------------------------------------------
@@ -209,13 +195,12 @@ def as_local_reduce(u: RatFunc, P: Place) -> Tuple[RatFunc, RatFunc]:
     ff = u.ff
     if ff.field.p != 2:
         raise WrongCharacteristic("additive pole reduction is a characteristic-2 step")
-    rd = residue_field(P)
-    pi = uniformizer(P)
     w = ff.zero
     while True:
         v = valuation(u, P)
         if not isinstance(v, int) or v >= 0 or v % 2 == 1:
             break
+        rd, pi = residue_field(P), uniformizer(P)  # only a step needs them
         k = (-v) // 2
         sbar = square_classify(rd.reduce(u * pi ** (2 * k))).roots[0]
         wstep = ff.from_poly(rd.lift(sbar)) * pi ** (-k)
@@ -265,25 +250,35 @@ Ramified = ResolventBehavior.RAMIFIED
 def resolvent_place_behavior(a: RatFunc, P: Place) -> ResolventBehavior:
     """Behavior at P of the quadratic resolvent of y^3 - 3y = a.
 
-    Odd characteristic: the resolvent field is K(sqrt(-27(a^2-4))), so read
-    off the parity of v_P and the square class of the unit part.  Even
-    characteristic: the resolvent is z^2 + z = 1/a^2 + 1; reduce the pole and
-    read the residual absolute trace.
+    Odd characteristic: the resolvent field is K(sqrt(-27(a^2-4))); read the
+    parity of v_P and the unit part's square class off unit_residue(a, P)
+    and, at a residue +-2, off that of a -+ 2 = (num -+ 2 den)/den, as a +- 2
+    is then a unit with residue +-4.
+    Even characteristic: the resolvent is z^2 + z = 1/a + 1, the class of
+    1/a^2 + 1 = (1/a + 1)^2; reduce the pole and read the residual trace.
     """
     ff = a.ff
-    if ff.field.p != 2:
-        disc = ff.from_int(-27) * (a * a - ff.from_int(4))
-        if disc.is_zero():
-            raise ReducibleInput("parameter +-2 makes the trace form reducible")
-        v, res = unit_residue(disc, P)
-        if v % 2 == 1:
-            return Ramified
-        if isinstance(square_classify(res), Square):
-            return Split
-        return Inert
     if a.is_zero():
         raise ReducibleInput("parameter 0 makes the trace form reducible")
-    u = ff.one / (a * a) + ff.one
+    if ff.field.p != 2:
+        v, r = unit_residue(a, P)
+        if v < 0:  # a^2 - 4 = a^2 (1 - 4/a^2)
+            v, r = 2 * v, r * r
+        elif v > 0:
+            v, r = 0, r.field.from_int(-4)
+        elif r * r == 4:
+            two = 2 if r == 2 else -2
+            shifted = a.num - a.den * two
+            if shifted.is_zero():
+                raise ReducibleInput("parameter +-2 makes the trace form reducible")
+            v, r = unit_residue_of(shifted, a.den, P)
+            r = r * (2 * two)
+        else:
+            r = r * r - 4
+        if v % 2 == 1:
+            return Ramified
+        return Split if isinstance(square_classify(r * -27), Square) else Inert
+    u = ff.one / a + ff.one
     if u.is_zero():  # a = 1: resolvent z^2 + z = 0 splits
         return Split
     ur, _ = as_local_reduce(u, P)
@@ -291,10 +286,7 @@ def resolvent_place_behavior(a: RatFunc, P: Place) -> ResolventBehavior:
     if isinstance(v, int) and v < 0:
         assert v % 2 == 1, "reduction must leave an odd pole"
         return Ramified
-    if ur.is_zero():
-        return Split
-    res = residue_field(P).reduce(ur)
-    if trace_to_prime(res).value == 0:
+    if ur.is_zero() or not trace_to_prime(residue_field(P).reduce(ur)):
         return Split
     return Inert
 
@@ -307,17 +299,13 @@ def signature_depressed(ext: Extension, P: Place) -> Signature:
             return SIG_FULLY_RAMIFIED
         # deep pole: y = z/pi^(v/3) turns the form into z^3 = a*pi^(-v) + small,
         # a separable pure residual
-        return _sig_unramified(decompose_pure(res))
-    d = decompose_depressed(res if v == 0 else res.field.zero)
-    if not isinstance(d, LinTimesSquare):
-        return _sig_unramified(d)
+        return _UNRAMIFIED[bin_pure(res)]
+    kind = bin_depressed(res if v == 0 else res.field.zero)
+    if kind is not LinTimesSquare:
+        return _UNRAMIFIED[kind]
     # residual double root: the merged pair is separated by the resolvent
-    b = resolvent_place_behavior(a, P)
-    if b is Split:
-        return SIG_SPLIT
-    if b is Inert:
-        return SIG_MIXED
-    return SIG_PARTIAL
+    return {Split: SIG_SPLIT, Inert: SIG_MIXED, Ramified: SIG_PARTIAL}[
+        resolvent_place_behavior(a, P)]
 
 
 # -- characteristic-3 family -------------------------------------------------
@@ -366,7 +354,7 @@ def signature_char3(ext: Extension, P: Place) -> Signature:
             return SIG_FULLY_RAMIFIED
         v, res = unit_residue(astar, P)
     if v == 0:
-        return _sig_unramified(decompose_char3(res))
+        return _UNRAMIFIED[bin_char3(res)]
     # a* = 0 at P: Newton polygon gives one unit root and a pair of slope
     # v*/2; parity of v* decides ramification, the square class of the
     # leading coefficient decides split vs inert
@@ -431,12 +419,16 @@ def ramification_report(ext: Extension) -> RamificationReport:
         if ff.field.p != 2:
             # a - 2 and a + 2 differ by the unit 4, so at a zero P of either,
             # v_P(-27(a^2 - 4)) is that zero's order: the resolvent ramifies
-            # iff it is odd (resolvent_place_behavior), read off the divisor
-            two = ff.from_int(2)
-            for shifted in (a - two, a + two):
-                partial.extend((P, 1) for P, v in divisor_of(shifted) if v > 0 and v % 2 == 1)
+            # iff it is odd.  The zeros of a -+ 2 = (num -+ 2 den)/den are
+            # the factors of num -+ 2 den and, below deg den, infinity.
+            for two in (2, -2):
+                shifted = a.num - a.den * two
+                v_inf = a.den.degree - shifted.degree
+                if v_inf > 0 and v_inf % 2 == 1:
+                    partial.append((Place.infinity(ff), 1))
+                partial.extend((Place(ff, g), 1) for g, v in factor_fq(shifted)[1] if v % 2 == 1)
         else:
-            u = ff.one / (a * a) + ff.one
+            u = ff.one / a + ff.one
             for P, v in divisor_of(a):
                 if v <= 0:
                     continue

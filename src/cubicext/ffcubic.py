@@ -14,9 +14,11 @@ closed form, with no general factorizer: the cube roots of a (pure);
 y = c + 1/c over the cube roots c of a root w of W^2 - aW + 1, in GF(s) or in
 the norm-1 torus of GF(s^2) (trace form); one GF(3)-linear solve
 (characteristic 3).  Cube roots come from ``ffield._cube_roots``
-(Adleman-Manders-Miller).  ``decompose_any`` accepts an arbitrary monic cubic
-(or an already-reduced canonical shape), reduces it, and transports the
-witnesses back through the inverse fractional-linear substitution.
+(Adleman-Manders-Miller); ``bin_*`` give the bin alone, from square and cube
+characters and traces, for ``arith``'s place signatures.  ``decompose_any``
+accepts an arbitrary monic cubic (or an already-reduced canonical shape),
+reduces it, and transports the witnesses back through the inverse
+fractional-linear substitution.
 
 Everything after the reduction computes on counter values with the field's
 ``_add/_sub/_mul/_pow/_neg`` and the counter-value solvers of ``ffield``; a
@@ -52,6 +54,7 @@ from .ffield import (
     _quad_values,
     _solve_additive,
     _sqrt_values,
+    trace_to_prime,
 )
 
 BRUTE_LIMIT = 1 << 16
@@ -130,24 +133,10 @@ def _from_roots(F: Field, c: tuple, roots) -> Decomp:
     return ThreeDistinct(tuple(FieldElem(F, r) for r in sorted(roots)))
 
 
-def _torus_roots(F: Field, a: int) -> list:
-    """Tr(c) for every cube root c of W in GF(s)[W]/(W^2 - aW + 1), the
-    quadratic irreducible, on counter values.
-
-    Elements are pairs (c0, c1) = c0 + c1 W with W^2 = aW - 1, and
-    Tr(c) = 2 c0 + a c1.  W has norm 1, so it and its cube roots lie in the
-    cyclic torus T of order n = s + 1.  3 not dividing n: cubing is a
-    bijection on T, c = W^(3^-1 mod n).  3 | n: W is a cube iff
-    W^(n/3) = 1, and then _cube_roots runs on T with the non-cube
-    z = (delta + W)^(s-1) for the least delta with z^(n/3) != 1.  The
-    Frobenius sends W to its conjugate a - W, so with u = delta + W,
-    z = conj(u)/u = conj(u)^2/N(u), N(u) = delta^2 + a delta + 1: one
-    inverse in GF(s) per candidate instead of a power in T.
-    """
+def _quad_ring(F: Field, a: int):
+    """(mul, pow) of GF(s)[W]/(W^2 - aW + 1) on pairs c0 + c1 W of counter
+    values, inline % p over GF(p); pow takes exponents e >= 0."""
     add, sub, mul = F._add, F._sub, F._mul
-    n = F.order + 1
-    one = (1, 0)
-
     if F.m == 1:
         p = F.p
 
@@ -161,7 +150,7 @@ def _torus_roots(F: Field, a: int) -> list:
                     add(add(mul(u[0], v[1]), mul(u[1], v[0])), mul(a, x)))
 
     def tpow(u, e):
-        acc = one
+        acc = (1, 0)
         while e:
             if e & 1:
                 acc = tmul(acc, u)
@@ -169,6 +158,26 @@ def _torus_roots(F: Field, a: int) -> list:
             e >>= 1
         return acc
 
+    return tmul, tpow
+
+
+def _torus_roots(F: Field, a: int) -> list:
+    """Tr(c) for every cube root c of W in GF(s)[W]/(W^2 - aW + 1), the
+    quadratic irreducible, on counter values (_quad_ring).
+
+    Tr(c0 + c1 W) = 2 c0 + a c1.  W has norm 1, so it and its cube roots lie
+    in the cyclic torus T of order n = s + 1.  3 not dividing n: cubing is a
+    bijection on T, c = W^(3^-1 mod n).  3 | n: W is a cube iff
+    W^(n/3) = 1, and then _cube_roots runs on T with the non-cube
+    z = (delta + W)^(s-1) for the least delta with z^(n/3) != 1.  The
+    Frobenius sends W to its conjugate a - W, so with u = delta + W,
+    z = conj(u)/u = conj(u)^2/N(u), N(u) = delta^2 + a delta + 1: one
+    inverse in GF(s) per candidate instead of a power in T.
+    """
+    add, sub, mul = F._add, F._sub, F._mul
+    n = F.order + 1
+    one = (1, 0)
+    tmul, tpow = _quad_ring(F, a)
     W = (0, 1)
     if n % 3:
         cs = [tpow(W, pow(3, -1, n))]
@@ -299,6 +308,60 @@ def decompose_char3(a: FieldElem) -> Decomp:
     sq = _sqrt_values(F, F._neg(v))
     roots = [r] if sq is None else [r, F._add(r, sq[0]), F._sub(r, sq[0])]
     return _from_roots(F, (0, v, v2), roots)
+
+
+# ---------------------------------------------------------------------------
+# witness-free bins
+# ---------------------------------------------------------------------------
+
+def bin_pure(a: FieldElem) -> type:
+    """decompose_pure(a)'s outcome class, from s mod 3 and the cube character."""
+    F = _require_finite(a.field)
+    if F.p == 3:
+        raise WrongCharacteristic("X^3 - a is inseparable in characteristic 3")
+    v, s = a.value, F.order
+    if not v:
+        return Triple
+    if s % 3 == 2:
+        return LinTimesQuad
+    return ThreeDistinct if F._pow(v, (s - 1) // 3) == 1 else Irreducible
+
+
+def bin_depressed(a: FieldElem) -> type:
+    """decompose_depressed(a)'s outcome class, with no root computed.  Past the
+    square cases, the roots w, 1/w of W^2 - aW + 1 lie in GF(s)* if it splits
+    (Euler on a^2 - 4; Tr(1/a) = 0 for p = 2), else in the norm-1 torus, of
+    order n = s -+ 1.  3 not dividing n: one cube root c of w, one root
+    c + 1/c; else three or none as W^(n/3) = 1 in GF(s)[W]/(W^2 - aW + 1)."""
+    F = _require_finite(a.field)
+    if F.p == 3:
+        raise WrongCharacteristic("X^3 - 3X - a degenerates to a pure cubic in characteristic 3")
+    v, s = a.value, F.order
+    if (not v) if F.p == 2 else v in (2, F.p - 2):
+        return LinTimesSquare
+    split = (not trace_to_prime(FieldElem(F, F._pow(v, -1))) if F.p == 2
+             else F._pow(F._sub(F._mul(v, v), 4), (s - 1) // 2) == 1)
+    n = s - 1 if split else s + 1
+    if n % 3:
+        return LinTimesQuad
+    return ThreeDistinct if _quad_ring(F, v)[1]((0, 1), n // 3) == (1, 0) else Irreducible
+
+
+def bin_char3(a: FieldElem) -> type:
+    """decompose_char3(a)'s outcome class, with no root computed.  If -a is a
+    non-square, X -> X^3 + aX is a bijection: one root.  If -a = b^2, X = bY
+    gives b^3 (Y^3 - Y), whose image is b^3 times the trace-zero hyperplane:
+    -a^2 = b^3 (-b) is hit, by three roots, iff Tr(b) = 0."""
+    F = _require_finite(a.field)
+    if F.p != 3:
+        raise WrongCharacteristic("X^3 + aX + a^2 is the characteristic-3 family")
+    v = a.value
+    if not v:
+        return Triple
+    sq = _sqrt_values(F, F._neg(v))
+    if sq is None:
+        return LinTimesQuad
+    return Irreducible if trace_to_prime(FieldElem(F, sq[0])) else ThreeDistinct
 
 
 # ---------------------------------------------------------------------------

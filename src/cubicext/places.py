@@ -14,7 +14,8 @@ itself, the embedding GF(q) -> GF(q^d), and the distinguished root of the
 carrier (the least one), so that reduction is literally evaluation at the
 root.  ResidueData.lift inverts reduction on polynomials of degree < d,
 which the local Artin-Schreier machinery in arith relies on.  unit_residue
-gives v_P(a) together with the residue of a * pi^(-v) from that evaluation.
+gives v_P(a) together with the residue of a * pi^(-v) from that evaluation,
+which runs on counter values in the base's polynomial kernel.
 """
 from __future__ import annotations
 
@@ -24,8 +25,9 @@ from typing import Iterator, Optional, Tuple, Union
 
 from .errors import DomainMismatch, NegativeValuation, SizeExceeded, ZeroInput
 from .ffield import FieldElem, field_make, invert_modp
-from .polyring import (Embedding, FuncField, Poly, RatFunc, embedding, factor_fq,
-                       func_field, is_irreducible, monic_polys, poly_roots)
+from .polyring import (Embedding, FuncField, Poly, RatFunc, _divmod, _horner, _kernel,
+                       embedding, factor_fq, func_field, is_irreducible, monic_polys,
+                       poly_roots)
 
 INFINITE_VALUATION = math.inf
 PLACE_SCAN_LIMIT = 1 << 16  # places_up_to scans at most this many carriers per degree
@@ -97,12 +99,12 @@ def func_field_of(p: Poly) -> FuncField:
 # valuations
 # ---------------------------------------------------------------------------
 
-def _strip(f: Poly, pi: Poly) -> Tuple[int, Poly]:
-    """(n, f / pi^n) for the largest n with pi^n dividing f."""
+def _strip(K, f: list, pi: list) -> Tuple[int, list]:
+    """(n, f / pi^n) for the largest n with pi^n dividing f, on K's lists."""
     n = 0
     while True:
-        q, r = divmod(f, pi)
-        if not r.is_zero():
+        q, r = _divmod(K, f, pi)
+        if r:
             return n, f
         f = q
         n += 1
@@ -115,8 +117,10 @@ def valuation(a: RatFunc, P: Place) -> Union[int, float]:
     if P.is_infinite:
         return a.den.degree - a.num.degree
     # the fraction is reduced, so at most one of num/den is divisible
-    v = _strip(a.num, P.pi)[0]
-    return v if v else -_strip(a.den, P.pi)[0]
+    K = _kernel(P.ff.field)
+    pi = K.load(P.pi)
+    v = _strip(K, K.load(a.num), pi)[0]
+    return v if v else -_strip(K, K.load(a.den), pi)[0]
 
 
 def uniformizer(P: Place) -> RatFunc:
@@ -136,9 +140,13 @@ class ResidueData:
     field  -- GF(q^d) (GF(q) itself at infinity)
     embed  -- the embedding GF(q) -> field
     root   -- the least root of the carrier in field (None at infinity)
+
+    A finite place also keeps the base kernel, the carrier's list and the
+    counter values of root^i, i < d: evaluation runs on these.
     """
 
-    __slots__ = ("place", "field", "embed", "root", "_lift_inverse")
+    __slots__ = ("place", "field", "embed", "root", "_kernel", "_carrier", "_powers",
+                 "_lift_inverse")
 
     def __init__(self, place: Place, field, embed: Embedding, root):
         self.place = place
@@ -146,20 +154,34 @@ class ResidueData:
         self.embed = embed
         self.root = root
         self._lift_inverse = None
+        if root is not None:
+            self._kernel = K = _kernel(place.ff.field)
+            self._carrier = K.load(place.pi)
+            self._powers = [field._pow(root.value, i) for i in range(place.degree)]
 
     def eval_poly(self, f: Poly) -> FieldElem:
         """f(root) with coefficients pushed through the embedding."""
         if self.place.is_infinite:
             raise DomainMismatch("no carrier root at infinity")
-        return self.embed.evaluate(f, self.root)
+        return FieldElem(self.field, self._eval(self._kernel.load(f)))
+
+    def _eval(self, f: list) -> int:
+        """The counter value of f(root) for a base kernel list f: Horner's rule
+        in the base at degree 1, else f mod the carrier, its d coefficients'
+        images times the root powers."""
+        K, powers = self._kernel, self._powers
+        if len(powers) == 1:
+            return _horner(K, f, self.root.value)
+        k, image = self.field, self.embed.value_image
+        acc = 0
+        for c, r in zip(_divmod(K, f, self._carrier)[1], powers):
+            acc = k._add(acc, k._mul(image(c), r))
+        return acc
 
     def reduce(self, a: RatFunc) -> FieldElem:
         """The residue of a at the place; caller guarantees v_P(a) >= 0."""
         if self.place.is_infinite:
-            dn, dd = a.num.degree, a.den.degree
-            if dn < dd:
-                return self.field.zero
-            return a.num.lc / a.den.lc
+            return a.num.lc / a.den.lc if a.num.degree >= a.den.degree else self.field.zero
         return self.eval_poly(a.num) / self.eval_poly(a.den)
 
     def lift(self, c: FieldElem) -> Poly:
@@ -172,12 +194,9 @@ class ResidueData:
         d = self.place.degree
         m = base.m
         if self._lift_inverse is None:
-            cols = []
-            for i in range(d):
-                ri = self.root ** i
-                for j in range(m):
-                    basis = base.elem([0] * j + [1])
-                    cols.append((self.embed(basis) * ri).coeffs)
+            k, image = self.field, self.embed.value_image
+            cols = [FieldElem(k, k._mul(image(base.p ** j), r)).coeffs
+                    for r in self._powers for j in range(m)]
             n = d * m
             matrix = [[cols[col][row] for col in range(n)] for row in range(n)]
             self._lift_inverse = invert_modp(matrix, base.p)
@@ -206,28 +225,30 @@ def residue_field(P: Place) -> ResidueData:
 
 
 def unit_residue(a: RatFunc, P: Place) -> Tuple[int, FieldElem]:
-    """(v, r): v = v_P(a) and r the (nonzero) residue of a * pi^(-v).
+    """(v, r): v = v_P(a) and r the (nonzero) residue of a * pi^(-v)."""
+    return unit_residue_of(a.num, a.den, P)
 
-    No RatFunc is built.  At infinity the residue is lc(num)/lc(den).  At a
-    finite place the carrier is the minimal polynomial of the residue field's
-    root, so pi divides num or den exactly when it vanishes there; that side
-    is divided by pi until it does not, and the quotient is evaluated.
-    """
-    if a.is_zero():
+
+def unit_residue_of(num: Poly, den: Poly, P: Place) -> Tuple[int, FieldElem]:
+    """unit_residue of num/den for coprime num and den, with no RatFunc: at
+    infinity lc(num)/lc(den); at a finite place pi, the minimal polynomial of
+    the root, divides num or den exactly when it vanishes there, and that side
+    is divided by pi until it does not before it is evaluated."""
+    if not num:
         raise ZeroInput("the zero function has no unit part")
-    num, den = a.num, a.den
     if P.is_infinite:
         return den.degree - num.degree, num.lc / den.lc
     rd = residue_field(P)
-    n, d = rd.eval_poly(num), rd.eval_poly(den)
-    # the fraction is reduced, so at most one of n, d is zero
-    if not n:
-        v, num = _strip(num, P.pi)
-        return v, rd.eval_poly(num) / d
-    if not d:
-        v, den = _strip(den, P.pi)
-        return -v, n / rd.eval_poly(den)
-    return 0, n / d
+    K, k = rd._kernel, rd.field
+    ns, ds = K.load(num), K.load(den)
+    v, n, d = 0, rd._eval(ns), rd._eval(ds)
+    if not n:  # coprime, so at most one of n, d is zero
+        v, ns = _strip(K, ns, rd._carrier)
+        n = rd._eval(ns)
+    elif not d:
+        v, ds = _strip(K, ds, rd._carrier)
+        v, d = -v, rd._eval(ds)
+    return v, FieldElem(k, k._div(n, d))
 
 
 def reduce_at(a: RatFunc, P: Place) -> FieldElem:

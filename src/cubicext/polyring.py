@@ -20,8 +20,8 @@ functions have equal representations.
 Determinism contracts honoured here:
 
   * factor_fq uses distinct-degree splitting followed by equal-degree
-    splitting driven by random.Random(FACTOR_SEED), so repeated runs produce
-    identical factor lists;
+    splitting driven by random.Random(FACTOR_SEED), built at its first draw,
+    so repeated runs produce identical factor lists;
   * factor lists are sorted by (degree, coefficient counter key).
 """
 from __future__ import annotations
@@ -52,10 +52,11 @@ class _Kernel:
     _mul, _divmod and _horner reduce % p inline instead.  Over any other
     domain the entries are the elements and the operations their operators.
     load/store and value/elem unwrap and wrap a Poly or one element (value
-    refuses another field's element); of_int gives the entry of an integer.
+    refuses another field's element); of_int gives the entry of an integer,
+    over GF(q)(x) from the constants kept in ints by n mod p.
     """
 
-    __slots__ = ("dom", "field", "p", "zero", "one", "add", "sub", "mul", "inv")
+    __slots__ = ("dom", "field", "p", "zero", "one", "add", "sub", "mul", "inv", "ints")
 
     def __init__(self, dom):
         self.dom = dom
@@ -69,6 +70,7 @@ class _Kernel:
             self.zero, self.one = dom.zero, dom.one
             self.add, self.sub, self.mul = operator.add, operator.sub, operator.mul
             self.inv = self._inverse
+            self.ints = {}
 
     def _inverse(self, c):
         try:
@@ -80,7 +82,14 @@ class _Kernel:
         return [c.value for c in f.coeffs] if self.field else list(f.coeffs)
 
     def of_int(self, n: int):
-        return n % self.field.p if self.field else self.dom.from_int(n)
+        if self.field:
+            return n % self.field.p
+        if not isinstance(self.dom, FuncField):
+            return self.dom.from_int(n)
+        n %= self.dom.field.p  # at most p constants are kept
+        if n not in self.ints:
+            self.ints[n] = self.dom.from_int(n)
+        return self.ints[n]
 
     def value(self, c):
         if self.field and c.field is not self.field:
@@ -822,12 +831,13 @@ def factor_fq(f: Poly):
     unit = f.lc
     if f.degree == 0:
         return unit, []
-    rng = random.Random(FACTOR_SEED)
+    rng = None
     factors = []
     for g, mult in _squarefree_decomposition(f.monic()):
         for gd, d in _distinct_degree(g):
-            for irr in _equal_degree_split(gd, d, rng):
-                factors.append((irr, mult))
+            if rng is None and gd.degree > d:  # the first split that draws
+                rng = random.Random(FACTOR_SEED)
+            factors.extend((irr, mult) for irr in _equal_degree_split(gd, d, rng))
     factors.sort(key=lambda t: t[0].counter_key())
     return unit, factors
 
@@ -872,25 +882,17 @@ class Embedding:
         self.root = root
 
     def __call__(self, e: FieldElem) -> FieldElem:
-        return FieldElem(self.dst, self._image(e))
-
-    def evaluate(self, f: Poly, x: FieldElem) -> FieldElem:
-        """f(x) for f over the source and x in the target field, with f's
-        coefficients mapped by the embedding."""
-        if x.field is not self.dst:
-            raise FieldMismatch("point not in the embedding's target field")
-        K = _kernel(self.dst)
-        return FieldElem(self.dst, _horner(K, [self._image(c) for c in f.coeffs], x.value))
-
-    def _image(self, e: FieldElem) -> int:
-        """The counter value of the image of e.  An element c of GF(p) maps to
-        c*1, whose value is c; otherwise its digits are the coefficients of a
-        polynomial evaluated at root."""
         if e.field is not self.src:
             raise FieldMismatch("element not in the embedding's source field")
-        if self.src.m == 1:
-            return e.value
-        return _horner(_kernel(self.dst), e.coeffs, self.root.value)
+        return FieldElem(self.dst, self.value_image(e.value))
+
+    def value_image(self, v: int) -> int:
+        """The counter value of the image of the element of value v: c in GF(p)
+        maps to c*1, value c; else v's digits are a polynomial taken at root."""
+        src = self.src
+        if src.m == 1:
+            return v
+        return _horner(_kernel(self.dst), ffield._digits(v, src.p, src.m), self.root.value)
 
 
 @functools.lru_cache(maxsize=None)
