@@ -547,13 +547,12 @@ def _field_cached(p: int, m: int) -> Field:
 def trace_to_prime(x: FieldElem) -> FieldElem:
     """Trace of GF(p^m) over GF(p), returned as an element of GF(p)."""
     F = x.field
-    acc = x
-    term = x
-    for _ in range(F.m - 1):
-        term = term ** F.p
-        acc = acc + term
-    assert acc.value < F.p, "trace landed outside the prime field"
-    return field_make(F.p, 1).from_int(acc.value)
+    acc = term = x.value
+    for _ in range(F.m - 1):  # on counter values
+        term = F._pow(term, F.p)
+        acc = F._add(acc, term)
+    assert acc < F.p, "trace landed outside the prime field"
+    return field_make(F.p, 1).from_int(acc)
 
 
 # ---------------------------------------------------------------------------
