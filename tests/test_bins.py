@@ -38,7 +38,7 @@ from cubicext.places import (Place, divisor_of, places_up_to, residue_field, uni
                              unit_residue_of, valuation)
 from cubicext.polyring import (FACTOR_SEED, Poly, RatFunc, _distinct_degree,
                                _equal_degree_split, _kernel, _squarefree_decomposition,
-                               factor_fq, func_field)
+                               factor_fq, func_field, is_irreducible, monic_polys)
 
 BIN_FIELDS = ([(2, m) for m in range(1, 7)] + [(3, m) for m in range(1, 6)]
               + [(p, 1) for p in (5, 7, 11, 13, 17, 19)] + [(5, 2), (7, 2), (13, 2)])
@@ -279,7 +279,19 @@ def test_even_order_zero_in_char_2_reduces_the_resolvent():
             list(ramification_report(ext).partially_ramified)) == ref_report(ext)
 
 
-def test_unit_residue_of_reads_an_unreduced_pair_by_place():
+def test_char2_simple_zero_needs_no_residue_field():
+    # 1 + 1/a has a pole of odd order 1 at a simple zero of a, so nothing is
+    # stripped: a degree-7 zero over GF(8) (residue field 2^21, above the
+    # table limit) is classified, with d = 1 + 1
+    F = field_make(2, 3)
+    K = func_field(F)
+    f = next(g for g in monic_polys(F, 7) if is_irreducible(g))
+    rep = ramification_report(Extension(DepressedTrace(K.from_poly(f) / K.x ** 8)))
+    assert (Place(K, f), 2) in rep.partially_ramified
+    assert rep.different_degree == 18
+
+
+def test_unit_residue_of_matches_the_reference():
     K7 = func_field(field_make(7))
     rng = random.Random(77)
     for _ in range(20):
