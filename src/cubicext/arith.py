@@ -23,9 +23,11 @@ residual cubic (``ffcubic.bin_*``), never its roots; no RatFunc is built for
 them, nor for the odd-p resolvent.  Only the char-3 poles of order divisible
 by three still go through the RatFunc surgery of ``char3_local_form``.
 
-The characteristic-2 resolvent is additive, so its local and global solvers
-(``as_local_reduce``, ``artin_schreier_solve``) live here too; the canonical-
-form layer borrows them.
+The characteristic-2 resolvent is additive: ``as_local_reduce`` strips its
+even-order poles at one place.  Whether it has a global solution is a root
+question, which ``artin_schreier_solve`` hands to ``canon._roots_in`` like
+every other; canon reaches back into this module only to scan places for
+differing signatures.
 """
 
 import enum
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple, Union
 
 from .canon import (Char3, Cubic, DepressedTrace, InseparablePure, Pure, Reducible,
-                    has_rational_root)
+                    has_rational_root, _roots_in)
 from .errors import (
     ConstantExtension,
     NonIntegralGenus,
@@ -44,8 +46,7 @@ from .errors import (
 )
 from .ffcubic import (Irreducible, LinTimesQuad, LinTimesSquare, ThreeDistinct, bin_char3,
                       bin_depressed, bin_pure)
-from .ffield import (Cube, FieldElem, Square, cube_classify, square_classify,
-                     trace_to_prime, _artin_schreier_value)
+from .ffield import Cube, Square, cube_classify, square_classify, trace_to_prime
 from .places import (Place, divisor_of, residue_field, uniformizer, unit_residue,
                      unit_residue_of, valuation)
 from .polyring import RatFunc, factor_fq
@@ -210,28 +211,13 @@ def as_local_reduce(u: RatFunc, P: Place) -> Tuple[RatFunc, RatFunc]:
 
 
 def artin_schreier_solve(u: RatFunc) -> Optional[RatFunc]:
-    """A global y with y^2 + y = u over GF(q)(x), q even, or None.
-
-    Reduce every pole of u additively; a solution exists iff every reduced
-    pole part vanishes and the leftover constant has absolute trace zero.
-    (The other solution is y + 1.)
-    """
+    """The least y (in value_key order) with y^2 + y = u over GF(q)(x),
+    q even, or None: the first root of Y^2 + Y + u.  The other is y + 1."""
     ff = u.ff
     if ff.field.p != 2:
         raise WrongCharacteristic("y^2 + y = u is a characteristic-2 equation")
-    w = ff.zero
-    if u.is_zero():
-        return w
-    for P, v in divisor_of(u):
-        if v < 0:
-            u, wp = as_local_reduce(u, P)
-            w = w + wp
-            if u.is_zero():
-                return w
-    if any(v < 0 for _, v in divisor_of(u)):
-        return None
-    y = _artin_schreier_value(ff.field, u.constant_value().value)  # None: trace 1
-    return None if y is None else w + ff.from_elem(FieldElem(ff.field, y))
+    roots = _roots_in(ff, (u, ff.one, ff.one))
+    return roots[0] if roots else None
 
 
 # -- trace (depressed) family ------------------------------------------------
@@ -475,19 +461,6 @@ class Geometric:
     certificate: Place
 
 
-def _cube_class_cofactor(a: RatFunc) -> RatFunc:
-    """h with a / h^3 constant, given every divisor exponent of a is 0 mod 3."""
-    ff = a.ff
-    h = ff.one
-    for f, e in factor_fq(a.num)[1]:
-        assert e % 3 == 0
-        h = h * ff.from_poly(f) ** (e // 3)
-    for f, e in factor_fq(a.den)[1]:
-        assert e % 3 == 0
-        h = h / ff.from_poly(f) ** (e // 3)
-    return h
-
-
 def is_constant_extension(ext: Extension):
     """Constant(unit) / Geometric(place) for the wrapped extension.
 
@@ -495,8 +468,10 @@ def is_constant_extension(ext: Extension):
     somewhere (Riemann-Hurwitz leaves no room at genus >= 0 otherwise), so an
     empty ramification report certifies a constant-field extension.  The pure
     family is decided directly on the divisor: all exponents divisible by
-    three mean a = u * h^3, and the extension is constant for a non-cube unit
-    u -- a cube u would make the cubic reducible, which is reported instead.
+    three mean a = u * h^3 with u the leading coefficient of a's numerator
+    (the denominator is monic), and the extension is constant for a
+    non-cube u -- a cube u would make the cubic reducible, which is reported
+    instead.
     """
     form = ext.form
     if isinstance(form, Pure):
@@ -504,7 +479,7 @@ def is_constant_extension(ext: Extension):
         for P, v in divisor_of(a):
             if v % 3 != 0:
                 return Geometric(P)
-        u = (a / _cube_class_cofactor(a) ** 3).constant_value()
+        u = a.num.lc
         if isinstance(cube_classify(u), Cube):
             raise ReducibleInput("the parameter is a cube, so y^3 = a is reducible")
         return Constant(u)

@@ -39,8 +39,6 @@ from .ffield import Field, FieldElem, field_make
 from .places import places_up_to
 from .polyring import FACTOR_DEGREE_LIMIT, FuncField, Poly, RatFunc, func_field
 
-SCHEMA_FILE = "cli-schema.json"
-
 _PARSE_ERRORS = (ParseError, DegreeError, UnboundSymbol, NotPrime)
 
 

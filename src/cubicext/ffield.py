@@ -800,22 +800,3 @@ def solve_modp(matrix: list, rhs: list, p: int) -> Optional[list]:
     for i, col in enumerate(pivots):
         x[col] = aug[i][m]
     return x
-
-
-def invert_modp(matrix: list, p: int) -> list:
-    """Inverse of a square matrix over GF(p); raises on singular input."""
-    n = len(matrix)
-    aug = [[v % p for v in row] + [1 if i == j else 0 for j in range(n)]
-           for i, row in enumerate(matrix)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if aug[i][col]), None)
-        if piv is None:
-            raise ZeroDivisionError("singular matrix mod p")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = pow(aug[col][col], -1, p)
-        aug[col] = [(v * inv) % p for v in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [(a - f * b) % p for a, b in zip(aug[i], aug[col])]
-    return [row[n:] for row in aug]

@@ -24,7 +24,7 @@ import math
 from typing import Iterator, Optional, Tuple, Union
 
 from .errors import DomainMismatch, NegativeValuation, SizeExceeded, ZeroInput
-from .ffield import FieldElem, field_make, invert_modp
+from .ffield import FieldElem, field_make, solve_modp
 from .polyring import (Embedding, FuncField, Poly, RatFunc, _divmod, _horner, _kernel,
                        embedding, factor_fq, func_field, is_irreducible, monic_polys,
                        poly_roots)
@@ -145,15 +145,13 @@ class ResidueData:
     counter values of root^i, i < d: evaluation runs on these.
     """
 
-    __slots__ = ("place", "field", "embed", "root", "_kernel", "_carrier", "_powers",
-                 "_lift_inverse")
+    __slots__ = ("place", "field", "embed", "root", "_kernel", "_carrier", "_powers")
 
     def __init__(self, place: Place, field, embed: Embedding, root):
         self.place = place
         self.field = field
         self.embed = embed
         self.root = root
-        self._lift_inverse = None
         if root is not None:
             self._kernel = K = _kernel(place.ff.field)
             self._carrier = K.load(place.pi)
@@ -191,20 +189,11 @@ class ResidueData:
             return Poly.const(base, c)
         if c.field is not self.field:
             raise DomainMismatch("element not in the residue field")
-        d = self.place.degree
-        m = base.m
-        if self._lift_inverse is None:
-            k, image = self.field, self.embed.value_image
-            cols = [FieldElem(k, k._mul(image(base.p ** j), r)).coeffs
-                    for r in self._powers for j in range(m)]
-            n = d * m
-            matrix = [[cols[col][row] for col in range(n)] for row in range(n)]
-            self._lift_inverse = invert_modp(matrix, base.p)
-        vec = list(c.coeffs)
-        n = len(vec)
-        sol = [sum(self._lift_inverse[i][j] * vec[j] for j in range(n)) % base.p
-               for i in range(n)]
-        coeffs = [base.elem(sol[i * m:(i + 1) * m]) for i in range(d)]
+        m, k, image = base.m, self.field, self.embed.value_image
+        cols = [FieldElem(k, k._mul(image(base.p ** j), r)).coeffs
+                for r in self._powers for j in range(m)]
+        sol = solve_modp(list(zip(*cols)), c.coeffs, base.p)
+        coeffs = [base.elem(sol[i * m:(i + 1) * m]) for i in range(self.place.degree)]
         return Poly(base, coeffs)
 
 
