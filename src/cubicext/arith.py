@@ -236,10 +236,7 @@ Ramified = ResolventBehavior.RAMIFIED
 def resolvent_place_behavior(a: RatFunc, P: Place) -> ResolventBehavior:
     """Behavior at P of the quadratic resolvent of y^3 - 3y = a.
 
-    Odd characteristic: the resolvent field is K(sqrt(-27(a^2-4))); read the
-    parity of v_P and the unit part's square class off unit_residue(a, P)
-    and, at a residue +-2, off that of a -+ 2 = (num -+ 2 den)/den, as a +- 2
-    is then a unit with residue +-4.
+    Odd characteristic: _resolvent_odd.
     Even characteristic: the resolvent is z^2 + z = 1/a + 1, the class of
     1/a^2 + 1 = (1/a + 1)^2; reduce the pole and read the residual trace.
     """
@@ -247,23 +244,7 @@ def resolvent_place_behavior(a: RatFunc, P: Place) -> ResolventBehavior:
     if a.is_zero():
         raise ReducibleInput("parameter 0 makes the trace form reducible")
     if ff.field.p != 2:
-        v, r = unit_residue(a, P)
-        if v < 0:  # a^2 - 4 = a^2 (1 - 4/a^2)
-            v, r = 2 * v, r * r
-        elif v > 0:
-            v, r = 0, r.field.from_int(-4)
-        elif r * r == 4:
-            two = 2 if r == 2 else -2
-            shifted = a.num - a.den * two
-            if shifted.is_zero():
-                raise ReducibleInput("parameter +-2 makes the trace form reducible")
-            v, r = unit_residue_of(shifted, a.den, P)
-            r = r * (2 * two)
-        else:
-            r = r * r - 4
-        if v % 2 == 1:
-            return Ramified
-        return Split if isinstance(square_classify(r * -27), Square) else Inert
+        return _resolvent_odd(a, P, *unit_residue(a, P))
     u = ff.one / a + ff.one
     if u.is_zero():  # a = 1: resolvent z^2 + z = 0 splits
         return Split
@@ -275,6 +256,29 @@ def resolvent_place_behavior(a: RatFunc, P: Place) -> ResolventBehavior:
     if ur.is_zero() or not trace_to_prime(residue_field(P).reduce(ur)):
         return Split
     return Inert
+
+
+def _resolvent_odd(a: RatFunc, P: Place, v: int, r) -> ResolventBehavior:
+    """resolvent_place_behavior for odd p from (v, r) = unit_residue(a, P).
+    The resolvent field is K(sqrt(-27(a^2-4))): read the parity of v_P and
+    the unit part's square class off (v, r) and, at a residue +-2, off that
+    of a -+ 2 = (num -+ 2 den)/den, as a +- 2 is then a unit with residue +-4."""
+    if v < 0:  # a^2 - 4 = a^2 (1 - 4/a^2)
+        v, r = 2 * v, r * r
+    elif v > 0:
+        v, r = 0, r.field.from_int(-4)
+    elif r * r == 4:
+        two = 2 if r == 2 else -2
+        shifted = a.num - a.den * two
+        if shifted.is_zero():
+            raise ReducibleInput("parameter +-2 makes the trace form reducible")
+        v, r = unit_residue_of(shifted, a.den, P)
+        r = r * (2 * two)
+    else:
+        r = r * r - 4
+    if v % 2 == 1:
+        return Ramified
+    return Split if isinstance(square_classify(r * -27), Square) else Inert
 
 
 def signature_depressed(ext: Extension, P: Place) -> Signature:
@@ -291,7 +295,7 @@ def signature_depressed(ext: Extension, P: Place) -> Signature:
         return _UNRAMIFIED[kind]
     # residual double root: the merged pair is separated by the resolvent
     return {Split: SIG_SPLIT, Inert: SIG_MIXED, Ramified: SIG_PARTIAL}[
-        resolvent_place_behavior(a, P)]
+        _resolvent_odd(a, P, v, res) if res.field.p != 2 else resolvent_place_behavior(a, P)]
 
 
 # -- characteristic-3 family -------------------------------------------------

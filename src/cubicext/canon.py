@@ -19,7 +19,7 @@ i.e. as the matrix [[m00, m01], [m10, m11]] on the column (1, y); composition
 of maps is then the matrix product.  Matrices are normalized projectively
 (first nonzero entry scaled to 1), so equal maps have equal entries.
 
-reduce_cubic and the map normalization run on the base's polyring._Kernel, on
+reduce_cubic and the map normalization run on the base's ffield._Kernel, on
 counter values over GF(q) and on RatFuncs over GF(q)(x); values are wrapped
 only in the returned shape and map entries.
 """
@@ -33,9 +33,9 @@ from typing import Optional, Union
 from .errors import (DegenerateParameter, DomainMismatch, FieldMismatch,
                      PoleHit, ReducibleInput, SingularMatrix,
                      WrongCharacteristic, WrongFieldClass)
-from .ffield import Field, FieldElem, NonCube, NonSquare, cube_classify, square_classify
-from .polyring import (FuncField, Poly, RatFunc, _kernel, _pth_root_poly, factor_fq,
-                       poly_roots, quadratic_roots, xgcd)
+from .ffield import Field, FieldElem, NonCube, NonSquare, _kernel, cube_classify, square_classify
+from .polyring import (FuncField, Poly, RatFunc, _pth_root_poly, factor_fq, poly_roots,
+                       quadratic_roots, xgcd)
 from . import places as places_mod
 
 Value = Union[FieldElem, RatFunc]

@@ -45,6 +45,10 @@ directly; ``square_classify``, ``cube_classify`` and ``_solve_quadratic``
 wrap them for FieldElem callers.  The quadratic solver lives here (rather
 than with the polynomial machinery) because the square/cube classifiers
 below need it; polyring re-exports it.
+
+The package's one list kernel (_Kernel, _trim ... _horner), irreducibility
+test and scan of monic irreducibles live here, at the bottom of the import
+graph; _ptrim, _pmul, _pmod and _ppowmod stay, uncalled, as the tests' oracle.
 """
 from __future__ import annotations
 
@@ -54,13 +58,196 @@ from array import array
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-from .errors import DivisionByZero, FieldMismatch, NotPrime, SizeExceeded
+from .errors import DivisionByZero, DomainMismatch, FieldMismatch, NotPrime, SizeExceeded
 
 MAX_ORDER = 1 << 20  # guard for field constructions that would never finish
 
 
 # ---------------------------------------------------------------------------
-# primes and GF(p)[t] on plain int lists (low degree first)
+# the polynomial kernel: coefficient lists, low degree first, trimmed
+# ---------------------------------------------------------------------------
+
+class _Kernel:
+    """The coefficient arithmetic of one domain, as the list kernel runs it.
+
+    Over a Field the list entries are counter values and add/sub/mul/inv are
+    the field's own methods on them; over GF(p) (p set, else 0) the loops of
+    _mul, _divmod and _horner reduce % p inline instead.  Over any other
+    domain the entries are the elements and the operations their operators.
+    load unwraps a Poly and value/elem unwrap and wrap one element (value
+    refuses another field's element); of_int gives the entry of an integer,
+    over GF(q)(x) from the constants kept in ints by n mod p.
+    """
+
+    __slots__ = ("dom", "field", "p", "zero", "one", "add", "sub", "mul", "inv", "ints")
+
+    def __init__(self, dom):
+        self.dom = dom
+        if isinstance(dom, Field):
+            self.field, self.p = dom, (dom.p if dom.m == 1 else 0)
+            self.zero, self.one = 0, 1
+            self.add, self.sub, self.mul = dom._add, dom._sub, dom._mul
+            self.inv = lambda c: dom._pow(c, -1)
+        else:
+            self.field, self.p = None, 0
+            self.zero, self.one = dom.zero, dom.one
+            self.add, self.sub, self.mul = operator.add, operator.sub, operator.mul
+            self.inv = self._inverse
+            self.ints = {}
+
+    def _inverse(self, c):
+        try:
+            return self.dom.one / c
+        except TypeError:
+            raise DomainMismatch("division needs a monic divisor over this domain")
+
+    def load(self, f) -> list:
+        return [c.value for c in f.coeffs] if self.field else list(f.coeffs)
+
+    def of_int(self, n: int):
+        if self.field:
+            return n % self.field.p
+        n %= self.dom.field.p  # at most p constants are kept
+        if n not in self.ints:
+            self.ints[n] = self.dom.from_int(n)
+        return self.ints[n]
+
+    def value(self, c):
+        if self.field and c.field is not self.field:
+            raise FieldMismatch(f"{self.field} vs {c.field}")
+        return c.value if self.field else c
+
+    def elem(self, v):
+        return FieldElem(self.field, v) if self.field else v
+
+
+@functools.lru_cache(maxsize=None)
+def _kernel(dom) -> _Kernel:
+    return _Kernel(dom)
+
+
+def _trim(cs: list) -> list:
+    while cs and not cs[-1]:
+        cs.pop()
+    return cs
+
+
+def _add(K: _Kernel, a: list, b: list) -> list:
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    add = K.add
+    for i, c in enumerate(b):
+        out[i] = add(out[i], c)
+    return _trim(out)
+
+
+def _sub(K: _Kernel, a: list, b: list) -> list:
+    out = list(a) + [K.zero] * (len(b) - len(a))
+    sub = K.sub
+    for i, c in enumerate(b):
+        out[i] = sub(out[i], c)
+    return _trim(out)
+
+
+def _scale(K: _Kernel, a: list, c) -> list:
+    mul = K.mul
+    return [mul(v, c) for v in a]
+
+
+def _mul(K: _Kernel, a: list, b: list) -> list:
+    # the domains are integral, so the top coefficient is never zero
+    if not a or not b:
+        return []
+    p = K.p
+    if p:
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    out[j] += x * y
+        return [v % p for v in out]
+    add, mul = K.add, K.mul
+    out = [K.zero] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] = add(out[j], mul(x, y))
+    return out
+
+
+def _divmod(K: _Kernel, a: list, b: list):
+    """(q, r) with a = q*b + r and deg r < deg b, for nonzero b; b need not
+    be monic (its leading coefficient is inverted once)."""
+    n = len(b) - 1
+    if len(a) <= n:
+        return [], list(a)
+    inv = None if b[-1] == K.one else K.inv(b[-1])
+    r = list(a)
+    q = [K.zero] * (len(a) - n)
+    low = b[:n]
+    p = K.p
+    if p:  # r is reduced % p only where it is read
+        inv = 1 if inv is None else inv
+        for d in range(len(q) - 1, -1, -1):
+            c = r[d + n] * inv % p
+            if c:
+                q[d] = c
+                for i, y in enumerate(low, d):
+                    r[i] -= c * y
+        return q, _trim([v % p for v in r[:n]])
+    mul, sub = K.mul, K.sub
+    for d in range(len(q) - 1, -1, -1):
+        c = r[d + n] if inv is None else mul(r[d + n], inv)
+        if c:
+            q[d] = c
+            for i, y in enumerate(low, d):
+                r[i] = sub(r[i], mul(c, y))
+    return q, _trim(r[:n])
+
+
+def _monic(K: _Kernel, a: list) -> list:
+    if not a or a[-1] == K.one:
+        return a
+    return _scale(K, a, K.inv(a[-1]))
+
+
+def _gcd(K: _Kernel, a: list, b: list) -> list:
+    """The monic gcd of a and b, [] when both are zero."""
+    while b:
+        a, b = b, _divmod(K, a, b)[1]
+    return _monic(K, a)
+
+
+def _powmod(K: _Kernel, base: list, e: int, mod: list) -> list:
+    """base^e modulo mod, for e >= 0 (e = 0 gives 1 unreduced)."""
+    result = [K.one]
+    base = _divmod(K, base, mod)[1]
+    while e:
+        if e & 1:
+            result = _divmod(K, _mul(K, result, base), mod)[1]
+        e >>= 1
+        if e:
+            base = _divmod(K, _mul(K, base, base), mod)[1]
+    return result
+
+
+def _horner(K: _Kernel, a: Sequence, v):
+    """a(v) by Horner's rule."""
+    acc = K.zero
+    p = K.p
+    if p:
+        for c in reversed(a):
+            acc = (acc * v + c) % p
+        return acc
+    add, mul = K.add, K.mul
+    for c in reversed(a):
+        acc = add(mul(acc, v), c)
+    return acc
+
+
+# ---------------------------------------------------------------------------
+# primes, monic irreducibles, and the schoolbook GF(p)[t] test oracle
 # ---------------------------------------------------------------------------
 
 def _is_prime(n: int) -> bool:
@@ -120,47 +307,6 @@ def _ppowmod(base: Sequence[int], e: int, mod: Sequence[int], p: int) -> list:
     return result
 
 
-def _pgcd(a: Sequence[int], b: Sequence[int], p: int) -> list:
-    """Monic gcd of a monic a and b; each divisor is made monic first, since
-    _pmod assumes a monic divisor."""
-    a, b = list(a), list(b)
-    while b:
-        inv = pow(b[-1], -1, p)
-        b = [(c * inv) % p for c in b]
-        a, b = b, _pmod(a, b, p)
-    return a
-
-
-def _pirreducible(f: Sequence[int], p: int) -> bool:
-    """Monic f of degree >= 1 irreducible over GF(p)?"""
-    d = len(f) - 1
-    if d == 1:
-        return True
-    x = [0, 1]
-    # x^(p^d) == x mod f, and gcd(x^(p^(d/l)) - x, f) == 1 for primes l | d
-    h = list(x)
-    powers = {}
-    for i in range(1, d + 1):
-        h = _ppowmod(h, p, f, p)
-        powers[i] = list(h)
-    top = list(powers[d])
-    if _ptrim([(a - b) % p for a, b in _zipl(top, x)]):
-        return False
-    for ell in _prime_divisors(d):
-        g = powers[d // ell]
-        diff = _ptrim([(a - b) % p for a, b in _zipl(g, x)])
-        if len(_pgcd(f, diff, p)) != 1:
-            return False
-    return True
-
-
-def _zipl(a: Sequence[int], b: Sequence[int]):
-    n = max(len(a), len(b))
-    a = list(a) + [0] * (n - len(a))
-    b = list(b) + [0] * (n - len(b))
-    return zip(a, b)
-
-
 def _prime_divisors(n: int) -> list:
     out = []
     f = 2
@@ -175,18 +321,39 @@ def _prime_divisors(n: int) -> list:
     return out
 
 
+def _irreducible(K: _Kernel, f: list) -> bool:
+    """Is the monic f of degree d >= 1 irreducible over K's field GF(q)?  Yes
+    iff x^(q^d) = x mod f and gcd(x^(q^(d/l)) - x, f) = 1 for each prime
+    l | d (von zur Gathen and Gerhard, Modern Computer Algebra, 14.9)."""
+    d = len(f) - 1
+    if d == 1:
+        return True
+    x = h = [0, 1]
+    frob = [x]  # frob[i] = x^(q^i) mod f
+    for _ in range(d):
+        h = _powmod(K, h, K.field.order, f)
+        frob.append(h)
+    return frob[d] == x and all(len(_gcd(K, f, _sub(K, frob[d // ell], x))) == 1
+                                for ell in _prime_divisors(d))
+
+
+def _irreducibles(K: _Kernel, d: int) -> Iterator[list]:
+    """The monic irreducibles of degree d over K's field, as kernel lists in
+    counter order: i = 0, 1, 2, ... written in base q, the constant
+    coefficient as the least significant digit, under a leading 1."""
+    q = K.field.order
+    for i in range(q ** d):
+        f = _digits(i, q, d) + [1]
+        if _irreducible(K, f):
+            yield f
+
+
 def least_irreducible(p: int, d: int) -> tuple:
     """First monic irreducible of degree d over GF(p), counter order.
 
     Returned as a coefficient tuple of length d+1, low degree first.
-    The counter writes i = 0, 1, 2, ... in base p with the constant
-    coefficient as the least significant digit.
     """
-    for i in range(p ** d):
-        cand = _digits(i, p, d) + [1]
-        if _pirreducible(cand, p):
-            return tuple(cand)
-    raise AssertionError("no irreducible found")  # pragma: no cover
+    return tuple(next(_irreducibles(_kernel(field_make(p)), d)))
 
 
 def _digits(v: int, p: int, m: int) -> list:
@@ -287,10 +454,10 @@ class Field:
         """
         p, m, q = self.p, self.m, self.order
         n = q - 1
-        mod = list(self.modulus)
-        gd = next(d for d in (_digits(g, p, m) for g in range(p, q))
-                  if all(_ppowmod(d, n // ell, mod, p) != [1] for ell in _prime_divisors(n)))
-        cols = [_pmod(_pmul(gd, [0] * j + [1], p), mod, p) for j in range(m)]
+        K, mod = _kernel(field_make(p)), list(self.modulus)
+        gd = next(d for d in (_trim(_digits(g, p, m)) for g in range(p, q))
+                  if all(_powmod(K, d, n // ell, mod) != [1] for ell in _prime_divisors(n)))
+        cols = [_divmod(K, [0] * j + gd, mod)[1] for j in range(m)]
         h = m // 2
         exp = array("i", [0]) * (2 * n)
         log = array("i", [0]) * q
@@ -400,7 +567,7 @@ class Field:
     def elem(self, coeffs: Sequence[int]) -> "FieldElem":
         c = [int(v) % self.p for v in coeffs]
         if len(c) > self.m:
-            c = _pmod(c, list(self.modulus), self.p)
+            c = _divmod(_kernel(field_make(self.p)), c, list(self.modulus))[1]
         return FieldElem(self, _counter(c, self.p))
 
     def from_int(self, n: int) -> "FieldElem":

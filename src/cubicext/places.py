@@ -24,10 +24,9 @@ import math
 from typing import Iterator, Optional, Tuple, Union
 
 from .errors import DomainMismatch, NegativeValuation, SizeExceeded, ZeroInput
-from .ffield import FieldElem, field_make, solve_modp
-from .polyring import (Embedding, FuncField, Poly, RatFunc, _divmod, _horner, _kernel,
-                       embedding, factor_fq, func_field, is_irreducible, monic_polys,
-                       poly_roots)
+from .ffield import FieldElem, _divmod, _horner, _irreducibles, _kernel, field_make, solve_modp
+from .polyring import (Embedding, FuncField, Poly, RatFunc, _store, embedding, factor_fq,
+                       func_field, is_irreducible, poly_roots)
 
 INFINITE_VALUATION = math.inf
 PLACE_SCAN_LIMIT = 1 << 16  # places_up_to scans at most this many carriers per degree
@@ -276,10 +275,10 @@ def iter_places(ff: FuncField, dmax: int) -> Iterator[Place]:
     that stops early pays only for the places it took.
     """
     yield Place.infinity(ff)
+    K = _kernel(ff.field)
     for d in range(1, dmax + 1):
-        for f in monic_polys(ff.field, d):
-            if is_irreducible(f):
-                yield Place(ff, f)
+        for f in _irreducibles(K, d):
+            yield Place(ff, _store(K, f))
 
 
 @functools.lru_cache(maxsize=None)

@@ -6,13 +6,14 @@ identity checks use).  Coefficients are a trimmed tuple, low degree first;
 the zero polynomial has an empty tuple and degree -1.
 
 Add, sub, mul, divmod, monic, gcd, powmod, xgcd and Horner evaluation run
-in one kernel on coefficient lists, parametrised by the domain's _Kernel.
-Over a Field a Poly's FieldElem coefficients are unwrapped once to their
-counter values, the kernel computes on ints with the field's own
-_add/_sub/_mul/_pow (over GF(p) the quadratic loops reduce % p inline), and
-the result is wrapped once; gcd, powmod and xgcd stay on int lists from start
-to end.  Over other domains the kernel runs on the elements' operators.
-Division is the classical quadratic one and accepts non-monic divisors.
+in one kernel on coefficient lists, which lives in ffield and is
+parametrised by the domain's ffield._Kernel.  Over a Field a Poly's
+FieldElem coefficients are unwrapped once to their counter values, the
+kernel computes on ints with the field's own _add/_sub/_mul/_pow (over GF(p)
+the quadratic loops reduce % p inline), and _store wraps the result once;
+gcd, powmod and xgcd stay on int lists from start to end.  Over other
+domains the kernel runs on the elements' operators.  Division is the
+classical quadratic one and accepts non-monic divisors.
 
 Rational functions are kept reduced with a monic denominator, so equal
 functions have equal representations.
@@ -27,214 +28,30 @@ Determinism contracts honoured here:
 from __future__ import annotations
 
 import functools
-import operator
 import random
 from typing import Iterator, Optional, Sequence
 
 from . import ffield
 from .errors import (DivisionByZero, DomainMismatch, FieldMismatch,
                      SizeExceeded, ZeroDenominator, ZeroPolynomial)
-from .ffield import Field, FieldElem
+from .ffield import (Field, FieldElem, _Kernel, _add, _digits, _divmod, _gcd, _horner,
+                     _irreducible, _kernel, _monic, _mul, _powmod, _scale, _sub, _trim)
 
 FACTOR_SEED = 2718281828459045
 FACTOR_DEGREE_LIMIT = 512
 
 
 # ---------------------------------------------------------------------------
-# the polynomial kernel: coefficient lists, low degree first, trimmed
-# ---------------------------------------------------------------------------
-
-class _Kernel:
-    """The coefficient arithmetic of one domain, as the list kernel runs it.
-
-    Over a Field the list entries are counter values and add/sub/mul/inv are
-    the field's own methods on them; over GF(p) (p set, else 0) the loops of
-    _mul, _divmod and _horner reduce % p inline instead.  Over any other
-    domain the entries are the elements and the operations their operators.
-    load/store and value/elem unwrap and wrap a Poly or one element (value
-    refuses another field's element); of_int gives the entry of an integer,
-    over GF(q)(x) from the constants kept in ints by n mod p.
-    """
-
-    __slots__ = ("dom", "field", "p", "zero", "one", "add", "sub", "mul", "inv", "ints")
-
-    def __init__(self, dom):
-        self.dom = dom
-        if isinstance(dom, Field):
-            self.field, self.p = dom, (dom.p if dom.m == 1 else 0)
-            self.zero, self.one = 0, 1
-            self.add, self.sub, self.mul = dom._add, dom._sub, dom._mul
-            self.inv = lambda c: dom._pow(c, -1)
-        else:
-            self.field, self.p = None, 0
-            self.zero, self.one = dom.zero, dom.one
-            self.add, self.sub, self.mul = operator.add, operator.sub, operator.mul
-            self.inv = self._inverse
-            self.ints = {}
-
-    def _inverse(self, c):
-        try:
-            return self.dom.one / c
-        except TypeError:
-            raise DomainMismatch("division needs a monic divisor over this domain")
-
-    def load(self, f: Poly) -> list:
-        return [c.value for c in f.coeffs] if self.field else list(f.coeffs)
-
-    def of_int(self, n: int):
-        if self.field:
-            return n % self.field.p
-        if not isinstance(self.dom, FuncField):
-            return self.dom.from_int(n)
-        n %= self.dom.field.p  # at most p constants are kept
-        if n not in self.ints:
-            self.ints[n] = self.dom.from_int(n)
-        return self.ints[n]
-
-    def value(self, c):
-        if self.field and c.field is not self.field:
-            raise FieldMismatch(f"{self.field} vs {c.field}")
-        return c.value if self.field else c
-
-    def elem(self, v):
-        return FieldElem(self.field, v) if self.field else v
-
-    def store(self, cs: list) -> Poly:
-        F = self.field
-        out = Poly.__new__(Poly)
-        out.dom = self.dom
-        out.coeffs = tuple([FieldElem(F, v) for v in cs]) if F else tuple(cs)
-        return out
-
-
-@functools.lru_cache(maxsize=None)
-def _kernel(dom) -> _Kernel:
-    return _Kernel(dom)
-
-
-def _trim(cs: list) -> list:
-    while cs and not cs[-1]:
-        cs.pop()
-    return cs
-
-
-def _add(K: _Kernel, a: list, b: list) -> list:
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    add = K.add
-    for i, c in enumerate(b):
-        out[i] = add(out[i], c)
-    return _trim(out)
-
-
-def _sub(K: _Kernel, a: list, b: list) -> list:
-    out = list(a) + [K.zero] * (len(b) - len(a))
-    sub = K.sub
-    for i, c in enumerate(b):
-        out[i] = sub(out[i], c)
-    return _trim(out)
-
-
-def _scale(K: _Kernel, a: list, c) -> list:
-    mul = K.mul
-    return [mul(v, c) for v in a]
-
-
-def _mul(K: _Kernel, a: list, b: list) -> list:
-    # the domains are integral, so the top coefficient is never zero
-    if not a or not b:
-        return []
-    p = K.p
-    if p:
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b, i):
-                    out[j] += x * y
-        return [v % p for v in out]
-    add, mul = K.add, K.mul
-    out = [K.zero] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b, i):
-                out[j] = add(out[j], mul(x, y))
-    return out
-
-
-def _divmod(K: _Kernel, a: list, b: list):
-    """(q, r) with a = q*b + r and deg r < deg b, for nonzero b; b need not
-    be monic (its leading coefficient is inverted once)."""
-    n = len(b) - 1
-    if len(a) <= n:
-        return [], list(a)
-    inv = None if b[-1] == K.one else K.inv(b[-1])
-    r = list(a)
-    q = [K.zero] * (len(a) - n)
-    low = b[:n]
-    p = K.p
-    if p:  # r is reduced % p only where it is read
-        inv = 1 if inv is None else inv
-        for d in range(len(q) - 1, -1, -1):
-            c = r[d + n] * inv % p
-            if c:
-                q[d] = c
-                for i, y in enumerate(low, d):
-                    r[i] -= c * y
-        return q, _trim([v % p for v in r[:n]])
-    mul, sub = K.mul, K.sub
-    for d in range(len(q) - 1, -1, -1):
-        c = r[d + n] if inv is None else mul(r[d + n], inv)
-        if c:
-            q[d] = c
-            for i, y in enumerate(low, d):
-                r[i] = sub(r[i], mul(c, y))
-    return q, _trim(r[:n])
-
-
-def _monic(K: _Kernel, a: list) -> list:
-    if not a or a[-1] == K.one:
-        return a
-    return _scale(K, a, K.inv(a[-1]))
-
-
-def _gcd(K: _Kernel, a: list, b: list) -> list:
-    """The monic gcd of a and b, [] when both are zero."""
-    while b:
-        a, b = b, _divmod(K, a, b)[1]
-    return _monic(K, a)
-
-
-def _powmod(K: _Kernel, base: list, e: int, mod: list) -> list:
-    """base^e modulo mod, for e >= 0 (e = 0 gives 1 unreduced)."""
-    result = [K.one]
-    base = _divmod(K, base, mod)[1]
-    while e:
-        if e & 1:
-            result = _divmod(K, _mul(K, result, base), mod)[1]
-        e >>= 1
-        if e:
-            base = _divmod(K, _mul(K, base, base), mod)[1]
-    return result
-
-
-def _horner(K: _Kernel, a: Sequence, v):
-    """a(v) by Horner's rule."""
-    acc = K.zero
-    p = K.p
-    if p:
-        for c in reversed(a):
-            acc = (acc * v + c) % p
-        return acc
-    add, mul = K.add, K.mul
-    for c in reversed(a):
-        acc = add(mul(acc, v), c)
-    return acc
-
-
-# ---------------------------------------------------------------------------
 # polynomials
 # ---------------------------------------------------------------------------
+
+def _store(K: _Kernel, cs: list) -> Poly:
+    F = K.field
+    out = Poly.__new__(Poly)
+    out.dom = K.dom
+    out.coeffs = tuple([FieldElem(F, v) for v in cs]) if F else tuple(cs)
+    return out
+
 
 def _binop(kernel_op):
     """A Poly operator: kernel_op(K, a, b) on the coefficient lists of self
@@ -244,7 +61,7 @@ def _binop(kernel_op):
         if o is None:
             return NotImplemented
         K = _kernel(self.dom)
-        return K.store(kernel_op(K, K.load(self), K.load(o)))
+        return _store(K, kernel_op(K, K.load(self), K.load(o)))
     return op
 
 
@@ -343,7 +160,7 @@ class Poly:
             raise DivisionByZero("polynomial division by zero")
         K = _kernel(self.dom)
         q, r = _divmod(K, K.load(self), K.load(o))
-        return K.store(q), K.store(r)
+        return _store(K, q), _store(K, r)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -357,12 +174,12 @@ class Poly:
         if self.is_monic():
             return self
         K = _kernel(self.dom)
-        return K.store(_monic(K, K.load(self)))
+        return _store(K, _monic(K, K.load(self)))
 
     def gcd(self, other: "Poly") -> "Poly":
         """The monic gcd (zero when both are zero)."""
         K = _kernel(self.dom)
-        return K.store(_gcd(K, K.load(self), K.load(self._coerce(other))))
+        return _store(K, _gcd(K, K.load(self), K.load(self._coerce(other))))
 
     def derivative(self) -> "Poly":
         return Poly(self.dom, [self.coeffs[i] * i for i in range(1, len(self.coeffs))])
@@ -680,7 +497,7 @@ def quadratic_roots(f: Poly) -> tuple:
 
 def _powmod_q(base: Poly, e: int, mod: Poly) -> Poly:
     K = _kernel(base.dom)
-    return K.store(_powmod(K, K.load(base), e, K.load(mod)))
+    return _store(K, _powmod(K, K.load(base), e, K.load(mod)))
 
 
 def is_irreducible(f: Poly) -> bool:
@@ -689,39 +506,17 @@ def is_irreducible(f: Poly) -> bool:
         raise DomainMismatch("irreducibility is tested over a finite field")
     if f.is_zero():
         raise ZeroPolynomial("zero polynomial")
-    d = f.degree
-    if d == 0:
+    if f.degree == 0:
         return False
-    if d == 1:
-        return True
-    F = f.dom
-    g = f.monic()
-    x = Poly.gen(F)
-    h = x
-    frob = {}
-    for i in range(1, d + 1):
-        h = _powmod_q(h, F.order, g)
-        frob[i] = h
-    if frob[d] != x % g:
-        return False
-    for ell in ffield._prime_divisors(d):
-        if frob[d // ell] == x % g:
-            return False
-        if g.gcd(frob[d // ell] - x).degree != 0:
-            return False
-    return True
+    K = _kernel(f.dom)
+    return _irreducible(K, _monic(K, K.load(f)))
 
 
 def monic_polys(F: Field, d: int) -> Iterator[Poly]:
     """All monic degree-d polynomials over F in counter order."""
-    q = F.order
+    K, q = _kernel(F), F.order
     for i in range(q ** d):
-        digits = []
-        k = i
-        for _ in range(d):
-            digits.append(F.from_value(k % q))
-            k //= q
-        yield Poly(F, digits + [F.one])
+        yield _store(K, _digits(i, q, d) + [1])
 
 
 # ---------------------------------------------------------------------------
@@ -806,7 +601,7 @@ def _equal_degree_split(f: Poly, d: int, rng: random.Random) -> list:
             for _ in range(d * F.m):
                 w = _add(K, w, t)
                 t = _divmod(K, _mul(K, t, t), fl)[1]
-            w = K.store(w)
+            w = _store(K, w)
         else:
             w = _powmod_q(r, (q ** d - 1) // 2, f) - Poly.one(F)
         g = f.gcd(w)
@@ -863,7 +658,7 @@ def xgcd(a: Poly, b: Poly):
     if r0:
         inv = K.inv(r0[-1])
         r0, s0, t0 = (_scale(K, v, inv) for v in (r0, s0, t0))
-    return K.store(r0), K.store(s0), K.store(t0)
+    return _store(K, r0), _store(K, s0), _store(K, t0)
 
 
 # ---------------------------------------------------------------------------
@@ -892,7 +687,7 @@ class Embedding:
         src = self.src
         if src.m == 1:
             return v
-        return _horner(_kernel(self.dst), ffield._digits(v, src.p, src.m), self.root.value)
+        return _horner(_kernel(self.dst), _digits(v, src.p, src.m), self.root.value)
 
 
 @functools.lru_cache(maxsize=None)
