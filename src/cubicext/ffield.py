@@ -250,21 +250,6 @@ def _horner(K: _Kernel, a: Sequence, v):
 # primes, monic irreducibles, and the schoolbook GF(p)[t] test oracle
 # ---------------------------------------------------------------------------
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
-
-
 def _ptrim(c: list) -> list:
     while c and c[-1] == 0:
         c.pop()
@@ -702,7 +687,7 @@ def _field_cached(p: int, m: int) -> Field:
     # not finish; p >= 2 and m > log2(MAX_ORDER) already exceed the cap
     if p >= 2 and (m >= MAX_ORDER.bit_length() or p ** m > MAX_ORDER):
         raise SizeExceeded(f"field order {p}^{m} exceeds {MAX_ORDER}")
-    if not _is_prime(p):
+    if _prime_divisors(p) != [p]:
         raise NotPrime(f"{p} is not prime")
     return Field(p, m)
 

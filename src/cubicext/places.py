@@ -7,7 +7,8 @@ returns is in that order.
 
 Valuation conventions: v_P(f) counts the power of the monic carrier dividing
 f, and v_infinity(num/den) = deg den - deg num, so deg-degree bookkeeping
-sums to zero on principal divisors (asserted in divisor_of).
+sums to zero on principal divisors (asserted in divisor_groups, which
+groups the places by valuation without factoring, and in divisor_of).
 
 residue_field returns a ResidueData bundle: the residue field GF(q^d)
 itself, the embedding GF(q) -> GF(q^d), and the distinguished root of the
@@ -25,8 +26,8 @@ from typing import Iterator, Optional, Tuple, Union
 
 from .errors import DomainMismatch, NegativeValuation, SizeExceeded, ZeroInput
 from .ffield import FieldElem, _divmod, _horner, _irreducibles, _kernel, field_make, solve_modp
-from .polyring import (Embedding, FuncField, Poly, RatFunc, _store, embedding, factor_fq,
-                       func_field, is_irreducible, poly_roots)
+from .polyring import (Embedding, FuncField, Poly, RatFunc, _squarefree_decomposition, _store,
+                       embedding, factor_fq, func_field, is_irreducible, poly_roots)
 
 INFINITE_VALUATION = math.inf
 PLACE_SCAN_LIMIT = 1 << 16  # places_up_to scans at most this many carriers per degree
@@ -251,18 +252,32 @@ def reduce_at(a: RatFunc, P: Place) -> FieldElem:
 # divisors and place enumeration
 # ---------------------------------------------------------------------------
 
-def divisor_of(a: RatFunc) -> list:
-    """[(Place, v_P(a))] over the support, in place order; ZeroInput on 0."""
+def divisor_groups(a: RatFunc) -> list:
+    """The divisor of a, grouped by valuation and unfactored: [(g, v)] with
+    g None for infinity, else the squarefree product of the finite places
+    where v_P(a) = v, from the squarefree decompositions of a's numerator
+    and denominator.  ZeroInput on 0; SizeExceeded as factor_fq's."""
     if a.is_zero():
         raise ZeroInput("the zero function has no divisor")
-    out = []
     v_inf = a.den.degree - a.num.degree
-    if v_inf:
-        out.append((Place.infinity(a.ff), v_inf))
-    for g, mult in factor_fq(a.num)[1]:
-        out.append((Place(a.ff, g), mult))
-    for g, mult in factor_fq(a.den)[1]:
-        out.append((Place(a.ff, g), -mult))
+    out = [(None, v_inf)] if v_inf else []
+    out += _squarefree_decomposition(a.num.monic())
+    out += [(g, -e) for g, e in _squarefree_decomposition(a.den)]
+    assert sum(v * (1 if g is None else g.degree) for g, v in out) == 0
+    return out
+
+
+def group_places(ff: FuncField, g: Optional[Poly]) -> list:
+    """The places of a divisor_groups group: infinity for None, else the
+    irreducible factors of g."""
+    if g is None:
+        return [Place.infinity(ff)]
+    return [Place(ff, h) for h, _ in factor_fq(g)[1]]
+
+
+def divisor_of(a: RatFunc) -> list:
+    """[(Place, v_P(a))] over the support, in place order; ZeroInput on 0."""
+    out = [(P, v) for g, v in divisor_groups(a) for P in group_places(a.ff, g)]
     out.sort(key=lambda t: t[0].sort_key())
     assert sum(v * P.degree for P, v in out) == 0
     return out

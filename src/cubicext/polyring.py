@@ -11,9 +11,12 @@ parametrised by the domain's ffield._Kernel.  Over a Field a Poly's
 FieldElem coefficients are unwrapped once to their counter values, the
 kernel computes on ints with the field's own _add/_sub/_mul/_pow (over GF(p)
 the quadratic loops reduce % p inline), and _store wraps the result once;
-gcd, powmod and xgcd stay on int lists from start to end.  Over other
-domains the kernel runs on the elements' operators.  Division is the
-classical quadratic one and accepts non-monic divisors.
+gcd, powmod, xgcd and the squarefree decomposition stay on int lists from
+start to end.  Over other domains the kernel runs on the elements'
+operators.  Division is the classical quadratic one and accepts non-monic
+divisors.  The squarefree decomposition, factor_fq's first step, alone
+answers what needs only multiplicities; like factor_fq it refuses a degree
+above FACTOR_DEGREE_LIMIT before any work.
 
 Rational functions are kept reduced with a monic denominator, so equal
 functions have equal representations.
@@ -523,41 +526,52 @@ def monic_polys(F: Field, d: int) -> Iterator[Poly]:
 # factorization over GF(q)
 # ---------------------------------------------------------------------------
 
+def _pth_root(K: _Kernel, f: list) -> list:
+    """h with h^p = f, for a kernel list f over GF(q) whose derivative
+    vanishes (exponents all p|i): c -> c^(q/p) is the p-th root in GF(q)."""
+    F = K.field
+    e = F.order // F.p
+    return [F._pow(c, e) for c in f[::F.p]]
+
+
 def _pth_root_poly(f: Poly) -> Poly:
-    """h with h^p = f, for f whose derivative vanishes (exponents all p|i)."""
-    F = f.dom
-    p = F.p
-    e = F.order // p  # c -> c^(q/p) is the p-th root in GF(q)
-    return Poly(F, [f.coeff(i) ** e for i in range(0, f.degree + 1, p)])
+    K = _kernel(f.dom)
+    return _store(K, _pth_root(K, K.load(f)))
 
 
 def _squarefree_decomposition(f: Poly) -> list:
-    """[(monic squarefree g_i, multiplicity e_i)] with f = prod g_i^e_i."""
-    F = f.dom
-    p = F.p
+    """[(monic squarefree g_i, multiplicity e_i)] with f = prod g_i^e_i, for
+    monic f over GF(q), the g_i pairwise coprime: the gcd-based algorithm
+    (von zur Gathen and Gerhard, Modern Computer Algebra, 14.6) on f's
+    kernel list.  SizeExceeded above FACTOR_DEGREE_LIMIT, before any gcd."""
+    if f.degree > FACTOR_DEGREE_LIMIT:
+        raise SizeExceeded(f"degree {f.degree} exceeds {FACTOR_DEGREE_LIMIT}")
+    K = _kernel(f.dom)
+    p, mul = K.field.p, K.mul
+    f = K.load(f)
     out = []
     e = 1
-    while f.degree > 0:
-        df = f.derivative()
-        if df.is_zero():
-            f = _pth_root_poly(f)
+    while len(f) > 1:
+        df = _trim([mul(f[i], i % p) for i in range(1, len(f))])
+        if not df:
+            f = _pth_root(K, f)
             e *= p
             continue
-        g = f.gcd(df)
-        w = f // g
+        g = _gcd(K, f, df)
+        w = _divmod(K, f, g)[0]
         i = 1
-        while w.degree > 0:
-            y = w.gcd(g)
-            z = w // y
-            if z.degree > 0:
-                out.append((z, i * e))
+        while len(w) > 1:
+            y = _gcd(K, w, g)
+            z = _divmod(K, w, y)[0]
+            if len(z) > 1:
+                out.append((_store(K, z), i * e))
             w = y
-            g = g // y
+            g = _divmod(K, g, y)[0]
             i += 1
         f = g
         e *= p
-        if f.degree > 0:
-            f = _pth_root_poly(f)
+        if len(f) > 1:
+            f = _pth_root(K, f)
     return out
 
 

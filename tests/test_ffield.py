@@ -285,3 +285,21 @@ def test_artin_schreier_section_solves_every_trace_zero_element(m):
             assert roots == tuple(sorted((y, y + 1)))
         else:
             assert roots == ()
+
+
+def test_field_make_accepts_exactly_the_primes():
+    limit = 5000
+    sieve = [False, False] + [True] * (limit - 2)
+    for n in range(2, int(limit ** 0.5) + 1):
+        if sieve[n]:
+            sieve[n * n::n] = [False] * len(range(n * n, limit, n))
+    accepted = []
+    for n in range(limit):
+        try:
+            accepted.append(field_make(n).p)
+        except NotPrime:
+            pass
+    assert accepted == [n for n in range(limit) if sieve[n]]
+    for n in (0, 1, 4, 1048575, -7):  # 1048575 = 2^20 - 1 passes the size check
+        with pytest.raises(NotPrime):
+            field_make(n)
