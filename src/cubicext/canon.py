@@ -34,8 +34,9 @@ from .errors import (DegenerateParameter, DomainMismatch, FieldMismatch,
                      PoleHit, ReducibleInput, SingularMatrix,
                      WrongCharacteristic, WrongFieldClass)
 from .ffield import Field, FieldElem, NonCube, NonSquare, _kernel, cube_classify, square_classify
-from .polyring import (FuncField, Poly, RatFunc, _distinct_degree, _pth_root_poly,
-                       _squarefree_decomposition, poly_roots, quadratic_roots, xgcd)
+from .polyring import (FACTOR_DEGREE_LIMIT, FuncField, Poly, RatFunc, _distinct_degree,
+                       _pth_root_poly, _squarefree_decomposition, poly_roots,
+                       quadratic_roots, xgcd)
 from . import places as places_mod
 
 Value = Union[FieldElem, RatFunc]
@@ -540,20 +541,34 @@ def has_rational_root(shape: CanonicalCubic) -> Optional[Value]:
     """The least root (in value_key order) of the canonical cubic in its
     base, or None.
 
-    Pure shapes over GF(q)(x) go through the global cube test, which reads
-    the squarefree decompositions of a's numerator and denominator and
-    factors nothing; every other shape through _roots_in.  The shortcut is
-    kept for speed: on the 212 pure parameters of the kx-arith benchmark
-    deck (seed 999) the cube test takes about 8 ms in all and _roots_in
-    about 185 ms (best of 7 and of 3, 2-core x86-64, Python 3.11).
+    Over GF(q)(x) pure shapes go through the global cube test.  Trace and
+    char-3 shapes have none when a has a pole P of order n prime to 3
+    (_certifying_pole).  A root y of y^3 - 3y = a would need 3v_P(y) = -n,
+    since v_P(y^3 - 3y) is 3v_P(y) if v_P(y) < 0, else >= 0.  In
+    y^3 + ay + a^2 the terms have valuations 3v, v - n and -2n (v = v_P(y)),
+    and no two tie for least: 3v = -2n needs 3 | n, and v = -n/2 or v = -n
+    leaves -2n or 3v strictly least.  Everything else goes through _roots_in.
     """
     if isinstance(shape, Reducible):
         return shape.root
     base = shape.base
-    if isinstance(shape, (Pure, InseparablePure)) and not isinstance(base, Field):
-        return global_cube_test(shape.a)
+    if not isinstance(base, Field):
+        if isinstance(shape, (Pure, InseparablePure)):
+            return global_cube_test(shape.a)
+        if _certifying_pole(shape.a) is not None:
+            return None
     roots = _roots_in(base, shape.cubic().as_poly().coeffs)
     return roots[0] if roots else None
+
+
+def _certifying_pole(a: RatFunc):
+    """The first pole group (g, v) of places.divisor_groups(a) with 3 not
+    dividing v, or None; a.den is not decomposed above FACTOR_DEGREE_LIMIT."""
+    n = a.num.degree - a.den.degree
+    if n > 0 and n % 3:
+        return None, -n
+    groups = _squarefree_decomposition(a.den) if a.den.degree <= FACTOR_DEGREE_LIMIT else ()
+    return next(((g, -e) for g, e in groups if e % 3), None)
 
 
 def _roots_in(base, coeffs) -> list:
