@@ -33,7 +33,6 @@ differing signatures.
 """
 
 import enum
-from dataclasses import dataclass
 from typing import List, Optional, Tuple, Union
 
 from .canon import (Char3, Cubic, DepressedTrace, InseparablePure, Pure, Reducible,
@@ -48,7 +47,7 @@ from .errors import (
 )
 from .ffcubic import (Irreducible, LinTimesQuad, LinTimesSquare, ThreeDistinct, bin_char3,
                       bin_depressed, bin_pure)
-from .ffield import Cube, Square, cube_classify, square_classify, trace_to_prime
+from .ffield import Cube, Square, cube_classify, record, square_classify, trace_to_prime
 from .places import (Place, divisor_groups, group_places, residue_field, uniformizer,
                      unit_residue, unit_residue_of, valuation)
 from .polyring import RatFunc, _squarefree_decomposition
@@ -61,7 +60,7 @@ from .polyring import RatFunc, _squarefree_decomposition
 _FORMS = (Pure, DepressedTrace, Char3)
 
 
-@dataclass(frozen=True)
+@record
 class Extension:
     """A cubic extension L = K[y]/(canonical form) of K = GF(q)(x)."""
 
@@ -113,7 +112,7 @@ class Extension:
 # signatures
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class Signature:
     """Splitting type of one place: pairs (e, f) with sum(e*f) = 3.
 
@@ -361,7 +360,7 @@ def signature_char3(ext: Extension, P: Place) -> Signature:
 # global ramification and the genus
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class RamificationReport:
     """Every ramified place with its different exponent d.
 
@@ -455,7 +454,7 @@ def ramification_report(ext: Extension) -> RamificationReport:
 
 # -- constant-field detection -------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class Constant:
     """The extension only enlarges the constant field.
 
@@ -466,7 +465,7 @@ class Constant:
     unit: Optional[object] = None
 
 
-@dataclass(frozen=True)
+@record
 class Geometric:
     """The constant field does not grow; certificate is one ramified place."""
 

@@ -27,13 +27,13 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from typing import Optional, Union
 
 from .errors import (DegenerateParameter, DomainMismatch, FieldMismatch,
                      PoleHit, ReducibleInput, SingularMatrix,
                      WrongCharacteristic, WrongFieldClass)
-from .ffield import Field, FieldElem, NonCube, NonSquare, _kernel, cube_classify, square_classify
+from .ffield import (Field, FieldElem, NonCube, NonSquare, _kernel, cube_classify, record,
+                     square_classify)
 from .polyring import (FACTOR_DEGREE_LIMIT, FuncField, Poly, RatFunc, _distinct_degree,
                        _pth_root_poly, _squarefree_decomposition, poly_roots,
                        quadratic_roots, xgcd)
@@ -65,7 +65,7 @@ def value_key(v: Value):
 # the shapes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class Cubic:
     """Monic cubic X^3 + eX^2 + fX + g; e, f, g in one base."""
     e: Value
@@ -84,7 +84,7 @@ class Cubic:
         return ((y + self.e) * y + self.f) * y + self.g
 
 
-@dataclass(frozen=True)
+@record
 class Pure:
     a: Value
 
@@ -97,7 +97,7 @@ class Pure:
         return Cubic(b.zero, b.zero, -self.a)
 
 
-@dataclass(frozen=True)
+@record
 class DepressedTrace:
     a: Value
 
@@ -110,7 +110,7 @@ class DepressedTrace:
         return Cubic(b.zero, b.from_int(-3), -self.a)
 
 
-@dataclass(frozen=True)
+@record
 class Char3:
     a: Value
 
@@ -123,7 +123,7 @@ class Char3:
         return Cubic(b.zero, self.a, self.a * self.a)
 
 
-@dataclass(frozen=True)
+@record
 class InseparablePure:
     a: Value
 
@@ -136,7 +136,7 @@ class InseparablePure:
         return Cubic(b.zero, b.zero, -self.a)
 
 
-@dataclass(frozen=True)
+@record
 class Reducible:
     root: Value
     quad: tuple  # (b, c): the cofactor X^2 + bX + c
@@ -158,7 +158,7 @@ CanonicalCubic = Union[Pure, DepressedTrace, Char3, InseparablePure, Reducible]
 # fractional-linear maps
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class FracLinear:
     m00: Value
     m01: Value
@@ -412,17 +412,17 @@ def artin_schreier_normalize(shape: Char3):
 # isomorphism of canonical families
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class Isomorphic:
     witness: tuple
 
 
-@dataclass(frozen=True)
+@record
 class NotIsomorphic:
     witness: Optional[object]  # a separating Place when one was found
 
 
-@dataclass(frozen=True)
+@record
 class Unknown:
     """No isom_* decision returns this: they decide every pair.  It stays
     because callers (the tests among them) import it."""

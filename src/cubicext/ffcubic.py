@@ -32,7 +32,6 @@ constants that depend only on the field live on the ``Field``.
 never consults the criteria.  Keep it dumb; the tests rely on that.
 """
 
-from dataclasses import dataclass
 from typing import ClassVar, Tuple, Union
 
 from .canon import (
@@ -54,6 +53,7 @@ from .ffield import (
     _quad_values,
     _solve_additive,
     _sqrt_values,
+    record,
     trace_to_prime,
 )
 
@@ -64,12 +64,12 @@ BRUTE_LIMIT = 1 << 16
 # outcome types
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class Irreducible:
     kind: ClassVar[str] = "irreducible"
 
 
-@dataclass(frozen=True)
+@record
 class LinTimesQuad:
     """(X - root) * (X^2 + quad[0]*X + quad[1]), the quadratic irreducible."""
 
@@ -78,13 +78,13 @@ class LinTimesQuad:
     kind: ClassVar[str] = "linear_times_quadratic"
 
 
-@dataclass(frozen=True)
+@record
 class ThreeDistinct:
     roots: Tuple[FieldElem, FieldElem, FieldElem]  # ascending
     kind: ClassVar[str] = "three_distinct"
 
 
-@dataclass(frozen=True)
+@record
 class LinTimesSquare:
     """(X - simple) * (X - double)^2 with simple != double."""
 
@@ -93,7 +93,7 @@ class LinTimesSquare:
     kind: ClassVar[str] = "linear_times_square"
 
 
-@dataclass(frozen=True)
+@record
 class Triple:
     root: FieldElem
     kind: ClassVar[str] = "triple"

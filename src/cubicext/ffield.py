@@ -49,13 +49,15 @@ below need it; polyring re-exports it.
 The package's one list kernel (_Kernel, _trim ... _horner), irreducibility
 test and scan of monic irreducibles live here, at the bottom of the import
 graph; _ptrim, _pmul, _pmod and _ppowmod stay, uncalled, as the tests' oracle.
+So does ``record``: it makes the package's frozen value classes as
+@dataclass(frozen=True) would (fields are the annotations less ClassVar ones;
+equal only within one class) without generating code or importing dataclasses.
 """
 from __future__ import annotations
 
 import functools
 import operator
 from array import array
-from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 from .errors import DivisionByZero, DomainMismatch, FieldMismatch, NotPrime, SizeExceeded
@@ -708,15 +710,44 @@ def trace_to_prime(x: FieldElem) -> FieldElem:
 
 
 # ---------------------------------------------------------------------------
-# squares and cubes: FieldElem classifiers over counter-value kernels
+# records; squares and cubes: FieldElem classifiers over counter-value kernels
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+def record(cls):
+    """Make cls a frozen value class like @dataclass(frozen=True); see the module docstring."""
+    ns, put = vars(cls), object.__setattr__
+    names = tuple(k for k, t in cls.__annotations__.items()  # own, lazy ones too
+                  if str(t).split("[")[0].rpartition(".")[2] != "ClassVar")
+    n0, n1, n2, n3 = names + ("",) * (4 - len(names))  # at most four fields
+    post = ns.get("__post_init__")
+    # by field count, parameters renamed to the fields; put and __post_init__ return None
+    init = (lambda s: post and post(s), lambda s, a: put(s, n0, a) or post and post(s),
+            lambda s, a, b: put(s, n0, a) or put(s, n1, b) or post and post(s),
+            lambda s, a, b, c: put(s, n0, a) or put(s, n1, b) or put(s, n2, c) or post and post(s),
+            lambda s, a, b, c, d: put(s, n0, a) or put(s, n1, b) or put(s, n2, c) or put(s, n3, d)
+            or post and post(s))[len(names)]
+    init.__code__ = init.__code__.replace(co_varnames=("self",) + names)
+    init.__defaults__ = tuple(ns[k] for k in names if k in ns)
+    init.__qualname__ = cls.__qualname__ + ".__init__"
+    cls.__init__ = init
+    get = operator.attrgetter(*names) if names else lambda s: ()
+    key = get if len(names) != 1 else lambda s: (get(s),)  # tuples, as dataclasses compare
+    cls.__eq__ = lambda s, o: key(s) == key(o) if o.__class__ is s.__class__ else NotImplemented
+    cls.__hash__ = lambda s: hash(key(s))
+    cls.__repr__ = lambda s: f"{cls.__name__}({', '.join(f'{k}={getattr(s, k)!r}' for k in names)})"
+
+    def frozen(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+    cls.__setattr__ = cls.__delattr__ = frozen
+    return cls
+
+
+@record
 class Square:
     roots: tuple  # all square roots, ascending
 
 
-@dataclass(frozen=True)
+@record
 class NonSquare:
     pass
 
@@ -770,12 +801,12 @@ def _sqrt_odd(F: Field, a: int) -> int:
     return x
 
 
-@dataclass(frozen=True)
+@record
 class Cube:
     roots: tuple  # all cube roots, ascending
 
 
-@dataclass(frozen=True)
+@record
 class NonCube:
     pass
 
