@@ -198,14 +198,12 @@ def as_local_reduce(u: RatFunc, P: Place) -> Tuple[RatFunc, RatFunc]:
     if ff.field.p != 2:
         raise WrongCharacteristic("additive pole reduction is a characteristic-2 step")
     w = ff.zero
-    while True:
-        v = valuation(u, P)
-        if not isinstance(v, int) or v >= 0 or v % 2 == 1:
+    while u:
+        v, r = unit_residue(u, P)
+        if v >= 0 or v % 2 == 1:
             break
-        rd, pi = residue_field(P), uniformizer(P)  # only a step needs them
-        k = (-v) // 2
-        sbar = square_classify(rd.reduce(u * pi ** (2 * k))).roots[0]
-        wstep = ff.from_poly(rd.lift(sbar)) * pi ** (-k)
+        sbar = square_classify(r).roots[0]
+        wstep = ff.from_poly(residue_field(P).lift(sbar)) * uniformizer(P) ** (v // 2)
         u = u - wstep * wstep - wstep
         w = w + wstep
     return u, w

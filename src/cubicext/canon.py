@@ -460,7 +460,10 @@ SEPARATION_PLACE_BUDGET = 240
 
 
 def _separate_by_signature(shape1, shape2, search_bound: int):
-    """Scan places for differing splitting signatures.  Place or None."""
+    """Scan places for differing splitting signatures.  Place or None; None
+    over GF(q), which has no places."""
+    if isinstance(shape1.base, Field):
+        return None
     from . import arith
     e1 = arith.Extension(shape1)
     e2 = arith.Extension(shape2)
@@ -500,10 +503,8 @@ def isom_depressed(a1: Value, a2: Value, search_bound: int = 6) -> IsomResult:
     found = [w for w in points if _depressed_witness_ok(a1, a2, *w)]
     if found:
         return Isomorphic(min(found, key=lambda w: (value_key(w[0]), value_key(w[1]))))
-    if isinstance(base, Field):
-        return NotIsomorphic(None)
-    sep = _separate_by_signature(DepressedTrace(a1), DepressedTrace(a2), search_bound)
-    return NotIsomorphic(sep)
+    return NotIsomorphic(_separate_by_signature(DepressedTrace(a1), DepressedTrace(a2),
+                                                search_bound))
 
 
 def isom_char3(a1: Value, a2: Value, search_bound: int = 6) -> IsomResult:
@@ -528,8 +529,6 @@ def isom_char3(a1: Value, a2: Value, search_bound: int = 6) -> IsomResult:
                   if _char3_witness_ok(a1, a2, j, w)]
             if ws:
                 return Isomorphic((j, min(ws, key=value_key)))
-    if isinstance(base, Field):
-        return NotIsomorphic(None)
     return NotIsomorphic(_separate_by_signature(Char3(a1), Char3(a2), search_bound))
 
 

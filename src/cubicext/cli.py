@@ -37,7 +37,7 @@ from .errors import (
 )
 from .ffield import Field, FieldElem, field_make
 from .places import places_up_to
-from .polyring import FACTOR_DEGREE_LIMIT, FuncField, Poly, RatFunc, func_field
+from .polyring import FACTOR_DEGREE_LIMIT, Poly, RatFunc, func_field
 
 _PARSE_ERRORS = (ParseError, DegreeError, UnboundSymbol, NotPrime)
 
@@ -191,10 +191,9 @@ def render_ast(node) -> str:
 class _Scope:
     """Evaluation environment: scalars of `dom`, X as a formal variable."""
 
-    def __init__(self, dom, allow_x: bool, allow_cap: bool):
+    def __init__(self, dom, allow_cap: bool):
         self.dom = dom          # Field or FuncField
         self.field = dom if isinstance(dom, Field) else dom.field
-        self.allow_x = allow_x
         self.allow_cap = allow_cap
 
     def scalar(self, n: int) -> Poly:
@@ -206,7 +205,7 @@ class _Scope:
                 raise UnboundSymbol("X is only meaningful in a cubic")
             return Poly(self.dom, (self.dom.zero, self.dom.one))
         if s == "x":
-            if not self.allow_x or isinstance(self.dom, Field):
+            if isinstance(self.dom, Field):
                 raise UnboundSymbol("x needs a rational function field; this command is over GF(q)")
             return Poly.const(self.dom, self.dom.x)
         # s == "t"
@@ -251,33 +250,30 @@ def eval_ast(node, scope: _Scope) -> Poly:
     return lhs * Poly.const(scope.dom, inv)
 
 
-def _choose_dom(field: Field, sources: Tuple[str, ...], force_ratfunc: bool):
-    if force_ratfunc or any("x" in s for s in sources):
+def _choose_dom(field: Field, sources: Tuple[str, ...]):
+    if any("x" in s for s in sources):
         return func_field(field)
     return field
 
 
 def parse_cubic(source: str, dom) -> Cubic:
     """Cubic-in-X mode: degree exactly 3 after dividing by the lead."""
-    f = eval_ast(parse_ast(source), _Scope(dom, allow_x=True, allow_cap=True))
+    f = eval_ast(parse_ast(source), _Scope(dom, allow_cap=True))
     if f.degree != 3:
         raise DegreeError(f"expected a cubic in X, got degree {f.degree}")
     f = f.monic()
     return Cubic(f.coeff(2), f.coeff(1), f.coeff(0))
 
 
-def parse_element(source: str, field: Field) -> FieldElem:
-    """over-GF(q) mode: a single field element."""
-    f = eval_ast(parse_ast(source), _Scope(field, allow_x=False, allow_cap=False))
+def parse_element(source: str, dom):
+    """A single scalar of dom: a field element over GF(q), where x is
+    unbound, or a rational function over GF(q)(x)."""
+    f = eval_ast(parse_ast(source), _Scope(dom, allow_cap=False))
     assert f.degree <= 0
     return f.coeff(0)
 
 
-def parse_ratfunc(source: str, ff: FuncField) -> RatFunc:
-    """over-GF(q)(x) mode: a rational function."""
-    f = eval_ast(parse_ast(source), _Scope(ff, allow_x=True, allow_cap=False))
-    assert f.degree <= 0
-    return f.coeff(0)
+parse_ratfunc = parse_element
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +347,7 @@ def _text_lines(obj, indent="") -> List[str]:
 
 def _cmd_classify(args) -> dict:
     field = parse_field_spec(args.field)
-    dom = _choose_dom(field, (args.cubic,), force_ratfunc=False)
+    dom = _choose_dom(field, (args.cubic,))
     cubic = parse_cubic(args.cubic, dom)
     shape, mob = canon.reduce_cubic(cubic)
     return _shape_result(shape, mob, dom)
@@ -376,16 +372,21 @@ def _witness_json(res) -> Optional[dict]:
     return {"value": w.render()}
 
 
+def _irreducible(shape) -> None:
+    """ReducibleInput unless the canonical cubic is irreducible over its base."""
+    if isinstance(shape, Reducible) or canon.has_rational_root(shape) is not None:
+        raise ReducibleInput("the cubic has a root in the base field")
+
+
 def _cmd_isom(args) -> dict:
     field = parse_field_spec(args.field)
-    dom = _choose_dom(field, (args.cubic1, args.cubic2), force_ratfunc=False)
+    dom = _choose_dom(field, (args.cubic1, args.cubic2))
     s1, m1 = canon.reduce_cubic(parse_cubic(args.cubic1, dom))
     s2, m2 = canon.reduce_cubic(parse_cubic(args.cubic2, dom))
     for s in (s1, s2):
-        if isinstance(s, Reducible):
-            raise ReducibleInput("both cubics must be irreducible to compare their fields")
         if isinstance(s, InseparablePure):
             raise WrongCharacteristic("inseparable cubics are outside the comparison")
+        _irreducible(s)
     out = {"form1": _FORM_NAMES[type(s1)], "form2": _FORM_NAMES[type(s2)]}
 
     def verdict(res):
@@ -420,13 +421,11 @@ def _is_shanks_shape(cubic: Cubic) -> bool:
 
 def _cmd_galois(args) -> dict:
     field = parse_field_spec(args.field)
-    dom = _choose_dom(field, (args.cubic,), force_ratfunc=False)
+    dom = _choose_dom(field, (args.cubic,))
     cubic = parse_cubic(args.cubic, dom)
     shape, _ = canon.reduce_cubic(cubic)
-    out = {"form": _FORM_NAMES[type(shape)]}
-    if isinstance(shape, Reducible):
-        raise ReducibleInput("the cubic has a root in the base field")
-    out["galois"] = canon.is_galois(shape)
+    _irreducible(shape)
+    out = {"form": _FORM_NAMES[type(shape)], "galois": canon.is_galois(shape)}
     if _is_shanks_shape(cubic) and field.p != 3:
         dep, _ = canon.shanks_to_canonical(cubic.e)
         out["shanks"] = {"parameter": cubic.e.render(),
@@ -441,10 +440,8 @@ def _extension_of(args, source: str) -> Tuple[arith.Extension, dict]:
     ff = func_field(field)
     cubic = parse_cubic(source, ff)
     shape, _ = canon.reduce_cubic(cubic)
-    if isinstance(shape, Reducible):
-        raise ReducibleInput("the cubic has a root in GF(q)(x)")
-    if not isinstance(shape, InseparablePure) and canon.has_rational_root(shape) is not None:
-        raise ReducibleInput("the cubic has a root in GF(q)(x)")
+    if not isinstance(shape, InseparablePure):  # Extension rejects it instead
+        _irreducible(shape)
     ext = arith.Extension(shape)
     head = {"form": _FORM_NAMES[type(shape)], "a": shape.a.render()}
     return ext, head
@@ -499,6 +496,13 @@ _COMMANDS = {
     "constant": (_cmd_constant, ("cubic",)),
 }
 
+# the one integer option a subcommand reads besides --field and --json
+_OPTIONS = {
+    "splitting": ("--max-degree", 3, "place degree bound for tables (default 3)"),
+    "isom": ("--bound", 6, "place degree bound for the scan that certifies a negative"
+             " answer over GF(q)(x), capped at 4 (default 6)"),
+}
+
 
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
@@ -510,11 +514,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--field", required=True, metavar="p[^m]",
                        help="base field GF(p^m)")
         p.add_argument("--json", action="store_true", help="emit JSON")
-        p.add_argument("--max-degree", type=int, default=3, metavar="N",
-                       help="place degree bound for tables (default 3)")
-        p.add_argument("--bound", type=int, default=6, metavar="N",
-                       help="place degree bound for the scan that certifies a negative isom"
-                            " answer over GF(q)(x) (default 6)")
+        if name in _OPTIONS:
+            flag, default, text = _OPTIONS[name]
+            p.add_argument(flag, type=int, default=default, metavar="N", help=text)
         for pos in positionals:
             p.add_argument(pos, help="expression over the chosen base")
     return top

@@ -112,6 +112,19 @@ def _require_finite(F) -> Field:
     return F
 
 
+_WRONG_P = {"pure": "X^3 - a is inseparable in characteristic 3",
+            "depressed": "X^3 - 3X - a degenerates to a pure cubic in characteristic 3",
+            "char3": "X^3 + aX + a^2 is the characteristic-3 family"}
+
+
+def _family_param(a: FieldElem, family: str) -> tuple:
+    """(F, a.value), or the family's error: char3 needs p = 3, the rest p != 3."""
+    F = _require_finite(getattr(a, "field", None))
+    if (F.p == 3) != (family == "char3"):
+        raise WrongCharacteristic(_WRONG_P[family])
+    return F, a.value
+
+
 def _lin_times_quad(F: Field, c: tuple, r: int) -> LinTimesQuad:
     """(X - r)(X^2 + bX + cc) for a root r of X^3 + eX^2 + fX + g, with
     c = (e, f, g) and r counter values."""
@@ -248,10 +261,7 @@ def decompose_pure(a: FieldElem) -> Decomp:
     irreducible quadratic cofactor); s = 1 mod 3 is decided by the cube
     character of a.
     """
-    F = _require_finite(a.field)
-    if F.p == 3:
-        raise WrongCharacteristic("X^3 - a is inseparable in characteristic 3")
-    v = a.value
+    F, v = _family_param(a, "pure")
     if not v:
         return Triple(F.zero)
     return _from_roots(F, (0, 0, F._neg(v)), _cbrt_values(F, v))
@@ -268,10 +278,7 @@ def decompose_depressed(a: FieldElem) -> Decomp:
     norm-1 torus of GF(s^2), where 1/c is the conjugate of c and y = Tr(c)
     (_torus_roots).  One root leaves an irreducible quadratic cofactor.
     """
-    F = _require_finite(a.field)
-    if F.p == 3:
-        raise WrongCharacteristic("X^3 - 3X - a degenerates to a pure cubic in characteristic 3")
-    v = a.value
+    F, v = _family_param(a, "depressed")
     if F.p == 2:
         if not v:
             return LinTimesSquare(simple=F.zero, double=F.one)
@@ -295,10 +302,7 @@ def decompose_char3(a: FieldElem) -> Decomp:
     roots are r, r + b and r - b; if -a is a non-square the map is a
     bijection and r is the only root.  A square factor never appears.
     """
-    F = _require_finite(a.field)
-    if F.p != 3:
-        raise WrongCharacteristic("X^3 + aX + a^2 is the characteristic-3 family")
-    v = a.value
+    F, v = _family_param(a, "char3")
     if not v:
         return Triple(F.zero)
     v2 = F._mul(v, v)
@@ -316,10 +320,8 @@ def decompose_char3(a: FieldElem) -> Decomp:
 
 def bin_pure(a: FieldElem) -> type:
     """decompose_pure(a)'s outcome class, from s mod 3 and the cube character."""
-    F = _require_finite(a.field)
-    if F.p == 3:
-        raise WrongCharacteristic("X^3 - a is inseparable in characteristic 3")
-    v, s = a.value, F.order
+    F, v = _family_param(a, "pure")
+    s = F.order
     if not v:
         return Triple
     if s % 3 == 2:
@@ -333,10 +335,8 @@ def bin_depressed(a: FieldElem) -> type:
     (Euler on a^2 - 4; Tr(1/a) = 0 for p = 2), else in the norm-1 torus, of
     order n = s -+ 1.  3 not dividing n: one cube root c of w, one root
     c + 1/c; else three or none as W^(n/3) = 1 in GF(s)[W]/(W^2 - aW + 1)."""
-    F = _require_finite(a.field)
-    if F.p == 3:
-        raise WrongCharacteristic("X^3 - 3X - a degenerates to a pure cubic in characteristic 3")
-    v, s = a.value, F.order
+    F, v = _family_param(a, "depressed")
+    s = F.order
     if (not v) if F.p == 2 else v in (2, F.p - 2):
         return LinTimesSquare
     split = (not trace_to_prime(FieldElem(F, F._pow(v, -1))) if F.p == 2
@@ -352,10 +352,7 @@ def bin_char3(a: FieldElem) -> type:
     non-square, X -> X^3 + aX is a bijection: one root.  If -a = b^2, X = bY
     gives b^3 (Y^3 - Y), whose image is b^3 times the trace-zero hyperplane:
     -a^2 = b^3 (-b) is hit, by three roots, iff Tr(b) = 0."""
-    F = _require_finite(a.field)
-    if F.p != 3:
-        raise WrongCharacteristic("X^3 + aX + a^2 is the characteristic-3 family")
-    v = a.value
+    F, v = _family_param(a, "char3")
     if not v:
         return Triple
     sq = _sqrt_values(F, F._neg(v))

@@ -31,7 +31,7 @@ Representation invariants:
   * The other per-field constants are built on first use as well and never
     depend on an input: the least non-square (``nonsquare``, odd p) for
     Tonelli-Shanks, the least non-cube (``noncube``, q = 1 mod 3) for
-    Adleman-Manders-Miller, and for q = 2^m with m even the echelon rows of
+    Adleman-Manders-Miller, and for q = 2^m the echelon rows of
     y -> y^2 + y (``as_section``), so y^2 + y = u is solved in at most
     m - 1 XORs.  One int each for the first two, m - 1 triples of ints
     (under 3 KiB at m = 20) for the last.
@@ -396,7 +396,7 @@ class Field:
             self.nonsquare = self._least_non_power(2)
         elif name == "noncube" and self.order % 3 == 1:
             self.noncube = self._least_non_power(3)
-        elif name == "as_section" and self.p == 2 and self.m % 2 == 0:
+        elif name == "as_section" and self.p == 2:
             self.as_section = self._as_section()
         else:
             raise AttributeError(name)
@@ -410,12 +410,13 @@ class Field:
 
     def _as_section(self) -> tuple:
         """Rows (pivot, L(x), x) spanning the image of the GF(2)-linear map
-        L(y) = y^2 + y on counter values, for even m.  L(t^j), j = 1..m-1,
-        is reduced by the rows before it, so its pivot (highest set bit) is
-        no earlier row's pivot and every later row has that bit clear: u
-        reduced by the rows in this order leaves 0 exactly when Tr(u) = 0,
-        and the x of the rows used add up to a solution.  L(1) = 0, so the
-        solution has constant term 0."""
+        L(y) = y^2 + y on counter values, for every m.  L has kernel {0, 1},
+        so the L(t^j), j = 1..m-1, are independent and span the trace-0
+        hyperplane.  Each is reduced by the rows before it, so its pivot
+        (highest set bit) is no earlier row's pivot and every later row has
+        that bit clear: u reduced by the rows in this order leaves 0 exactly
+        when Tr(u) = 0, and the x of the rows used add up to a solution.
+        L(1) = 0, so the solution has constant term 0."""
         rows = []
         for j in range(1, self.m):
             x = 1 << j
@@ -915,16 +916,8 @@ def _artin_schreier_value(F: Field, u: int) -> Optional[int]:
     """Some y with y^2 + y = u on counter values of GF(2^m), or None when
     Tr(u) = 1.
 
-    Odd m: the half trace H = sum of u^(4^i) for i <= (m-1)/2, since
-    H^2 + H = u + Tr(u).  Even m: u reduced by F.as_section, at most m - 1
-    XORs; this y has constant term 0.
+    u reduced by F.as_section, at most m - 1 XORs; this y has constant term 0.
     """
-    if F.m % 2:
-        y = term = u
-        for _ in range(F.m // 2):
-            term = F._pow(term, 4)
-            y ^= term
-        return y if F._mul(y, y) ^ y == u else None
     y, rest = 0, u
     for pivot, row, pre in F.as_section:
         if rest >> pivot & 1:

@@ -428,18 +428,14 @@ class RatFunc:
     def __pow__(self, e: int):
         if not isinstance(e, int):
             return NotImplemented
+        num, den = self.num, self.den
         if e < 0:
             if self.is_zero():
                 raise DivisionByZero("0 to a negative power")
-            return RatFunc(self.ff, self.den, self.num) ** (-e)
-        result = self.ff.one
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+            inv = num.lc.inverse()
+            num, den, e = den * inv, num * inv, -e
+        # coprime num and den stay coprime under powers: no gcd
+        return RatFunc(self.ff, num ** e, den ** e, reduced=True)
 
     def evaluate(self, c: FieldElem) -> FieldElem:
         dv = self.den(c)
@@ -482,9 +478,8 @@ class RatFunc:
 def quadratic_roots(f: Poly) -> tuple:
     """Roots in GF(q) of a quadratic over GF(q), ascending.
 
-    Works in both characteristics: odd q by discriminant, q even via
-    half-trace (odd m) or a GF(2) kernel solve (even m).  A double root is
-    reported once.
+    Works in both characteristics: odd q by discriminant, q even by the
+    echelon rows of y -> y^2 + y.  A double root is reported once.
     """
     if not isinstance(f.dom, Field):
         raise DomainMismatch("quadratic_roots works over a finite field")
