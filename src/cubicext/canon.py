@@ -475,7 +475,8 @@ def _separate_by_signature(shape1, shape2, search_bound: int):
 
 
 def isom_depressed(a1: Value, a2: Value, search_bound: int = 6) -> IsomResult:
-    """Decide K(y1) = K(y2) for y_i^3 - 3y_i = a_i (both irreducible).
+    """Decide K(y1) = K(y2) for y_i^3 - 3y_i = a_i (both irreducible; a_i^2 = 4,
+    a double root, raises ReducibleInput).
 
     A witness is (alpha, beta) with alpha^2 + a2*alpha*beta + beta^2 = 1 and
     a1 = -3*a2*alpha^2*beta + a2*beta^3 + 6*alpha + a2^2*alpha^3 - 8*alpha^3;
@@ -490,6 +491,8 @@ def isom_depressed(a1: Value, a2: Value, search_bound: int = 6) -> IsomResult:
     base = base_of(a1)
     if base is not base_of(a2):
         raise FieldMismatch("parameters live over different bases")
+    if a1 * a1 == 4 or a2 * a2 == 4:  # a = 0 in characteristic 2
+        raise ReducibleInput("a^2 = 4: X^3 - 3X - a has a double root")
     t = Poly.gen(base)
     D = t * t + t * a2 + 1
     al, be = -(t * 2 + a2), 1 - t * t
@@ -540,7 +543,9 @@ def has_rational_root(shape: CanonicalCubic) -> Optional[Value]:
     """The least root (in value_key order) of the canonical cubic in its
     base, or None.
 
-    Over GF(q)(x) pure shapes go through the global cube test.  Trace and
+    Pure and inseparable pure shapes take a cube root of a from
+    _power_root_in over either base: the least one of cube_classify over
+    GF(q), the global cube test over GF(q)(x).  Over GF(q)(x) trace and
     char-3 shapes have none when a has a pole P of order n prime to 3
     (_certifying_pole).  A root y of y^3 - 3y = a would need 3v_P(y) = -n,
     since v_P(y^3 - 3y) is 3v_P(y) if v_P(y) < 0, else >= 0.  In
@@ -551,11 +556,10 @@ def has_rational_root(shape: CanonicalCubic) -> Optional[Value]:
     if isinstance(shape, Reducible):
         return shape.root
     base = shape.base
-    if not isinstance(base, Field):
-        if isinstance(shape, (Pure, InseparablePure)):
-            return global_cube_test(shape.a)
-        if _certifying_pole(shape.a) is not None:
-            return None
+    if isinstance(shape, (Pure, InseparablePure)):
+        return _power_root_in(base, shape.a, 3)
+    if not isinstance(base, Field) and _certifying_pole(shape.a) is not None:
+        return None
     roots = _roots_in(base, shape.cubic().as_poly().coeffs)
     return roots[0] if roots else None
 

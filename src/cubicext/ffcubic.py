@@ -13,8 +13,9 @@ the three canonical one-parameter families and take every witness root from a
 closed form, with no general factorizer: the cube roots of a (pure);
 y = c + 1/c over the cube roots c of a root w of W^2 - aW + 1, in GF(s) or in
 the norm-1 torus of GF(s^2) (trace form); one GF(3)-linear solve
-(characteristic 3).  Cube roots come from ``ffield._cube_roots``
-(Adleman-Manders-Miller); ``bin_*`` give the bin alone, from square and cube
+(characteristic 3).  Square and cube roots, in GF(s) and on the torus, come
+from ``ffield``'s one r-th root routine (``_root_values``, ``_rth_roots``:
+Adleman-Manders-Miller); ``bin_*`` give the bin alone, from square and cube
 characters and traces, for ``arith``'s place signatures.  ``decompose_any``
 accepts an arbitrary monic cubic (or an already-reduced canonical shape),
 reduces it, and transports the witnesses back through the inverse
@@ -48,11 +49,10 @@ from .errors import SizeExceeded, WrongCharacteristic, WrongFieldClass
 from .ffield import (
     Field,
     FieldElem,
-    _cbrt_values,
-    _cube_roots,
     _quad_values,
+    _root_values,
+    _rth_roots,
     _solve_additive,
-    _sqrt_values,
     record,
     trace_to_prime,
 )
@@ -181,7 +181,7 @@ def _torus_roots(F: Field, a: int) -> list:
     Tr(c0 + c1 W) = 2 c0 + a c1.  W has norm 1, so it and its cube roots lie
     in the cyclic torus T of order n = s + 1.  3 not dividing n: cubing is a
     bijection on T, c = W^(3^-1 mod n).  3 | n: W is a cube iff
-    W^(n/3) = 1, and then _cube_roots runs on T with the non-cube
+    W^(n/3) = 1, and then _rth_roots (r = 3) runs on T with the non-cube
     z = (delta + W)^(s-1) for the least delta with z^(n/3) != 1.  The
     Frobenius sends W to its conjugate a - W, so with u = delta + W,
     z = conj(u)/u = conj(u)^2/N(u), N(u) = delta^2 + a delta + 1: one
@@ -203,7 +203,7 @@ def _torus_roots(F: Field, a: int) -> list:
             z = (mul(sub(mul(d, d), 1), ninv), mul(F._neg(add(d, delta)), ninv))
             if tpow(z, n // 3) != one:
                 break
-        cs = _cube_roots(W, z, n, tmul, tpow, one)
+        cs = _rth_roots(W, 3, z, n, tmul, tpow)
     return [add(add(c0, c0), mul(a, c1)) for c0, c1 in cs]
 
 
@@ -264,7 +264,7 @@ def decompose_pure(a: FieldElem) -> Decomp:
     F, v = _family_param(a, "pure")
     if not v:
         return Triple(F.zero)
-    return _from_roots(F, (0, 0, F._neg(v)), _cbrt_values(F, v))
+    return _from_roots(F, (0, 0, F._neg(v)), _root_values(F, v, 3))
 
 
 def decompose_depressed(a: FieldElem) -> Decomp:
@@ -273,7 +273,7 @@ def decompose_depressed(a: FieldElem) -> Decomp:
     a = +-2 (odd p) and a = 0 (p = 2) are the square cases.  Otherwise the
     cubic is separable and its roots are exactly y = c + 1/c over the c with
     c^3 = w, w a root of W^2 - aW + 1 (then y^3 - 3y = w + 1/w = a).  When w
-    lies in GF(s) the c are its cube roots from _cbrt_values: one for
+    lies in GF(s) the c are its cube roots from _root_values: one for
     s = 2 mod 3, three or none for s = 1 mod 3.  Otherwise w lies in the
     norm-1 torus of GF(s^2), where 1/c is the conjugate of c and y = Tr(c)
     (_torus_roots).  One root leaves an irreducible quadratic cofactor.
@@ -287,7 +287,7 @@ def decompose_depressed(a: FieldElem) -> Decomp:
         return LinTimesSquare(simple=F.from_int(2 * sign), double=F.from_int(-sign))
     ws = _quad_values(F, F._neg(v), 1)
     if ws:
-        roots = [F._add(c, F._pow(c, -1)) for c in _cbrt_values(F, ws[0]) or ()]
+        roots = [F._add(c, F._pow(c, -1)) for c in _root_values(F, ws[0], 3) or ()]
     else:
         roots = _torus_roots(F, v)
     return _from_roots(F, (0, -3 % F.p, F._neg(v)), roots)
@@ -309,7 +309,7 @@ def decompose_char3(a: FieldElem) -> Decomp:
     r = _solve_additive(F, lambda x: F._add(F._pow(x, 3), F._mul(v, x)), F._neg(v2))
     if r is None:
         return Irreducible()
-    sq = _sqrt_values(F, F._neg(v))
+    sq = _root_values(F, F._neg(v), 2)
     roots = [r] if sq is None else [r, F._add(r, sq[0]), F._sub(r, sq[0])]
     return _from_roots(F, (0, v, v2), roots)
 
@@ -355,7 +355,7 @@ def bin_char3(a: FieldElem) -> type:
     F, v = _family_param(a, "char3")
     if not v:
         return Triple
-    sq = _sqrt_values(F, F._neg(v))
+    sq = _root_values(F, F._neg(v), 2)
     if sq is None:
         return LinTimesQuad
     return Irreducible if trace_to_prime(FieldElem(F, sq[0])) else ThreeDistinct
@@ -392,7 +392,7 @@ def decompose_any(c) -> Decomp:
     if isinstance(shape, InseparablePure):
         # X^3 - a in characteristic 3: the Frobenius is surjective, so this
         # is always a triple root
-        r = _cbrt_values(F, shape.a.value)[0]
+        r = _root_values(F, shape.a.value, 3)[0]
         return _transport(Triple(FieldElem(F, r)), mob, orig)
     if isinstance(shape, Pure):
         d = decompose_pure(shape.a)
@@ -444,7 +444,7 @@ def _transport(d: Decomp, mob: FracLinear, orig: Cubic) -> Decomp:
         return _lin_times_quad(F, c, pull(d.root))
     if isinstance(d, ThreeDistinct):
         return ThreeDistinct(tuple(FieldElem(F, y) for y in sorted(pull(z) for z in d.roots)))
-    if isinstance(d, LinTimesSquare):
-        return LinTimesSquare(simple=FieldElem(F, pull(d.simple)),
-                              double=FieldElem(F, pull(d.double)))
-    return Triple(FieldElem(F, pull(d.root)))
+    # a Triple comes only from X^3 - a in characteristic 3, with the identity map
+    assert isinstance(d, LinTimesSquare), "a moved cubic has no triple root"
+    return LinTimesSquare(simple=FieldElem(F, pull(d.simple)),
+                          double=FieldElem(F, pull(d.double)))

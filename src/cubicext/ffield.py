@@ -29,17 +29,16 @@ Representation invariants:
     0.4 s, GF(3^12) in 0.5 s and GF(7^7) and GF(1021^2) in 0.6-1.0 s, paid
     once per process.
   * The other per-field constants are built on first use as well and never
-    depend on an input: the least non-square (``nonsquare``, odd p) for
-    Tonelli-Shanks, the least non-cube (``noncube``, q = 1 mod 3) for
-    Adleman-Manders-Miller, and for q = 2^m the echelon rows of
-    y -> y^2 + y (``as_section``), so y^2 + y = u is solved in at most
-    m - 1 XORs.  One int each for the first two, m - 1 triples of ints
-    (under 3 KiB at m = 20) for the last.
+    depend on an input: the least non-square (``nonsquare``, odd p) and the
+    least non-cube (``noncube``, q = 1 mod 3) for the r-th root routine,
+    and for q = 2^m the echelon rows of y -> y^2 + y (``as_section``), so
+    y^2 + y = u is solved in at most m - 1 XORs.  One int each for the
+    first two, m - 1 triples of ints (under 3 KiB at m = 20) for the last.
 
-Square roots use Tonelli-Shanks, cube roots Adleman-Manders-Miller
-(``_cube_roots``, generic over the group, so ffcubic runs it on the norm-1
-torus too).  The classifiers and solvers compute on counter values
-(``_sqrt_values``, ``_cbrt_values``, ``_quad_values``,
+Square and cube roots come from one routine, Adleman-Manders-Miller for a
+prime r (``_rth_roots``; Tonelli-Shanks is its case r = 2), generic over the
+group, so ffcubic runs it on the norm-1 torus too.  The classifiers and
+solvers compute on counter values (``_root_values``, ``_quad_values``,
 ``_artin_schreier_value``, ``_solve_additive``), which ffcubic calls
 directly; ``square_classify``, ``cube_classify`` and ``_solve_quadratic``
 wrap them for FieldElem callers.  The quadratic solver lives here (rather
@@ -755,51 +754,7 @@ class NonSquare:
 
 def square_classify(x: FieldElem):
     """Square(roots)/NonSquare for x in GF(p^m); roots listed ascending."""
-    F = x.field
-    roots = _sqrt_values(F, x.value)
-    return NonSquare() if roots is None else Square(tuple(FieldElem(F, r) for r in roots))
-
-
-def _sqrt_values(F: Field, x: int) -> Optional[tuple]:
-    """The square roots of the counter value x, ascending, or None."""
-    if not x:
-        return (0,)
-    if F.p == 2:
-        # squaring is a bijection; the inverse is the (m-1)-fold square
-        return (F._pow(x, 2 ** (F.m - 1)),)
-    if F._pow(x, (F.order - 1) // 2) != 1:
-        return None
-    r = _sqrt_odd(F, x)
-    return tuple(sorted((r, F._neg(r))))
-
-
-def _sqrt_odd(F: Field, a: int) -> int:
-    """Tonelli-Shanks with the least non-residue F.nonsquare as auxiliary;
-    a is a nonzero square."""
-    mul, pw = F._mul, F._pow
-    u = F.order - 1
-    e = 0
-    while u % 2 == 0:
-        u //= 2
-        e += 1
-    x = pw(a, (u + 1) // 2)
-    if e == 1:
-        return x
-    z = pw(F.nonsquare, u)
-    b = pw(a, u)
-    r = e
-    while b != 1:
-        k = 0
-        t = b
-        while t != 1:
-            t = mul(t, t)
-            k += 1
-        w = pw(z, 2 ** (r - k - 1))
-        z = mul(w, w)
-        b = mul(b, z)
-        x = mul(x, w)
-        r = k
-    return x
+    return _classify(x, 2, Square, NonSquare)
 
 
 @record
@@ -814,57 +769,62 @@ class NonCube:
 
 def cube_classify(x: FieldElem):
     """Cube(roots)/NonCube for x in GF(p^m); roots listed ascending."""
+    return _classify(x, 3, Cube, NonCube)
+
+
+def _classify(x: FieldElem, r: int, yes, no):
     F = x.field
-    roots = _cbrt_values(F, x.value)
-    return NonCube() if roots is None else Cube(tuple(FieldElem(F, r) for r in roots))
+    roots = _root_values(F, x.value, r)
+    return no() if roots is None else yes(tuple(FieldElem(F, v) for v in roots))
 
 
-def _cbrt_values(F: Field, x: int) -> Optional[tuple]:
-    """The cube roots of the counter value x in GF(s), ascending, or None.
+def _root_values(F: Field, x: int, r: int) -> Optional[tuple]:
+    """The r-th roots (r = 2 or 3) of the counter value x, ascending, or None.
 
-    s = 0, 2 mod 3: cubing is a bijection, one root.
-    s = 1 mod 3: cube character first; if trivial, all three roots by
-    _cube_roots in GF(s)*, with the least non-cube F.noncube.
+    r not dividing q - 1: x -> x^r is a bijection, one root x^(r^-1 mod q-1)
+    (for p = r the inverse Frobenius x^(r^(m-1))).  Otherwise the r-th power
+    character decides, and _rth_roots finds all r roots with the least
+    non-r-th power F.nonsquare or F.noncube.
     """
     if not x:
         return (0,)
-    s = F.order
-    if F.p == 3:
-        return (F._pow(x, 3 ** (F.m - 1)),)
-    if s % 3 == 2:
-        return (F._pow(x, pow(3, -1, s - 1)),)
-    if F._pow(x, (s - 1) // 3) != 1:
+    n = F.order - 1
+    if n % r:
+        return (F._pow(x, pow(r, -1, n)),)
+    if F._pow(x, n // r) != 1:
         return None
-    return tuple(sorted(_cube_roots(x, F.noncube, s - 1, F._mul, F._pow, 1)))
+    z = F.nonsquare if r == 2 else F.noncube
+    return tuple(sorted(_rth_roots(x, r, z, n, F._mul, F._pow)))
 
 
-def _cube_roots(w, z, n: int, mul, pw, one) -> tuple:
-    """The three cube roots of a cube w in a cyclic group of order n, 3 | n.
+def _rth_roots(w, r: int, z, n: int, mul, pw) -> list:
+    """The r r-th roots of an r-th power w in a cyclic group of order n, for
+    a prime r dividing n.
 
-    Adleman-Manders-Miller for r = 3 (FOCS 1977), generic over the group:
-    mul(x, y) multiplies, pw(x, e) raises to an exponent e >= 0, one is the
-    identity and z is a known non-cube.  Write n = 3^t u with 3 not dividing
-    u.  c = w^k with 3k = 1 mod u leaves c^3/w in the 3-Sylow subgroup,
-    which g = z^u generates; its discrete log j to base g is read off in
-    base-3 digits, one per step, and is divisible by 3 since w is a cube, so
-    c g^(-j/3) is a cube root.  zeta = g^(3^(t-1)) has order 3 and gives the
-    other two.
+    Adleman-Manders-Miller (FOCS 1977), generic over the group; Tonelli-Shanks
+    is its case r = 2.  mul(x, y) multiplies, pw(x, e) raises to an exponent
+    e >= 0 and z is a known non-r-th power.  Write n = r^t u with r not
+    dividing u.  c = w^k with rk = 1 mod u leaves c^r/w in the r-Sylow
+    subgroup, which g = z^u generates; its discrete log j to base g is read
+    off in base-r digits, one per step, each the index of d among the r-th
+    roots of unity 1, zeta, ..., zeta^(r-1), zeta = g^(r^(t-1)).  j is
+    divisible by r since w is an r-th power, so c g^(-j/r) is a root, and its
+    products with the powers of zeta are the others.
     """
     t, u = 0, n
-    while u % 3 == 0:
-        t, u = t + 1, u // 3
-    order = 3 ** t  # of g
+    while u % r == 0:
+        t, u = t + 1, u // r
+    order = r ** t  # of g
     g = pw(z, u)
-    zeta = pw(g, order // 3)
-    c = pw(w, pow(3, -1, u))
-    e = mul(pw(c, 3), pw(w, n - 1))
+    zetas = [pw(g, order // r * k) for k in range(r)]
+    k = pow(r, -1, u)
+    c, e = pw(w, k), pw(w, (r * k - 1) % n)  # e = c^r / w
     j = 0
     for i in range(1, t):  # digit 0 of j is 0
-        d = pw(mul(e, pw(g, order - j)), order // 3 ** (i + 1))
-        if d != one:
-            j += 3 ** i * (1 if d == zeta else 2)
-    c = mul(c, pw(g, order - j // 3))
-    return (c, mul(c, zeta), mul(c, mul(zeta, zeta)))
+        d = pw(mul(e, pw(g, order - j)), order // r ** (i + 1))
+        j += r ** i * zetas.index(d)
+    c = mul(c, pw(g, order - j // r))
+    return [mul(c, y) for y in zetas]
 
 
 # ---------------------------------------------------------------------------
@@ -888,7 +848,7 @@ def _quad_values(F: Field, b: int, c: int) -> tuple:
     mul = F._mul
     if F.p != 2:
         disc = F._sub(mul(b, b), mul(4 % F.p, c))
-        roots = _sqrt_values(F, disc)
+        roots = _root_values(F, disc, 2)
         if roots is None:
             return ()
         half, mb = F._pow(2, -1), F._neg(b)
@@ -897,7 +857,7 @@ def _quad_values(F: Field, b: int, c: int) -> tuple:
         r = roots[1]
         return tuple(sorted((mul(F._add(mb, r), half), mul(F._sub(mb, r), half))))
     if not b:
-        return _sqrt_values(F, c)  # (X + sqrt(c))^2
+        return _root_values(F, c, 2)  # (X + sqrt(c))^2
     y = _artin_schreier_value(F, F._div(c, mul(b, b)))
     if y is None:
         return ()
