@@ -22,6 +22,10 @@ of maps is then the matrix product.  Matrices are normalized projectively
 reduce_cubic and the map normalization run on the base's ffield._Kernel, on
 counter values over GF(q) and on RatFuncs over GF(q)(x); values are wrapped
 only in the returned shape and map entries.
+
+isom decides whether two canonical cubics define the same extension and
+raises ReducibleInput through require_irreducible, the package's one
+irreducibility gate; isom_pure, is_galois and arith.Extension stay ungated.
 """
 from __future__ import annotations
 
@@ -84,13 +88,17 @@ class Cubic:
         return ((y + self.e) * y + self.f) * y + self.g
 
 
-@record
-class Pure:
-    a: Value
+class _Family:
+    """A one-parameter shape: its base is that of its parameter a."""
 
     @property
     def base(self):
         return base_of(self.a)
+
+
+@record
+class Pure(_Family):
+    a: Value
 
     def cubic(self) -> Cubic:
         b = self.base
@@ -98,12 +106,8 @@ class Pure:
 
 
 @record
-class DepressedTrace:
+class DepressedTrace(_Family):
     a: Value
-
-    @property
-    def base(self):
-        return base_of(self.a)
 
     def cubic(self) -> Cubic:
         b = self.base
@@ -111,12 +115,8 @@ class DepressedTrace:
 
 
 @record
-class Char3:
+class Char3(_Family):
     a: Value
-
-    @property
-    def base(self):
-        return base_of(self.a)
 
     def cubic(self) -> Cubic:
         b = self.base
@@ -124,12 +124,8 @@ class Char3:
 
 
 @record
-class InseparablePure:
+class InseparablePure(_Family):
     a: Value
-
-    @property
-    def base(self):
-        return base_of(self.a)
 
     def cubic(self) -> Cubic:
         b = self.base
@@ -424,11 +420,49 @@ class NotIsomorphic:
 
 @record
 class Unknown:
-    """No isom_* decision returns this: they decide every pair.  It stays
-    because callers (the tests among them) import it."""
+    """No isomorphism decision returns this: isom decides every pair.  It
+    stays because callers (the tests among them) import it."""
 
 
 IsomResult = Union[Isomorphic, NotIsomorphic]
+
+
+def require_irreducible(*shapes) -> None:
+    """ReducibleInput unless each canonical cubic, in turn, is irreducible
+    over its base.  has_rational_root returns a Reducible's root, so the one
+    test covers that shape too."""
+    for shape in shapes:
+        if has_rational_root(shape) is not None:
+            raise ReducibleInput("the cubic has a root in the base field")
+
+
+def isom(shape1: CanonicalCubic, shape2: CanonicalCubic, search_bound: int = 6) -> IsomResult:
+    """Decide whether two canonical cubics over one base define the same
+    extension.  Each shape in argument order is refused with
+    WrongCharacteristic if inseparable, then with ReducibleInput if it has a
+    root in the base.  Pure pairs go to isom_pure (witness None), trace and
+    char-3 pairs to the witness searches of isom_depressed and isom_char3.
+    X^3 - 3X - a is purely cubic exactly when X^2 + aX + 1 has a root c, a
+    pure parameter for it: the witness of a mixed pure/trace pair (other
+    mixed pairs raise DomainMismatch).  Over GF(q) every answer is
+    Isomorphic, as each irreducible cubic defines GF(q^3).
+    """
+    if shape1.base is not shape2.base:
+        raise FieldMismatch("parameters live over different bases")
+    for shape in (shape1, shape2):
+        if isinstance(shape, InseparablePure):
+            raise WrongCharacteristic("inseparable cubics are outside the comparison")
+        require_irreducible(shape)
+    if isinstance(shape1, Pure) and isinstance(shape2, Pure):
+        return Isomorphic(None) if isom_pure(shape1.a, shape2.a) else NotIsomorphic(None)
+    if type(shape1) is type(shape2):
+        decide = _decide_depressed if isinstance(shape1, DepressedTrace) else _decide_char3
+        return decide(shape1, shape2, search_bound)
+    pure, other = (shape1, shape2) if isinstance(shape1, Pure) else (shape2, shape1)
+    if not (isinstance(pure, Pure) and isinstance(other, DepressedTrace)):
+        raise DomainMismatch("of two families, only pure and trace shapes are compared")
+    c = purely_cubic_root(other.a)
+    return Isomorphic(c) if c is not None and isom_pure(pure.a, c) else NotIsomorphic(None)
 
 
 def isom_pure(a1: Value, a2: Value) -> bool:
@@ -460,10 +494,9 @@ SEPARATION_PLACE_BUDGET = 240
 
 
 def _separate_by_signature(shape1, shape2, search_bound: int):
-    """Scan places for differing splitting signatures.  Place or None; None
-    over GF(q), which has no places."""
-    if isinstance(shape1.base, Field):
-        return None
+    """The first of SEPARATION_PLACE_BUDGET places of GF(q)(x) of degree
+    <= min(search_bound, 4) with differing splitting signatures, or None;
+    never reached over GF(q), where every irreducible pair is isomorphic."""
     from . import arith
     e1 = arith.Extension(shape1)
     e2 = arith.Extension(shape2)
@@ -475,8 +508,10 @@ def _separate_by_signature(shape1, shape2, search_bound: int):
 
 
 def isom_depressed(a1: Value, a2: Value, search_bound: int = 6) -> IsomResult:
-    """Decide K(y1) = K(y2) for y_i^3 - 3y_i = a_i (both irreducible; a_i^2 = 4,
-    a double root, raises ReducibleInput).
+    """Decide K(y1) = K(y2) for y_i^3 - 3y_i = a_i: isom on the two trace
+    shapes, so ReducibleInput unless both cubics are irreducible.  The gate
+    also covers a_i^2 = 4 (a double root: a = +-2, or a = 0 in
+    characteristic 2).
 
     A witness is (alpha, beta) with alpha^2 + a2*alpha*beta + beta^2 = 1 and
     a1 = -3*a2*alpha^2*beta + a2*beta^3 + 6*alpha + a2^2*alpha^3 - 8*alpha^3;
@@ -488,11 +523,11 @@ def isom_depressed(a1: Value, a2: Value, search_bound: int = 6) -> IsomResult:
     answer carries a place with differing signatures when a scan of places of
     degree <= min(search_bound, 4) finds one.
     """
-    base = base_of(a1)
-    if base is not base_of(a2):
-        raise FieldMismatch("parameters live over different bases")
-    if a1 * a1 == 4 or a2 * a2 == 4:  # a = 0 in characteristic 2
-        raise ReducibleInput("a^2 = 4: X^3 - 3X - a has a double root")
+    return isom(DepressedTrace(a1), DepressedTrace(a2), search_bound)
+
+
+def _decide_depressed(s1: DepressedTrace, s2: DepressedTrace, search_bound: int) -> IsomResult:
+    a1, a2, base = s1.a, s2.a, s1.base
     t = Poly.gen(base)
     D = t * t + t * a2 + 1
     al, be = -(t * 2 + a2), 1 - t * t
@@ -506,12 +541,13 @@ def isom_depressed(a1: Value, a2: Value, search_bound: int = 6) -> IsomResult:
     found = [w for w in points if _depressed_witness_ok(a1, a2, *w)]
     if found:
         return Isomorphic(min(found, key=lambda w: (value_key(w[0]), value_key(w[1]))))
-    return NotIsomorphic(_separate_by_signature(DepressedTrace(a1), DepressedTrace(a2),
-                                                search_bound))
+    return NotIsomorphic(_separate_by_signature(s1, s2, search_bound))
 
 
 def isom_char3(a1: Value, a2: Value, search_bound: int = 6) -> IsomResult:
-    """Decide K(y1) = K(y2) for y_i^3 + a_i y_i + a_i^2 = 0 (both irreducible).
+    """Decide K(y1) = K(y2) for y_i^3 + a_i y_i + a_i^2 = 0: isom on the two
+    char-3 shapes, so ReducibleInput unless both cubics are irreducible (the
+    gate covers a_i = 0, where the cubic is X^3).
 
     A witness is (j, w), j in {1, 2}: a2 = (j*a1^2 + w^3 + a1*w)^2 / a1^3.
     It exists iff a1^3*a2 = s^2 for some s in the base and
@@ -519,11 +555,11 @@ def isom_char3(a1: Value, a2: Value, search_bound: int = 6) -> IsomResult:
     The least witness, j first and then w in value_key order, is returned;
     search_bound bounds the certificate scan as in isom_depressed.
     """
-    base = base_of(a1)
-    if base is not base_of(a2):
-        raise FieldMismatch("parameters live over different bases")
-    if not a1 or not a2:
-        raise ReducibleInput("char-3 parameter 0")
+    return isom(Char3(a1), Char3(a2), search_bound)
+
+
+def _decide_char3(s1: Char3, s2: Char3, search_bound: int) -> IsomResult:
+    a1, a2, base = s1.a, s2.a, s1.base
     s = _power_root_in(base, a1 ** 3 * a2, 2)
     if s is not None:
         for j in (1, 2):
@@ -532,7 +568,7 @@ def isom_char3(a1: Value, a2: Value, search_bound: int = 6) -> IsomResult:
                   if _char3_witness_ok(a1, a2, j, w)]
             if ws:
                 return Isomorphic((j, min(ws, key=value_key)))
-    return NotIsomorphic(_separate_by_signature(Char3(a1), Char3(a2), search_bound))
+    return NotIsomorphic(_separate_by_signature(s1, s2, search_bound))
 
 
 # ---------------------------------------------------------------------------

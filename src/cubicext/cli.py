@@ -25,16 +25,7 @@ from typing import List, Optional, Tuple
 
 from . import arith, canon, ffcubic
 from .canon import Char3, Cubic, DepressedTrace, FracLinear, InseparablePure, Pure, Reducible
-from .errors import (
-    CubicExtError,
-    DegreeError,
-    NotPrime,
-    ParseError,
-    ReducibleInput,
-    SizeExceeded,
-    UnboundSymbol,
-    WrongCharacteristic,
-)
+from .errors import CubicExtError, DegreeError, NotPrime, ParseError, SizeExceeded, UnboundSymbol
 from .ffield import Field, FieldElem, field_make
 from .places import places_up_to
 from .polyring import FACTOR_DEGREE_LIMIT, Poly, RatFunc, func_field
@@ -372,44 +363,14 @@ def _witness_json(res) -> Optional[dict]:
     return {"value": w.render()}
 
 
-def _irreducible(shape) -> None:
-    """ReducibleInput unless the canonical cubic is irreducible over its base."""
-    if isinstance(shape, Reducible) or canon.has_rational_root(shape) is not None:
-        raise ReducibleInput("the cubic has a root in the base field")
-
-
 def _cmd_isom(args) -> dict:
     field = parse_field_spec(args.field)
     dom = _choose_dom(field, (args.cubic1, args.cubic2))
-    s1, m1 = canon.reduce_cubic(parse_cubic(args.cubic1, dom))
-    s2, m2 = canon.reduce_cubic(parse_cubic(args.cubic2, dom))
-    for s in (s1, s2):
-        if isinstance(s, InseparablePure):
-            raise WrongCharacteristic("inseparable cubics are outside the comparison")
-        _irreducible(s)
-    out = {"form1": _FORM_NAMES[type(s1)], "form2": _FORM_NAMES[type(s2)]}
-
-    def verdict(res):
-        out["isomorphic"] = isinstance(res, canon.Isomorphic)
-        out["witness"] = _witness_json(res)
-        return out
-
-    if isinstance(s1, Pure) and isinstance(s2, Pure):
-        ok = canon.isom_pure(s1.a, s2.a)
-        return verdict(canon.Isomorphic(None) if ok else canon.NotIsomorphic(None))
-    if isinstance(s1, DepressedTrace) and isinstance(s2, DepressedTrace):
-        return verdict(canon.isom_depressed(s1.a, s2.a, search_bound=args.bound))
-    if isinstance(s1, Char3) and isinstance(s2, Char3):
-        return verdict(canon.isom_char3(s1.a, s2.a, search_bound=args.bound))
-    # mixed pure / depressed: the trace form is purely cubic exactly when
-    # X^2 + aX + 1 has a root c, and then c is a pure parameter for it
-    pure, other = (s1, s2) if isinstance(s1, Pure) else (s2, s1)
-    assert isinstance(other, DepressedTrace)
-    c = canon.purely_cubic_root(other.a)
-    if c is None:
-        return verdict(canon.NotIsomorphic(None))
-    ok = canon.isom_pure(pure.a, c)
-    return verdict(canon.Isomorphic(c) if ok else canon.NotIsomorphic(None))
+    s1, _ = canon.reduce_cubic(parse_cubic(args.cubic1, dom))
+    s2, _ = canon.reduce_cubic(parse_cubic(args.cubic2, dom))
+    res = canon.isom(s1, s2, search_bound=args.bound)
+    return {"form1": _FORM_NAMES[type(s1)], "form2": _FORM_NAMES[type(s2)],
+            "isomorphic": isinstance(res, canon.Isomorphic), "witness": _witness_json(res)}
 
 
 def _is_shanks_shape(cubic: Cubic) -> bool:
@@ -424,7 +385,7 @@ def _cmd_galois(args) -> dict:
     dom = _choose_dom(field, (args.cubic,))
     cubic = parse_cubic(args.cubic, dom)
     shape, _ = canon.reduce_cubic(cubic)
-    _irreducible(shape)
+    canon.require_irreducible(shape)
     out = {"form": _FORM_NAMES[type(shape)], "galois": canon.is_galois(shape)}
     if _is_shanks_shape(cubic) and field.p != 3:
         dep, _ = canon.shanks_to_canonical(cubic.e)
@@ -441,7 +402,7 @@ def _extension_of(args, source: str) -> Tuple[arith.Extension, dict]:
     cubic = parse_cubic(source, ff)
     shape, _ = canon.reduce_cubic(cubic)
     if not isinstance(shape, InseparablePure):  # Extension rejects it instead
-        _irreducible(shape)
+        canon.require_irreducible(shape)
     ext = arith.Extension(shape)
     head = {"form": _FORM_NAMES[type(shape)], "a": shape.a.render()}
     return ext, head

@@ -809,7 +809,8 @@ def _rth_roots(w, r: int, z, n: int, mul, pw) -> list:
     off in base-r digits, one per step, each the index of d among the r-th
     roots of unity 1, zeta, ..., zeta^(r-1), zeta = g^(r^(t-1)).  j is
     divisible by r since w is an r-th power, so c g^(-j/r) is a root, and its
-    products with the powers of zeta are the others.
+    products with the powers of zeta are the others.  At t = 1, c^r/w is an
+    r-th power in a group of order r, so it is 1 and c is already a root.
     """
     t, u = 0, n
     while u % r == 0:
@@ -818,12 +819,13 @@ def _rth_roots(w, r: int, z, n: int, mul, pw) -> list:
     g = pw(z, u)
     zetas = [pw(g, order // r * k) for k in range(r)]
     k = pow(r, -1, u)
-    c, e = pw(w, k), pw(w, (r * k - 1) % n)  # e = c^r / w
-    j = 0
-    for i in range(1, t):  # digit 0 of j is 0
-        d = pw(mul(e, pw(g, order - j)), order // r ** (i + 1))
-        j += r ** i * zetas.index(d)
-    c = mul(c, pw(g, order - j // r))
+    c = pw(w, k)
+    if t > 1:
+        e, j = pw(w, (r * k - 1) % n), 0  # e = c^r / w
+        for i in range(1, t):  # digit 0 of j is 0
+            d = pw(mul(e, pw(g, order - j)), order // r ** (i + 1))
+            j += r ** i * zetas.index(d)
+        c = mul(c, pw(g, order - j // r))
     return [mul(c, y) for y in zetas]
 
 

@@ -50,7 +50,7 @@ class Place:
             raise DomainMismatch("the carrier of a finite place must be monic")
         if not is_irreducible(pi):
             raise DomainMismatch("the carrier of a finite place must be irreducible")
-        return Place(func_field_of(pi), pi)
+        return Place(func_field(pi.dom), pi)
 
     @staticmethod
     def infinity(ff: FuncField) -> "Place":
@@ -89,10 +89,6 @@ class Place:
 
     def __lt__(self, other):
         return self.sort_key() < other.sort_key()
-
-
-def func_field_of(p: Poly) -> FuncField:
-    return func_field(p.dom)
 
 
 # ---------------------------------------------------------------------------
