@@ -49,6 +49,7 @@ from .errors import SizeExceeded, WrongCharacteristic, WrongFieldClass
 from .ffield import (
     Field,
     FieldElem,
+    _kernel,
     _quad_values,
     _root_values,
     _rth_roots,
@@ -214,34 +215,36 @@ def _torus_roots(F: Field, a: int) -> list:
 def brute_factor(c: Cubic) -> Decomp:
     """Classify by scanning the whole field.  Independent of every criterion.
 
+    The scan and the synthetic division run on counter values with the
+    field's _add and _mul; roots are wrapped only in the returned Decomp.
     Refuses fields above 2^16 elements; the scan is the point, so there is no
     clever fallback.
     """
     F = _require_finite(c.base)
     if F.order > BRUTE_LIMIT:
         raise SizeExceeded(f"brute_factor scans the field; |F| = {F.order} > {BRUTE_LIMIT}")
-    roots = []
-    for x in F.elements():
-        if c(x).is_zero():
-            roots.append(x)
+    K, add, mul = _kernel(F), F._add, F._mul
+    e, f, g = K.value(c.e), K.value(c.f), K.value(c.g)
+    roots = [x for x in range(F.order) if not add(mul(add(mul(add(x, e), x), f), x), g)]
     if not roots:
         return Irreducible()
     # multiplicities by repeated synthetic division
     mults = []
     for r in roots:
-        e1 = c.e + r
-        f1 = c.f + r * e1
+        e1 = add(e, r)
+        f1 = add(f, mul(r, e1))
         # cofactor X^2 + e1 X + f1; r is a double root iff it kills the cofactor
         m = 1
-        if (r * (r + e1) + f1).is_zero():
+        if not add(mul(r, add(r, e1)), f1):
             m = 2
-            if (r + r + e1).is_zero():  # cofactor = (X - r)^2
+            if not add(add(r, r), e1):  # cofactor = (X - r)^2
                 m = 3
         mults.append(m)
     total = sum(mults)
     if total == 1:  # one simple root: e1, f1 are its cofactor
-        return LinTimesQuad(roots[0], (e1, f1))
+        return LinTimesQuad(FieldElem(F, roots[0]), (FieldElem(F, e1), FieldElem(F, f1)))
     assert total == 3, "a cubic root count off the scan must be 1 or 3"
+    roots = [FieldElem(F, r) for r in roots]
     if len(roots) == 3:
         return ThreeDistinct(tuple(roots))
     if len(roots) == 1:

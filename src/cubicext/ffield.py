@@ -12,13 +12,17 @@ Representation invariants:
     its coefficients c_i in t, low degree first; ``coeffs`` reads the digits
     back.  Elements are totally ordered by that value; every "least root" /
     "least witness" promise in this package refers to that order.
-  * GF(p) computes with % p and pow(v, e, p).  For m > 1 each field builds,
-    on first use and never at import, array tables exp[k] = g^k (two
-    periods) and log, for the least generator g in counter order: multiply,
-    inverse and power are lookups.  Addition is XOR in characteristic 2; for
-    odd p it goes through Zech logarithms, zech[k] = log(1 + g^k)
-    (K. Huber, IEEE Trans. IT 36, 1990), since 1 + v in counter form only
-    bumps the lowest digit of v.
+  * The arithmetic on counter values is bound per field on first read: the
+    first read of _add, _sub, _neg, _mul or _pow sets all five to closures
+    for the field's shape (``Field._bind_ops``), so no call tests p or m or
+    reads a table off the field.  GF(p) computes inline with % p and pow.
+    For m > 1 that read first builds, never at import, array tables
+    exp[k] = g^k (two periods) and log, for the least generator g in counter
+    order, and the closures capture them: multiply, inverse and power are
+    lookups.  Addition is XOR in characteristic 2; for odd p it goes
+    through Zech logarithms, zech[k] = log(1 + g^k) (K. Huber, IEEE Trans.
+    IT 36, 1990), since 1 + v in counter form only bumps the lowest digit
+    of v.
   * Table memory is 12(q-1) + 4 bytes, plus 4(q-1) for zech when p is odd:
     0.75 MiB at q = 2^16, 12 MiB at the MAX_ORDER cap q = 2^20 (16 MiB for
     odd p just below it).  For odd p the build adds digit vectors packed
@@ -72,7 +76,7 @@ class _Kernel:
     """The coefficient arithmetic of one domain, as the list kernel runs it.
 
     Over a Field the list entries are counter values and add/sub/mul/inv are
-    the field's own methods on them; over GF(p) (p set, else 0) the loops of
+    the field's bound ops on them; over GF(p) (p set, else 0) the loops of
     _mul, _divmod and _horner reduce % p inline instead.  Over any other
     domain the entries are the elements and the operations their operators.
     load unwraps a Poly and value/elem unwrap and wrap one element (value
@@ -87,8 +91,8 @@ class _Kernel:
         if isinstance(dom, Field):
             self.field, self.p = dom, (dom.p if dom.m == 1 else 0)
             self.zero, self.one = 0, 1
-            self.add, self.sub, self.mul = dom._add, dom._sub, dom._mul
-            self.inv = lambda c: dom._pow(c, -1)
+            self.add, self.sub, self.mul, pw = dom._add, dom._sub, dom._mul, dom._pow
+            self.inv = lambda c: pw(c, -1)
         else:
             self.field, self.p = None, 0
             self.zero, self.one = dom.zero, dom.one
@@ -371,13 +375,15 @@ class Field:
     """The finite field GF(p^m).  Obtain instances through field_make.
 
     Besides the element constructors it holds the arithmetic on counter
-    values (the _add ... _pow methods), which FieldElem wraps, and the
+    values: the slots _add, _sub, _neg, _mul and _pow, which _bind_ops fills
+    with closures for the field's shape on the first read of any of them,
+    and the method _div over them; FieldElem looks them up by name.  The
     per-field constants of the module docstring (exp, log, zech, nonsquare,
-    noncube, as_section), each built on first use.
+    noncube, as_section) are slots built on first use as well.
     """
 
     __slots__ = ("p", "m", "order", "modulus", "zero", "one", "exp", "log", "zech",
-                 "nonsquare", "noncube", "as_section")
+                 "nonsquare", "noncube", "as_section", "_add", "_sub", "_neg", "_mul", "_pow")
 
     def __init__(self, p: int, m: int):
         self.p = p
@@ -391,6 +397,8 @@ class Field:
         # only reached while a per-field slot is still unset
         if name in ("exp", "log", "zech") and self.m > 1:
             self._build_tables()
+        elif name in ("_add", "_sub", "_neg", "_mul", "_pow"):
+            self._bind_ops()
         elif name == "nonsquare" and self.p != 2:
             self.nonsquare = self._least_non_power(2)
         elif name == "noncube" and self.order % 3 == 1:
@@ -504,50 +512,43 @@ class Field:
 
     # -- arithmetic on counter values ----------------------------------------
 
-    def _add(self, a: int, b: int) -> int:
-        p = self.p
-        if p == 2:
-            return a ^ b
+    def _bind_ops(self):
+        """Bind _add, _sub, _neg, _mul and _pow on counter values as closures
+        for the field's shape: GF(p), GF(2^m) or odd GF(p^m)."""
+        p, n = self.p, self.order - 1
         if self.m == 1:
-            return (a + b) % p
-        if not a or not b:
-            return a or b
-        la = self.log[a]
-        z = self.zech[self.log[b] - la]  # a negative index wraps mod q - 1
-        return self.exp[la + z] if z >= 0 else 0
+            def pw(a, e):
+                try:
+                    return pow(a, e, p)
+                except ValueError:  # only 0 has no inverse mod p
+                    raise DivisionByZero("inverse of 0") from None
+            self._add, self._sub = (lambda a, b: (a + b) % p), (lambda a, b: (a - b) % p)
+            self._neg, self._mul, self._pow = (lambda a: -a % p), (lambda a, b: a * b % p), pw
+            return
+        exp, log, zech, h = self.exp, self.log, self.zech, n // 2  # -1 = g^h
 
-    def _neg(self, a: int) -> int:
-        if self.p == 2 or not a:
-            return a
-        if self.m == 1:
-            return self.p - a
-        return self.exp[self.log[a] + (self.order - 1) // 2]  # -1 = g^((q-1)/2)
-
-    def _sub(self, a: int, b: int) -> int:
-        if self.p == 2:
-            return a ^ b
-        if self.m == 1:
-            return (a - b) % self.p
-        return self._add(a, self._neg(b))
-
-    def _mul(self, a: int, b: int) -> int:
-        if self.m == 1:
-            return a * b % self.p
-        if not a or not b:
-            return 0
-        return self.exp[self.log[a] + self.log[b]]
-
-    def _div(self, a: int, b: int) -> int:
-        return self._mul(a, self._pow(b, -1))
-
-    def _pow(self, a: int, e: int) -> int:
-        if not a:
+        def pw(a, e):
+            if a:
+                return exp[log[a] * e % n]
             if e < 0:
                 raise DivisionByZero("inverse of 0")
             return 0 if e else 1
-        if self.m == 1:
-            return pow(a, e, self.p)
-        return self.exp[self.log[a] * e % (self.order - 1)]
+        if p == 2:
+            self._add = self._sub = operator.xor
+            self._neg = operator.pos  # -a = a
+        else:
+            def add(a, b):
+                if not a or not b:
+                    return a or b
+                la = log[a]
+                z = zech[log[b] - la]  # a negative index wraps mod q - 1
+                return exp[la + z] if z >= 0 else 0
+            self._add, self._neg = add, lambda a: exp[log[a] + h] if a else 0
+            self._sub = lambda a, b: add(a, exp[log[b] + h]) if b else a
+        self._mul, self._pow = (lambda a, b: exp[log[a] + log[b]] if a and b else 0), pw
+
+    def _div(self, a: int, b: int) -> int:
+        return self._mul(a, self._pow(b, -1))
 
     # -- constructors ------------------------------------------------------
 
@@ -583,10 +584,11 @@ class Field:
         return (field_make, (self.p, self.m))
 
 
-def _binary(kernel, swap: bool = False, wrap: bool = True):
-    """A FieldElem operator: kernel(field, a, b) on counter values a of self
-    and b of other (swapped if swap), where other is an element of the same
-    field or an int; the result is wrapped as an element if wrap."""
+def _binary(get, swap: bool = False, wrap: bool = True):
+    """A FieldElem operator: get(field)(a, b) on counter values a of self and
+    b of other (swapped if swap), where other is an element of the same field
+    or an int; the result is wrapped as an element if wrap.  get(field) is
+    the field's bound op, read by name, or a comparison."""
     def op(self, other):
         F = self.field
         if isinstance(other, FieldElem):
@@ -597,7 +599,8 @@ def _binary(kernel, swap: bool = False, wrap: bool = True):
             b = other % F.p
         else:
             return NotImplemented
-        r = kernel(F, b, self.value) if swap else kernel(F, self.value, b)
+        f = get(F)
+        r = f(b, self.value) if swap else f(self.value, b)
         return FieldElem(F, r) if wrap else r
     return op
 
@@ -630,12 +633,12 @@ class FieldElem:
 
     # -- ring operations ------------------------------------------------------
 
-    __add__ = __radd__ = _binary(Field._add)
-    __sub__ = _binary(Field._sub)
-    __rsub__ = _binary(Field._sub, swap=True)
-    __mul__ = __rmul__ = _binary(Field._mul)
-    __truediv__ = _binary(Field._div)
-    __rtruediv__ = _binary(Field._div, swap=True)
+    __add__ = __radd__ = _binary(operator.attrgetter("_add"))
+    __sub__ = _binary(operator.attrgetter("_sub"))
+    __rsub__ = _binary(operator.attrgetter("_sub"), swap=True)
+    __mul__ = __rmul__ = _binary(operator.attrgetter("_mul"))
+    __truediv__ = _binary(operator.attrgetter("_div"))
+    __rtruediv__ = _binary(operator.attrgetter("_div"), swap=True)
 
     def __neg__(self):
         return FieldElem(self.field, self.field._neg(self.value))
@@ -650,9 +653,9 @@ class FieldElem:
 
     # -- comparisons ------------------------------------------------------------
 
-    __eq__ = _binary(lambda F, a, b: a == b, wrap=False)
-    __lt__ = _binary(lambda F, a, b: a < b, wrap=False)
-    __le__ = _binary(lambda F, a, b: a <= b, wrap=False)
+    __eq__ = _binary(lambda F: operator.eq, wrap=False)
+    __lt__ = _binary(lambda F: operator.lt, wrap=False)
+    __le__ = _binary(lambda F: operator.le, wrap=False)
 
     def __hash__(self):
         return hash((self.field.p, self.field.m, self.value))
