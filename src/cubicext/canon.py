@@ -19,9 +19,9 @@ i.e. as the matrix [[m00, m01], [m10, m11]] on the column (1, y); composition
 of maps is then the matrix product.  Matrices are normalized projectively
 (first nonzero entry scaled to 1), so equal maps have equal entries.
 
-reduce_cubic and the map normalization run on the base's ffield._Kernel, on
-counter values over GF(q) and on RatFuncs over GF(q)(x); values are wrapped
-only in the returned shape and map entries.
+The reduction is one value-level core, _reduce_values, on the base's
+ffield._Kernel (counter values over GF(q), RatFuncs over GF(q)(x)); ffcubic
+calls it directly, and reduce_cubic is the one site that wraps its values.
 
 isom decides whether two canonical cubics define the same extension and
 raises ReducibleInput through require_irreducible, the package's one
@@ -209,54 +209,60 @@ class FracLinear:
 def reduce_cubic(T: Cubic):
     """(canonical shape, map sending roots of T to roots of the shape)."""
     b = T.base
-    ident = FracLinear.identity(b)
-    if not T.g:
-        return Reducible(b.zero, (T.e, T.f)), ident
     K = _kernel(b)
-    e, f, g = K.value(T.e), K.value(T.f), K.value(T.g)
-    if char_of(b) == 3:
-        return _reduce_char3(K, e, f, g, ident)
+    cls, params, m = _reduce_values(K, K.value(T.e), K.value(T.f), K.value(T.g))
+    w = K.elem
+    shape = (Reducible(w(params[0]), (w(params[1]), w(params[2]))) if cls is Reducible
+             else cls(w(params[0])))
+    return shape, FracLinear.identity(b) if m is None else FracLinear(*map(w, m))
+
+
+def _reduce_values(K, e, f, g) -> tuple:
+    """reduce_cubic on the kernel values of X^3 + eX^2 + fX + g: (shape class,
+    parameters, map entries).  The parameters are (a,) for a family and
+    (root, b, c) for Reducible; the entries (m00, m01, m10, m11) are not
+    normalised, and are None for the identity."""
     add, sub, mul, n = K.add, K.sub, K.mul, K.of_int
-    g2, f2 = mul(g, g), mul(f, f)
-    f3, efg, g27 = mul(f2, f), mul(mul(e, f), g), mul(n(27), g2)
-    # a detected rational root ends the reduction
-    t = sub(add(g27, mul(n(2), f3)), mul(n(9), efg))
-    if not t:
-        r = mul(mul(n(-3), g), K.inv(f))  # f != 0 here, else g would be 0
-        er = add(e, r)
-        return Reducible(K.elem(r), (K.elem(er), K.elem(add(f, mul(r, er))))), ident
-    if not e and f == n(-3):
-        return DepressedTrace(K.elem(sub(K.zero, g))), ident
-    eg3 = mul(n(3), mul(e, g))
-    if eg3 == f2:
-        a = mul(mul(g27, g), K.inv(sub(f3, g27)))
-        g3 = K.elem(mul(n(3), g))
-        return Pure(K.elem(a)), FracLinear(g3, T.f, b.zero, g3)
-    d = sub(eg3, f2)
-    a = sub(n(-2), mul(mul(t, t), K.inv(mul(mul(d, d), d))))
-    gd3 = K.elem(mul(mul(n(3), g), d))
-    return DepressedTrace(K.elem(a)), FracLinear(
-        gd3, K.elem(mul(f, d)), gd3, K.elem(sub(add(f3, g27), mul(n(6), efg))))
-
-
-def _reduce_char3(K, e, f, g, ident):
-    b, mul = K.dom, K.mul
-    e2, f2 = mul(e, e), mul(f, f)
-    e3 = mul(e2, e)
-    n = K.sub(K.add(mul(g, e3), mul(f2, f)), mul(f2, e2))  # g e^3 + f^3 - f^2 e^2
-    if e and not n:
-        r = mul(f, K.inv(e))
-        er = K.add(e, r)
-        return Reducible(K.elem(r), (K.elem(er), K.elem(K.add(f, mul(r, er))))), ident
-    if not e and not f:
-        return InseparablePure(K.elem(K.sub(K.zero, g))), ident
-    if not e:
-        a = mul(mul(g, g), K.inv(mul(f2, f)))
-        return Char3(K.elem(a)), FracLinear(b.one, b.zero, b.zero,
-                                            K.elem(mul(g, K.inv(f2))))
-    e4, a = mul(e2, e2), mul(n, K.inv(mul(e3, e3)))
-    return Char3(K.elem(a)), FracLinear(K.elem(K.sub(K.zero, mul(f, e4))),
-                                        K.elem(mul(e4, e)), K.elem(n), b.zero)
+    if not g:
+        return Reducible, (K.zero, e, f), None
+    f2 = mul(f, f)
+    f3 = mul(f2, f)
+    if char_of(K.dom) == 3:
+        e2 = mul(e, e)
+        e3 = mul(e2, e)
+        t = sub(add(mul(g, e3), f3), mul(f2, e2))  # g e^3 + f^3 - f^2 e^2
+        if e and not t:
+            r = mul(f, K.inv(e))
+        elif not e and not f:
+            return InseparablePure, (sub(K.zero, g),), None
+        elif not e:
+            a = mul(mul(g, g), K.inv(f3))
+            return Char3, (a,), (K.one, K.zero, K.zero, mul(g, K.inv(f2)))
+        else:
+            e4 = mul(e2, e2)
+            a = mul(t, K.inv(mul(e3, e3)))
+            return Char3, (a,), (sub(K.zero, mul(f, e4)), mul(e4, e), t, K.zero)
+    else:
+        efg, g27 = mul(mul(e, f), g), mul(n(27), mul(g, g))
+        # a detected rational root ends the reduction
+        t = sub(add(g27, mul(n(2), f3)), mul(n(9), efg))
+        if not t:
+            r = mul(mul(n(-3), g), K.inv(f))  # f != 0 here, else g would be 0
+        elif not e and f == n(-3):
+            return DepressedTrace, (sub(K.zero, g),), None
+        else:
+            eg3 = mul(n(3), mul(e, g))
+            if eg3 == f2:
+                g3 = mul(n(3), g)
+                a = mul(mul(g27, g), K.inv(sub(f3, g27)))
+                return Pure, (a,), (g3, f, K.zero, g3)
+            d = sub(eg3, f2)
+            a = sub(n(-2), mul(mul(t, t), K.inv(mul(mul(d, d), d))))
+            gd3 = mul(mul(n(3), g), d)
+            return DepressedTrace, (a,), (gd3, mul(f, d), gd3,
+                                          sub(add(f3, g27), mul(n(6), efg)))
+    er = add(e, r)
+    return Reducible, (r, er, add(f, mul(r, er))), None
 
 
 def cubic_of(shape) -> Cubic:

@@ -457,6 +457,18 @@ _COMMANDS = {
     "constant": (_cmd_constant, ("cubic",)),
 }
 
+
+def _degree_bound(text: str) -> int:
+    """argparse type of the place degree bounds: an integer N >= 1."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"N must be at least 1, got {n}")
+    return n
+
+
 # the one integer option a subcommand reads besides --field and --json
 _OPTIONS = {
     "splitting": ("--max-degree", 3, "place degree bound for tables (default 3)"),
@@ -477,7 +489,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", help="emit JSON")
         if name in _OPTIONS:
             flag, default, text = _OPTIONS[name]
-            p.add_argument(flag, type=int, default=default, metavar="N", help=text)
+            p.add_argument(flag, type=_degree_bound, default=default, metavar="N", help=text)
         for pos in positionals:
             p.add_argument(pos, help="expression over the chosen base")
     return top

@@ -8,22 +8,24 @@ A monic cubic over GF(s) lands in exactly one of five bins:
 * ``LinTimesSquare``  a simple root times the square of another linear factor;
 * ``Triple``          one root of multiplicity three.
 
-``decompose_pure``, ``decompose_depressed`` and ``decompose_char3`` classify
-the three canonical one-parameter families and take every witness root from a
-closed form, with no general factorizer: the cube roots of a (pure);
-y = c + 1/c over the cube roots c of a root w of W^2 - aW + 1, in GF(s) or in
-the norm-1 torus of GF(s^2) (trace form); one GF(3)-linear solve
-(characteristic 3).  Square and cube roots, in GF(s) and on the torus, come
-from ``ffield``'s one r-th root routine (``_root_values``, ``_rth_roots``:
-Adleman-Manders-Miller); ``bin_*`` give the bin alone, from square and cube
-characters and traces, for ``arith``'s place signatures.  ``decompose_any``
-accepts an arbitrary monic cubic (or an already-reduced canonical shape),
-reduces it, and transports the witnesses back through the inverse
-fractional-linear substitution.
+Each canonical shape has a root core that returns all its roots in GF(s)
+with multiplicity (0, 1 or 3 counter values) from a closed form, with no
+general factorizer: the cube roots of a (``_pure_roots``); y = c + 1/c over
+the cube roots c of a root w of W^2 - aW + 1, in GF(s) or in the norm-1 torus
+of GF(s^2) (``_depressed_roots``); one GF(3)-linear solve (``_char3_roots``);
+the inverse Frobenius (``_inseparable_roots``); the cofactor's quadratic
+formula (``_reducible_roots``).  Square and cube roots come from ``ffield``'s
+one r-th root routine (``_root_values``, ``_rth_roots``).  ``_from_roots``
+builds every ``Decomp`` from such a list, and ``_lin_times_quad`` the
+cofactor of a single root.  ``decompose_pure``, ``decompose_depressed`` and
+``decompose_char3`` check their parameter and make one ``_from_roots`` call;
+``decompose_any`` reduces any monic cubic with canon's value-level core,
+pulls the roots back through the inverse map and makes one.  ``bin_*`` give
+the bin alone, from square and cube characters and traces, for ``arith``.
 
-Everything after the reduction computes on counter values with the field's
+From input to result everything computes on counter values with the field's
 ``_add/_sub/_mul/_pow/_neg`` and the counter-value solvers of ``ffield``; a
-result is wrapped in ``FieldElem`` only when its ``Decomp`` is built.  The
+root is wrapped in ``FieldElem`` only when its ``Decomp`` is built.  The
 torus arithmetic works on pairs mod W^2 - aW + 1 (inline % p over GF(p)), and
 its non-cube (delta + W)^(s-1) is built as conj(u)^2/N(u) with u = delta + W:
 one inverse in GF(s) per candidate delta.  Nothing is cached per input; the
@@ -39,11 +41,10 @@ from .canon import (
     Char3,
     Cubic,
     DepressedTrace,
-    FracLinear,
     InseparablePure,
     Pure,
     Reducible,
-    reduce_cubic,
+    _reduce_values,
 )
 from .errors import SizeExceeded, WrongCharacteristic, WrongFieldClass
 from .ffield import (
@@ -113,15 +114,15 @@ def _require_finite(F) -> Field:
     return F
 
 
-_WRONG_P = {"pure": "X^3 - a is inseparable in characteristic 3",
-            "depressed": "X^3 - 3X - a degenerates to a pure cubic in characteristic 3",
-            "char3": "X^3 + aX + a^2 is the characteristic-3 family"}
+_WRONG_P = {Pure: "X^3 - a is inseparable in characteristic 3",
+            DepressedTrace: "X^3 - 3X - a degenerates to a pure cubic in characteristic 3",
+            Char3: "X^3 + aX + a^2 is the characteristic-3 family"}
 
 
-def _family_param(a: FieldElem, family: str) -> tuple:
-    """(F, a.value), or the family's error: char3 needs p = 3, the rest p != 3."""
+def _family_param(a: FieldElem, family: type) -> tuple:
+    """(F, a.value), or the family's error: Char3 needs p = 3, the rest p != 3."""
     F = _require_finite(getattr(a, "field", None))
-    if (F.p == 3) != (family == "char3"):
+    if (F.p == 3) != (family is Char3):
         raise WrongCharacteristic(_WRONG_P[family])
     return F, a.value
 
@@ -137,14 +138,20 @@ def _lin_times_quad(F: Field, c: tuple, r: int) -> LinTimesQuad:
 
 
 def _from_roots(F: Field, c: tuple, roots) -> Decomp:
-    """The bin of a separable cubic X^3 + eX^2 + fX + g, c = (e, f, g), from
-    all its roots in GF(s) (0, 1 or 3 counter values)."""
+    """The Decomp of X^3 + eX^2 + fX + g, c = (e, f, g), from all its roots in
+    GF(s) with multiplicity (0, 1 or 3 counter values)."""
     if not roots:
         return Irreducible()
     if len(roots) == 1:
         return _lin_times_quad(F, c, roots[0])
-    assert len(roots) == 3, "a separable cubic has 0, 1 or 3 roots"
-    return ThreeDistinct(tuple(FieldElem(F, r) for r in sorted(roots)))
+    assert len(roots) == 3, "a cubic has 0, 1 or 3 roots with multiplicity"
+    lo, mid, hi = roots = sorted(roots)
+    if lo == hi:
+        return Triple(FieldElem(F, lo))
+    if lo == mid or mid == hi:  # the middle of the sorted triple is the double root
+        return LinTimesSquare(simple=FieldElem(F, hi if lo == mid else lo),
+                              double=FieldElem(F, mid))
+    return ThreeDistinct(tuple(FieldElem(F, r) for r in roots))
 
 
 def _quad_ring(F: Field, a: int):
@@ -258,63 +265,83 @@ def brute_factor(c: Cubic) -> Decomp:
 # ---------------------------------------------------------------------------
 
 def decompose_pure(a: FieldElem) -> Decomp:
-    """X^3 - a over GF(s), p != 3.
-
-    a = 0 is the triple root; s = 2 mod 3 makes cubing a bijection (one root,
-    irreducible quadratic cofactor); s = 1 mod 3 is decided by the cube
-    character of a.
-    """
-    F, v = _family_param(a, "pure")
-    if not v:
-        return Triple(F.zero)
-    return _from_roots(F, (0, 0, F._neg(v)), _root_values(F, v, 3))
+    """X^3 - a over GF(s), p != 3 (_pure_roots)."""
+    F, v = _family_param(a, Pure)
+    return _from_roots(F, (0, 0, F._neg(v)), _pure_roots(F, v))
 
 
 def decompose_depressed(a: FieldElem) -> Decomp:
-    """X^3 - 3X - a over GF(s), p != 3.
+    """X^3 - 3X - a over GF(s), p != 3 (_depressed_roots)."""
+    F, v = _family_param(a, DepressedTrace)
+    return _from_roots(F, (0, -3 % F.p, F._neg(v)), _depressed_roots(F, v))
 
-    a = +-2 (odd p) and a = 0 (p = 2) are the square cases.  Otherwise the
+
+def decompose_char3(a: FieldElem) -> Decomp:
+    """X^3 + aX + a^2 over GF(3^m) (_char3_roots)."""
+    F, v = _family_param(a, Char3)
+    return _from_roots(F, (0, v, F._mul(v, v)), _char3_roots(F, v))
+
+
+def _pure_roots(F: Field, v: int) -> list:
+    """The roots of X^3 - v, p != 3, with multiplicity.
+
+    v = 0 is the triple root; s = 2 mod 3 makes cubing a bijection (one root,
+    irreducible quadratic cofactor); s = 1 mod 3 is decided by the cube
+    character of v.
+    """
+    return list(_root_values(F, v, 3) or ()) if v else [0, 0, 0]
+
+
+def _depressed_roots(F: Field, v: int) -> list:
+    """The roots of X^3 - 3X - v, p != 3, with multiplicity.
+
+    v = +-2 (odd p) and v = 0 (p = 2) are the square cases.  Otherwise the
     cubic is separable and its roots are exactly y = c + 1/c over the c with
-    c^3 = w, w a root of W^2 - aW + 1 (then y^3 - 3y = w + 1/w = a).  When w
+    c^3 = w, w a root of W^2 - vW + 1 (then y^3 - 3y = w + 1/w = v).  When w
     lies in GF(s) the c are its cube roots from _root_values: one for
     s = 2 mod 3, three or none for s = 1 mod 3.  Otherwise w lies in the
     norm-1 torus of GF(s^2), where 1/c is the conjugate of c and y = Tr(c)
     (_torus_roots).  One root leaves an irreducible quadratic cofactor.
     """
-    F, v = _family_param(a, "depressed")
-    if F.p == 2:
-        if not v:
-            return LinTimesSquare(simple=F.zero, double=F.one)
-    elif v in (2, F.p - 2):  # a = +-2, double root -+1
+    p = F.p
+    if (not v) if p == 2 else v in (2, p - 2):  # v = 2 sign: roots 2 sign, -sign, -sign
         sign = 1 if v == 2 else -1
-        return LinTimesSquare(simple=F.from_int(2 * sign), double=F.from_int(-sign))
+        return [2 * sign % p, -sign % p, -sign % p]
     ws = _quad_values(F, F._neg(v), 1)
-    if ws:
-        roots = [F._add(c, F._pow(c, -1)) for c in _root_values(F, ws[0], 3) or ()]
-    else:
-        roots = _torus_roots(F, v)
-    return _from_roots(F, (0, -3 % F.p, F._neg(v)), roots)
+    if not ws:
+        return _torus_roots(F, v)
+    return [F._add(c, F._pow(c, -1)) for c in _root_values(F, ws[0], 3) or ()]
 
 
-def decompose_char3(a: FieldElem) -> Decomp:
-    """X^3 + aX + a^2 over GF(3^m).
+def _char3_roots(F: Field, v: int) -> list:
+    """The roots of X^3 + vX + v^2 over GF(3^m), with multiplicity.
 
-    a = 0 is the triple root.  Otherwise X -> X^3 + aX is GF(3)-linear with
-    kernel 0 and the square roots of -a, so one linear solve of
-    X^3 + aX = -a^2 finds a root r or shows there is none.  If -a = b^2 the
-    roots are r, r + b and r - b; if -a is a non-square the map is a
+    v = 0 is the triple root.  Otherwise X -> X^3 + vX is GF(3)-linear with
+    kernel 0 and the square roots of -v, so one linear solve of
+    X^3 + vX = -v^2 finds a root r or shows there is none.  If -v = b^2 the
+    roots are r, r + b and r - b; if -v is a non-square the map is a
     bijection and r is the only root.  A square factor never appears.
     """
-    F, v = _family_param(a, "char3")
     if not v:
-        return Triple(F.zero)
-    v2 = F._mul(v, v)
-    r = _solve_additive(F, lambda x: F._add(F._pow(x, 3), F._mul(v, x)), F._neg(v2))
+        return [0, 0, 0]
+    r = _solve_additive(F, lambda x: F._add(F._pow(x, 3), F._mul(v, x)), F._neg(F._mul(v, v)))
     if r is None:
-        return Irreducible()
+        return []
     sq = _root_values(F, F._neg(v), 2)
-    roots = [r] if sq is None else [r, F._add(r, sq[0]), F._sub(r, sq[0])]
-    return _from_roots(F, (0, v, v2), roots)
+    return [r] if sq is None else [r, F._add(r, sq[0]), F._sub(r, sq[0])]
+
+
+def _inseparable_roots(F: Field, v: int) -> list:
+    """X^3 - v in characteristic 3: the Frobenius is surjective, so this is
+    always a triple root."""
+    return [_root_values(F, v, 3)[0]] * 3
+
+
+def _reducible_roots(F: Field, r: int, b: int, c: int) -> list:
+    """The roots of (X - r)(X^2 + bX + c) with multiplicity: r and the
+    quadratic's roots, a double one twice."""
+    qroots = _quad_values(F, b, c)
+    return [r, *qroots, *qroots] if len(qroots) == 1 else [r, *qroots]
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +350,7 @@ def decompose_char3(a: FieldElem) -> Decomp:
 
 def bin_pure(a: FieldElem) -> type:
     """decompose_pure(a)'s outcome class, from s mod 3 and the cube character."""
-    F, v = _family_param(a, "pure")
+    F, v = _family_param(a, Pure)
     s = F.order
     if not v:
         return Triple
@@ -338,7 +365,7 @@ def bin_depressed(a: FieldElem) -> type:
     (Euler on a^2 - 4; Tr(1/a) = 0 for p = 2), else in the norm-1 torus, of
     order n = s -+ 1.  3 not dividing n: one cube root c of w, one root
     c + 1/c; else three or none as W^(n/3) = 1 in GF(s)[W]/(W^2 - aW + 1)."""
-    F, v = _family_param(a, "depressed")
+    F, v = _family_param(a, DepressedTrace)
     s = F.order
     if (not v) if F.p == 2 else v in (2, F.p - 2):
         return LinTimesSquare
@@ -355,7 +382,7 @@ def bin_char3(a: FieldElem) -> type:
     non-square, X -> X^3 + aX is a bijection: one root.  If -a = b^2, X = bY
     gives b^3 (Y^3 - Y), whose image is b^3 times the trace-zero hyperplane:
     -a^2 = b^3 (-b) is hit, by three roots, iff Tr(b) = 0."""
-    F, v = _family_param(a, "char3")
+    F, v = _family_param(a, Char3)
     if not v:
         return Triple
     sq = _root_values(F, F._neg(v), 2)
@@ -368,86 +395,40 @@ def bin_char3(a: FieldElem) -> type:
 # arbitrary cubics
 # ---------------------------------------------------------------------------
 
-_SHAPES = (Pure, DepressedTrace, Char3, InseparablePure, Reducible)
+_ROOTS = {Pure: _pure_roots, DepressedTrace: _depressed_roots, Char3: _char3_roots,
+          InseparablePure: _inseparable_roots, Reducible: _reducible_roots}
 
 
 def decompose_any(c) -> Decomp:
-    """Classify a monic cubic (or pre-reduced canonical shape) over GF(s).
+    """Classify a monic cubic (or canonical shape, as its cubic) over GF(s).
 
-    Reduction happens in a fractional-linear coordinate; the substitution is
-    invertible away from its pole, and no witness root can sit on the pole
-    (the pole's image under the forward map is the image of infinity, which
-    is never a root of the reduced cubic).  So witnesses transport back
-    exactly.
+    canon's value-level core reduces the cubic, and each root of the shape
+    is pulled back through the inverse map z -> (m00 z - m10)/(m11 - m01 z).
+    No root sits on its pole: the pole's image under the forward map is the
+    image of infinity, never a root of the reduced cubic.  A shape's family
+    parameter is checked as decompose_* check it.
     """
-    if isinstance(c, Cubic):
-        F = _require_finite(c.base)
-        shape, mob = reduce_cubic(c)
-        orig = c
-    elif isinstance(c, _SHAPES):
-        F = _require_finite(c.base)
-        shape, mob = c, FracLinear.identity(c.base)
-        orig = c.cubic()
-    else:
+    if type(c) in _ROOTS:
+        if type(c) in _WRONG_P:
+            _family_param(c.a, type(c))
+        c = c.cubic()
+    elif not isinstance(c, Cubic):
         raise TypeError(f"expected a cubic or canonical shape, got {type(c).__name__}")
-    if isinstance(shape, Reducible):
-        return _decompose_reducible(shape)
-    if isinstance(shape, InseparablePure):
-        # X^3 - a in characteristic 3: the Frobenius is surjective, so this
-        # is always a triple root
-        r = _root_values(F, shape.a.value, 3)[0]
-        return _transport(Triple(FieldElem(F, r)), mob, orig)
-    if isinstance(shape, Pure):
-        d = decompose_pure(shape.a)
-    elif isinstance(shape, DepressedTrace):
-        d = decompose_depressed(shape.a)
-    else:
-        d = decompose_char3(shape.a)
-    return _transport(d, mob, orig)
-
-
-def _decompose_reducible(shape: Reducible) -> Decomp:
-    F = shape.base
-    b, cc = shape.quad
-    r = shape.root.value
-    qroots = _quad_values(F, b.value, cc.value)
-    if not qroots:
-        return LinTimesQuad(shape.root, (b, cc))
-    if len(qroots) == 1:
-        u = qroots[0]
-        if u == r:
-            return Triple(shape.root)
-        return LinTimesSquare(simple=shape.root, double=FieldElem(F, u))
-    u, v = qroots
-    if r == u:
-        return LinTimesSquare(simple=FieldElem(F, v), double=shape.root)
-    if r == v:
-        return LinTimesSquare(simple=FieldElem(F, u), double=shape.root)
-    return ThreeDistinct(tuple(FieldElem(F, x) for x in sorted((r, u, v))))
-
-
-def _transport(d: Decomp, mob: FracLinear, orig: Cubic) -> Decomp:
-    if mob.is_identity() or isinstance(d, Irreducible):
-        return d
-    F = orig.base
-    add, sub, mul = F._add, F._sub, F._mul
-    m00, m01, m10, m11 = mob.m00.value, mob.m01.value, mob.m10.value, mob.m11.value
-    c = (orig.e.value, orig.f.value, orig.g.value)
-
-    def pull(z: FieldElem) -> int:
-        # the inverse map z -> (m00 z - m10) / (m11 - m01 z)
-        den = sub(m11, mul(m01, z.value))
-        assert den, "no witness root sits on the pole"
-        y = F._div(sub(mul(m00, z.value), m10), den)
-        assert not add(mul(add(mul(add(y, c[0]), y), c[1]), y), c[2]), \
-            "transported witness must be a root"
-        return y
-
-    if isinstance(d, LinTimesQuad):
-        return _lin_times_quad(F, c, pull(d.root))
-    if isinstance(d, ThreeDistinct):
-        return ThreeDistinct(tuple(FieldElem(F, y) for y in sorted(pull(z) for z in d.roots)))
-    # a Triple comes only from X^3 - a in characteristic 3, with the identity map
-    assert isinstance(d, LinTimesSquare), "a moved cubic has no triple root"
-    return LinTimesSquare(simple=FieldElem(F, pull(d.simple)),
-                          double=FieldElem(F, pull(d.double)))
+    F = _require_finite(c.base)
+    K = _kernel(F)
+    e, f, g = cv = (K.value(c.e), K.value(c.f), K.value(c.g))
+    cls, params, m = _reduce_values(K, e, f, g)
+    roots = _ROOTS[cls](F, *params)
+    if m is not None:
+        add, sub, mul = F._add, F._sub, F._mul
+        m00, m01, m10, m11 = m
+        pulled = []
+        for z in roots:
+            den = sub(m11, mul(m01, z))
+            assert den, "no root sits on the pole"
+            y = F._div(sub(mul(m00, z), m10), den)
+            assert not add(mul(add(mul(add(y, e), y), f), y), g), \
+                "a pulled-back root must be a root"
+            pulled.append(y)
+        roots = pulled
+    return _from_roots(F, cv, roots)
