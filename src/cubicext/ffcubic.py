@@ -26,10 +26,13 @@ the bin alone, from square and cube characters and traces, for ``arith``.
 From input to result everything computes on counter values with the field's
 ``_add/_sub/_mul/_pow/_neg`` and the counter-value solvers of ``ffield``; a
 root is wrapped in ``FieldElem`` only when its ``Decomp`` is built.  The
-torus arithmetic works on pairs mod W^2 - aW + 1 (inline % p over GF(p)), and
-its non-cube (delta + W)^(s-1) is built as conj(u)^2/N(u) with u = delta + W:
-one inverse in GF(s) per candidate delta.  Nothing is cached per input; the
-constants that depend only on the field live on the ``Field``.
+torus questions that need only a trace (Tr W^e for one e; is W or z a cube)
+run the Lucas/Dickson ladder V_e = Tr(W^e) on GF(s) alone (``_lucas``).
+Only Adleman-Manders-Miller on the torus works on pairs mod W^2 - aW + 1
+(``_quad_ring``, inline % p over GF(p)), and its non-cube (delta + W)^(s-1)
+is built as conj(u)^2/N(u) with u = delta + W: one inverse in GF(s) per
+candidate delta.  Nothing is cached per input; the constants that depend
+only on the field live on the ``Field``.
 
 ``brute_factor`` is an independent oracle: it scans every field element and
 never consults the criteria.  Keep it dumb; the tests rely on that.
@@ -182,36 +185,56 @@ def _quad_ring(F: Field, a: int):
     return tmul, tpow
 
 
+def _lucas(F: Field, a: int, e: int) -> int:
+    """V_e(a) = Tr(W^e) = W^e + W^-e in GF(s)[W]/(W^2 - aW + 1), e >= 0, on
+    counter values: the Lucas sequence V_0 = 2, V_1 = a, V_k+1 = a V_k - V_k-1,
+    which is the Dickson polynomial D_e(a, 1).  The ladder keeps
+    (V_k, V_k+1) over the bits of e, with V_2k = V_k^2 - 2 and
+    V_2k+1 = V_k V_k+1 - a: two products and two differences a bit."""
+    two = lo = 2 % F.p
+    hi = a
+    if F.m == 1:
+        p = F.p
+        for bit in bin(e)[2:]:
+            x = (lo * hi - a) % p  # V_2k+1
+            lo, hi = (x, (hi * hi - two) % p) if bit == "1" else ((lo * lo - two) % p, x)
+        return lo
+    sub, mul = F._sub, F._mul
+    for bit in bin(e)[2:]:
+        x = sub(mul(lo, hi), a)
+        lo, hi = (x, sub(mul(hi, hi), two)) if bit == "1" else (sub(mul(lo, lo), two), x)
+    return lo
+
+
 def _torus_roots(F: Field, a: int) -> list:
     """Tr(c) for every cube root c of W in GF(s)[W]/(W^2 - aW + 1), the
-    quadratic irreducible, on counter values (_quad_ring).
+    quadratic irreducible, on counter values.
 
-    Tr(c0 + c1 W) = 2 c0 + a c1.  W has norm 1, so it and its cube roots lie
-    in the cyclic torus T of order n = s + 1.  3 not dividing n: cubing is a
-    bijection on T, c = W^(3^-1 mod n).  3 | n: W is a cube iff
-    W^(n/3) = 1, and then _rth_roots (r = 3) runs on T with the non-cube
-    z = (delta + W)^(s-1) for the least delta with z^(n/3) != 1.  The
+    W has norm 1, so it and its cube roots lie in the cyclic torus T of order
+    n = s + 1, where an element z has z^k = 1 iff Tr(z^k) = 2 and Tr(z^k) is
+    the Lucas/Dickson value V_k(Tr z) (_lucas).  3 not dividing n: cubing is
+    a bijection on T, c = W^e with e = 3^-1 mod n, and Tr(c) = V_e(a).
+    3 | n: W is a cube iff V_n/3(a) = 2, and then _rth_roots (r = 3) runs on
+    T in _quad_ring's pairs c0 + c1 W, Tr = 2 c0 + a c1, with the non-cube
+    z = (delta + W)^(s-1) for the least delta with V_n/3(Tr z) != 2.  The
     Frobenius sends W to its conjugate a - W, so with u = delta + W,
     z = conj(u)/u = conj(u)^2/N(u), N(u) = delta^2 + a delta + 1: one
     inverse in GF(s) per candidate instead of a power in T.
     """
     add, sub, mul = F._add, F._sub, F._mul
     n = F.order + 1
-    one = (1, 0)
-    tmul, tpow = _quad_ring(F, a)
-    W = (0, 1)
     if n % 3:
-        cs = [tpow(W, pow(3, -1, n))]
-    elif tpow(W, n // 3) != one:
+        return [_lucas(F, a, pow(3, -1, n))]
+    two = 2 % F.p
+    if _lucas(F, a, n // 3) != two:
         return []
-    else:
-        for delta in range(F.order):
-            d = add(delta, a)  # conj(u) = d - W, conj(u)^2 = d^2 - 1 - (d + delta) W
-            ninv = F._pow(add(mul(delta, d), 1), -1)
-            z = (mul(sub(mul(d, d), 1), ninv), mul(F._neg(add(d, delta)), ninv))
-            if tpow(z, n // 3) != one:
-                break
-        cs = _rth_roots(W, 3, z, n, tmul, tpow)
+    for delta in range(F.order):
+        d = add(delta, a)  # conj(u) = d - W, conj(u)^2 = d^2 - 1 - (d + delta) W
+        ninv = F._pow(add(mul(delta, d), 1), -1)
+        z = (mul(sub(mul(d, d), 1), ninv), mul(F._neg(add(d, delta)), ninv))
+        if _lucas(F, add(add(z[0], z[0]), mul(a, z[1])), n // 3) != two:
+            break
+    cs = _rth_roots((0, 1), 3, z, n, *_quad_ring(F, a))
     return [add(add(c0, c0), mul(a, c1)) for c0, c1 in cs]
 
 
@@ -364,7 +387,11 @@ def bin_depressed(a: FieldElem) -> type:
     square cases, the roots w, 1/w of W^2 - aW + 1 lie in GF(s)* if it splits
     (Euler on a^2 - 4; Tr(1/a) = 0 for p = 2), else in the norm-1 torus, of
     order n = s -+ 1.  3 not dividing n: one cube root c of w, one root
-    c + 1/c; else three or none as W^(n/3) = 1 in GF(s)[W]/(W^2 - aW + 1)."""
+    c + 1/c; else three or none as W^(n/3) = 1 in GF(s)[W]/(W^2 - aW + 1),
+    read off the Lucas/Dickson ladder as V_n/3(a) = 2 (_lucas).  W^k has
+    norm 1, so Tr(W^k) = 2 makes it a root of (X - 1)^2; the ring is
+    GF(s) x GF(s) or GF(s^2), with no nilpotents past the square cases, so
+    W^k = 1 then, in every characteristic."""
     F, v = _family_param(a, DepressedTrace)
     s = F.order
     if (not v) if F.p == 2 else v in (2, F.p - 2):
@@ -374,7 +401,7 @@ def bin_depressed(a: FieldElem) -> type:
     n = s - 1 if split else s + 1
     if n % 3:
         return LinTimesQuad
-    return ThreeDistinct if _quad_ring(F, v)[1]((0, 1), n // 3) == (1, 0) else Irreducible
+    return ThreeDistinct if _lucas(F, v, n // 3) == 2 % F.p else Irreducible
 
 
 def bin_char3(a: FieldElem) -> type:

@@ -13,10 +13,13 @@ groups the places by valuation without factoring, and in divisor_of).
 residue_field returns a ResidueData bundle: the residue field GF(q^d)
 itself, the embedding GF(q) -> GF(q^d), and the distinguished root of the
 carrier (the least one), so that reduction is literally evaluation at the
-root.  ResidueData.lift inverts reduction on polynomials of degree < d,
-which the local Artin-Schreier machinery in arith relies on.  unit_residue
-gives v_P(a) together with the residue of a * pi^(-v) from that evaluation,
-which runs on counter values in the base's polynomial kernel.
+root: one Horner pass on counter values in the residue field's kernel, over
+the coefficients' images under the embedding's table.  ResidueData.lift
+inverts reduction on polynomials of degree < d, which the local
+Artin-Schreier machinery in arith relies on.  unit_residue gives v_P(a)
+together with the residue of a * pi^(-v) from that evaluation.  Every entry
+point that takes a function and a place raises FieldMismatch when the
+function lives over another base field.
 """
 from __future__ import annotations
 
@@ -24,7 +27,7 @@ import functools
 import math
 from typing import Iterator, Optional, Tuple, Union
 
-from .errors import DomainMismatch, NegativeValuation, SizeExceeded, ZeroInput
+from .errors import DomainMismatch, FieldMismatch, NegativeValuation, SizeExceeded, ZeroInput
 from .ffield import FieldElem, _divmod, _horner, _irreducibles, _kernel, field_make, solve_modp
 from .polyring import (Embedding, FuncField, Poly, RatFunc, _squarefree_decomposition, _store,
                        embedding, factor_fq, func_field, is_irreducible, poly_roots)
@@ -34,13 +37,18 @@ PLACE_SCAN_LIMIT = 1 << 16  # places_up_to scans at most this many carriers per 
 
 
 class Place:
-    """A place of GF(q)(x): finite (monic irreducible carrier) or infinite."""
+    """A place of GF(q)(x): finite (monic irreducible carrier) or infinite.
 
-    __slots__ = ("ff", "pi")
+    The hash is computed on the first hash() and kept, so building places
+    costs no hashing and every later cache lookup costs no rehashing.
+    """
+
+    __slots__ = ("ff", "pi", "_hash")
 
     def __init__(self, ff: FuncField, pi: Optional[Poly]):
         self.ff = ff
         self.pi = pi
+        self._hash = None
 
     @staticmethod
     def finite(pi: Poly) -> "Place":
@@ -85,7 +93,9 @@ class Place:
         return self.pi == other.pi
 
     def __hash__(self):
-        return hash((id(self.ff), None if self.pi is None else self.pi.coeffs))
+        if self._hash is None:
+            self._hash = hash((id(self.ff), None if self.pi is None else self.pi.coeffs))
+        return self._hash
 
     def __lt__(self, other):
         return self.sort_key() < other.sort_key()
@@ -108,6 +118,8 @@ def _strip(K, f: list, pi: list) -> Tuple[int, list]:
 
 def valuation(a: RatFunc, P: Place) -> Union[int, float]:
     """v_P(a); +infinity for a = 0."""
+    if a.ff is not P.ff:
+        raise FieldMismatch("the function and the place are over different fields")
     if a.is_zero():
         return INFINITE_VALUATION
     if P.is_infinite:
@@ -137,11 +149,12 @@ class ResidueData:
     embed  -- the embedding GF(q) -> field
     root   -- the least root of the carrier in field (None at infinity)
 
-    A finite place also keeps the base kernel, the carrier's list and the
-    counter values of root^i, i < d: evaluation runs on these.
+    A finite place also keeps the base kernel and the carrier's list, for
+    stripping powers of the carrier, and the residue field's kernel, for
+    evaluation on the images of embed's table.
     """
 
-    __slots__ = ("place", "field", "embed", "root", "_kernel", "_carrier", "_powers")
+    __slots__ = ("place", "field", "embed", "root", "_kernel", "_carrier", "_rkernel")
 
     def __init__(self, place: Place, field, embed: Embedding, root):
         self.place = place
@@ -151,26 +164,23 @@ class ResidueData:
         if root is not None:
             self._kernel = K = _kernel(place.ff.field)
             self._carrier = K.load(place.pi)
-            self._powers = [field._pow(root.value, i) for i in range(place.degree)]
+            self._rkernel = _kernel(field)
 
     def eval_poly(self, f: Poly) -> FieldElem:
         """f(root) with coefficients pushed through the embedding."""
         if self.place.is_infinite:
             raise DomainMismatch("no carrier root at infinity")
+        if f.dom is not self.place.ff.field:
+            raise FieldMismatch("the polynomial is over another field than the place")
         return FieldElem(self.field, self._eval(self._kernel.load(f)))
 
     def _eval(self, f: list) -> int:
-        """The counter value of f(root) for a base kernel list f: Horner's rule
-        in the base at degree 1, else f mod the carrier, its d coefficients'
-        images times the root powers."""
-        K, powers = self._kernel, self._powers
-        if len(powers) == 1:
-            return _horner(K, f, self.root.value)
-        k, image = self.field, self.embed.value_image
-        acc = 0
-        for c, r in zip(_divmod(K, f, self._carrier)[1], powers):
-            acc = k._add(acc, k._mul(image(c), r))
-        return acc
+        """The counter value of f(root) for a base kernel list f: one Horner
+        pass in the residue field on the coefficients' images."""
+        images = self.embed.images
+        if images is not None:
+            f = [images[c] for c in f]
+        return _horner(self._rkernel, f, self.root.value)
 
     def reduce(self, a: RatFunc) -> FieldElem:
         """The residue of a at the place; caller guarantees v_P(a) >= 0."""
@@ -186,8 +196,8 @@ class ResidueData:
         if c.field is not self.field:
             raise DomainMismatch("element not in the residue field")
         m, k, image = base.m, self.field, self.embed.value_image
-        cols = [FieldElem(k, k._mul(image(base.p ** j), r)).coeffs
-                for r in self._powers for j in range(m)]
+        cols = [FieldElem(k, k._mul(image(base.p ** j), k._pow(self.root.value, i))).coeffs
+                for i in range(self.place.degree) for j in range(m)]
         sol = solve_modp(list(zip(*cols)), c.coeffs, base.p)
         coeffs = [base.elem(sol[i * m:(i + 1) * m]) for i in range(self.place.degree)]
         return Poly(base, coeffs)
@@ -219,6 +229,8 @@ def unit_residue_of(num: Poly, den: Poly, P: Place) -> Tuple[int, FieldElem]:
     infinity lc(num)/lc(den); at a finite place pi, the minimal polynomial of
     the root, divides num or den exactly when it vanishes there, and that side
     is divided by pi until it does not before it is evaluated."""
+    if num.dom is not P.ff.field or den.dom is not P.ff.field:
+        raise FieldMismatch("the function and the place are over different fields")
     if not num:
         raise ZeroInput("the zero function has no unit part")
     if P.is_infinite:

@@ -38,7 +38,7 @@ from . import ffield
 from .errors import (DivisionByZero, DomainMismatch, FieldMismatch,
                      SizeExceeded, ZeroDenominator, ZeroPolynomial)
 from .ffield import (Field, FieldElem, _Kernel, _add, _digits, _divmod, _gcd, _horner,
-                     _irreducible, _kernel, _monic, _mul, _powmod, _scale, _sub, _trim)
+                     _irreducible, _kernel, _monic, _mul, _powmod, _scale, _span, _sub, _trim)
 
 FACTOR_SEED = 2718281828459045
 FACTOR_DEGREE_LIMIT = 512
@@ -676,14 +676,24 @@ def xgcd(a: Poly, b: Poly):
 
 class Embedding:
     """The field embedding sending F1's generator to the least root of F1's
-    modulus inside F2.  Callable on elements of F1."""
+    modulus inside F2.  Callable on elements of F1.
 
-    __slots__ = ("src", "dst", "root")
+    images -- None where the map is the identity on counter values (src is
+    GF(p), or src is dst); else the counter values of the images
+    sum d_j root^j of all src.order elements d, listed by value.  It is built
+    with the embedding, which embedding() makes on the first request for the
+    pair.  src is then a proper subfield, so src.order^2 <= dst.order <=
+    MAX_ORDER and the table holds at most 2^10 entries.
+    """
+
+    __slots__ = ("src", "dst", "root", "images")
 
     def __init__(self, src: Field, dst: Field, root: FieldElem):
         self.src = src
         self.dst = dst
         self.root = root
+        self.images = None if src.m == 1 or src is dst else _span(
+            [dst._pow(root.value, j) for j in range(src.m)], src.p, dst._add)
 
     def __call__(self, e: FieldElem) -> FieldElem:
         if e.field is not self.src:
@@ -691,12 +701,9 @@ class Embedding:
         return FieldElem(self.dst, self.value_image(e.value))
 
     def value_image(self, v: int) -> int:
-        """The counter value of the image of the element of value v: c in GF(p)
-        maps to c*1, value c; else v's digits are a polynomial taken at root."""
-        src = self.src
-        if src.m == 1:
-            return v
-        return _horner(_kernel(self.dst), _digits(v, src.p, src.m), self.root.value)
+        """The counter value of the image of the element of value v."""
+        images = self.images
+        return v if images is None else images[v]
 
 
 @functools.lru_cache(maxsize=None)
