@@ -79,9 +79,9 @@ class _Kernel:
     the field's bound ops on them; over GF(p) (p set, else 0) the loops of
     _mul, _divmod and _horner reduce % p inline instead.  Over any other
     domain the entries are the elements and the operations their operators.
-    load unwraps a Poly and value/elem unwrap and wrap one element (value
-    refuses another field's element); of_int gives the entry of an integer,
-    over GF(q)(x) from the constants kept in ints by n mod p.
+    A Poly holds these entries (load reads them); value/elem unwrap and wrap
+    one element (value refuses another field's element); of_int gives an
+    integer's entry, elsewhere from the ints cache keyed by n mod p.
     """
 
     __slots__ = ("dom", "field", "p", "zero", "one", "add", "sub", "mul", "inv", "ints")
@@ -106,8 +106,8 @@ class _Kernel:
         except TypeError:
             raise DomainMismatch("division needs a monic divisor over this domain")
 
-    def load(self, f) -> list:
-        return [c.value for c in f.coeffs] if self.field else list(f.coeffs)
+    def load(self, f) -> tuple:
+        return f.vals
 
     def of_int(self, n: int):
         if self.field:

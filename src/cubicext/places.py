@@ -37,18 +37,13 @@ PLACE_SCAN_LIMIT = 1 << 16  # places_up_to scans at most this many carriers per 
 
 
 class Place:
-    """A place of GF(q)(x): finite (monic irreducible carrier) or infinite.
+    """A place of GF(q)(x): finite (monic irreducible carrier) or infinite."""
 
-    The hash is computed on the first hash() and kept, so building places
-    costs no hashing and every later cache lookup costs no rehashing.
-    """
-
-    __slots__ = ("ff", "pi", "_hash")
+    __slots__ = ("ff", "pi")
 
     def __init__(self, ff: FuncField, pi: Optional[Poly]):
         self.ff = ff
         self.pi = pi
-        self._hash = None
 
     @staticmethod
     def finite(pi: Poly) -> "Place":
@@ -93,9 +88,7 @@ class Place:
         return self.pi == other.pi
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((id(self.ff), None if self.pi is None else self.pi.coeffs))
-        return self._hash
+        return hash((id(self.ff), None if self.pi is None else self.pi.vals))
 
     def __lt__(self, other):
         return self.sort_key() < other.sort_key()
@@ -125,10 +118,9 @@ def valuation(a: RatFunc, P: Place) -> Union[int, float]:
     if P.is_infinite:
         return a.den.degree - a.num.degree
     # the fraction is reduced, so at most one of num/den is divisible
-    K = _kernel(P.ff.field)
-    pi = K.load(P.pi)
-    v = _strip(K, K.load(a.num), pi)[0]
-    return v if v else -_strip(K, K.load(a.den), pi)[0]
+    K, pi = _kernel(P.ff.field), P.pi.vals
+    v = _strip(K, a.num.vals, pi)[0]
+    return v if v else -_strip(K, a.den.vals, pi)[0]
 
 
 def uniformizer(P: Place) -> RatFunc:
@@ -149,12 +141,12 @@ class ResidueData:
     embed  -- the embedding GF(q) -> field
     root   -- the least root of the carrier in field (None at infinity)
 
-    A finite place also keeps the base kernel and the carrier's list, for
-    stripping powers of the carrier, and the residue field's kernel, for
-    evaluation on the images of embed's table.
+    A finite place also keeps the base kernel, for stripping powers of the
+    carrier, and the residue field's kernel, for evaluation on the images of
+    embed's table.
     """
 
-    __slots__ = ("place", "field", "embed", "root", "_kernel", "_carrier", "_rkernel")
+    __slots__ = ("place", "field", "embed", "root", "_kernel", "_rkernel")
 
     def __init__(self, place: Place, field, embed: Embedding, root):
         self.place = place
@@ -162,8 +154,7 @@ class ResidueData:
         self.embed = embed
         self.root = root
         if root is not None:
-            self._kernel = K = _kernel(place.ff.field)
-            self._carrier = K.load(place.pi)
+            self._kernel = _kernel(place.ff.field)
             self._rkernel = _kernel(field)
 
     def eval_poly(self, f: Poly) -> FieldElem:
@@ -172,7 +163,7 @@ class ResidueData:
             raise DomainMismatch("no carrier root at infinity")
         if f.dom is not self.place.ff.field:
             raise FieldMismatch("the polynomial is over another field than the place")
-        return FieldElem(self.field, self._eval(self._kernel.load(f)))
+        return FieldElem(self.field, self._eval(f.vals))
 
     def _eval(self, f: list) -> int:
         """The counter value of f(root) for a base kernel list f: one Horner
@@ -214,7 +205,7 @@ def residue_field(P: Place) -> ResidueData:
     if d == 1:
         root = emb(-P.pi.coeff(0))
     else:
-        lifted = Poly(k, [emb(c) for c in P.pi.coeffs])
+        lifted = _store(_kernel(k), map(emb.value_image, P.pi.vals))
         root = poly_roots(lifted)[0]
     return ResidueData(P, k, emb, root)
 
@@ -236,14 +227,14 @@ def unit_residue_of(num: Poly, den: Poly, P: Place) -> Tuple[int, FieldElem]:
     if P.is_infinite:
         return den.degree - num.degree, num.lc / den.lc
     rd = residue_field(P)
-    K, k = rd._kernel, rd.field
-    ns, ds = K.load(num), K.load(den)
+    K, k, pi = rd._kernel, rd.field, P.pi.vals
+    ns, ds = num.vals, den.vals
     v, n, d = 0, rd._eval(ns), rd._eval(ds)
     if not n:  # coprime, so at most one of n, d is zero
-        v, ns = _strip(K, ns, rd._carrier)
+        v, ns = _strip(K, ns, pi)
         n = rd._eval(ns)
     elif not d:
-        v, ds = _strip(K, ds, rd._carrier)
+        v, ds = _strip(K, ds, pi)
         v, d = -v, rd._eval(ds)
     return v, FieldElem(k, k._div(n, d))
 

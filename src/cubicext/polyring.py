@@ -7,16 +7,17 @@ the zero polynomial has an empty tuple and degree -1.
 
 Add, sub, mul, divmod, monic, gcd, powmod, xgcd and Horner evaluation run
 in one kernel on coefficient lists, which lives in ffield and is
-parametrised by the domain's ffield._Kernel.  Over a Field a Poly's
-FieldElem coefficients are unwrapped once to their counter values, the
-kernel computes on ints with the field's own _add/_sub/_mul/_pow (over GF(p)
-the quadratic loops reduce % p inline), and _store wraps the result once;
-gcd, powmod, xgcd and the squarefree decomposition stay on int lists from
-start to end.  Over other domains the kernel runs on the elements'
-operators.  Division is the classical quadratic one and accepts non-monic
-divisors.  The squarefree decomposition, factor_fq's first step, alone
-answers what needs only multiplicities; like factor_fq it refuses a degree
-above FACTOR_DEGREE_LIMIT before any work.
+parametrised by the domain's ffield._Kernel.  A Poly holds its
+coefficients as kernel values (vals), which every kernel call reads as they
+are: over a Field their counter values, unwrapped once when the Poly is
+built from FieldElems (another field's element is refused) and wrapped by
+coeffs, lc and coeff(i) on access, so the kernel computes on ints with the
+field's own _add/_sub/_mul/_pow (over GF(p) the quadratic loops reduce % p
+inline); over other domains the elements, on their operators.  Division is
+the classical quadratic one and accepts non-monic divisors.  The squarefree
+decomposition, factor_fq's first step, alone answers what needs only
+multiplicities; like factor_fq it refuses a degree above
+FACTOR_DEGREE_LIMIT before any work.
 
 Rational functions are kept reduced with a monic denominator, so equal
 functions have equal representations.
@@ -48,32 +49,35 @@ FACTOR_DEGREE_LIMIT = 512
 # polynomials
 # ---------------------------------------------------------------------------
 
-def _store(K: _Kernel, cs: list) -> Poly:
-    F = K.field
+def _store(K: _Kernel, vals) -> Poly:
     out = Poly.__new__(Poly)
     out.dom = K.dom
-    out.coeffs = tuple([FieldElem(F, v) for v in cs]) if F else tuple(cs)
+    out.vals = tuple(vals)
     return out
 
 
 def _binop(kernel_op):
-    """A Poly operator: kernel_op(K, a, b) on the coefficient lists of self
-    and of other (a Poly over the same domain, an int or a domain element)."""
+    """A Poly operator: kernel_op(K, a, b) on the kernel values of self and
+    of other (a Poly over the same domain, an int or a domain element)."""
     def op(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         K = _kernel(self.dom)
-        return _store(K, kernel_op(K, K.load(self), K.load(o)))
+        return _store(K, kernel_op(K, self.vals, o.vals))
     return op
 
 
 class Poly:
-    __slots__ = ("dom", "coeffs")
+    """A polynomial over dom: vals is the trimmed tuple of its coefficients'
+    kernel values, low degree first, and coeffs the domain elements."""
+
+    __slots__ = ("dom", "vals")
 
     def __init__(self, dom, coeffs: Sequence):
         self.dom = dom
-        self.coeffs = tuple(_trim(list(coeffs)))
+        value = _kernel(dom).value  # refuses an element of another field
+        self.vals = tuple(_trim([value(c) for c in coeffs]))
 
     # -- constructors -------------------------------------------------------
 
@@ -100,26 +104,30 @@ class Poly:
     # -- structure ----------------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple:
+        return tuple(map(_kernel(self.dom).elem, self.vals))
+
+    @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.vals) - 1
 
     @property
     def lc(self):
-        if not self.coeffs:
+        if not self.vals:
             raise ZeroPolynomial("leading coefficient of 0")
-        return self.coeffs[-1]
+        return _kernel(self.dom).elem(self.vals[-1])
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.vals
 
     def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == self.dom.one
+        return bool(self.vals) and self.vals[-1] == _kernel(self.dom).one
 
     def coeff(self, i: int):
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else self.dom.zero
+        return _kernel(self.dom).elem(self.vals[i]) if 0 <= i < len(self.vals) else self.dom.zero
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.vals)
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -141,7 +149,8 @@ class Poly:
     __mul__ = __rmul__ = _binop(_mul)
 
     def __neg__(self):
-        return Poly(self.dom, [-c for c in self.coeffs])
+        K = _kernel(self.dom)
+        return _store(K, _sub(K, (), self.vals))
 
     def __pow__(self, e: int):
         if not isinstance(e, int) or e < 0:
@@ -162,7 +171,7 @@ class Poly:
         if o.is_zero():
             raise DivisionByZero("polynomial division by zero")
         K = _kernel(self.dom)
-        q, r = _divmod(K, K.load(self), K.load(o))
+        q, r = _divmod(K, self.vals, o.vals)
         return _store(K, q), _store(K, r)
 
     def __floordiv__(self, other):
@@ -177,36 +186,36 @@ class Poly:
         if self.is_monic():
             return self
         K = _kernel(self.dom)
-        return _store(K, _monic(K, K.load(self)))
+        return _store(K, _monic(K, self.vals))
 
     def gcd(self, other: "Poly") -> "Poly":
         """The monic gcd (zero when both are zero)."""
         K = _kernel(self.dom)
-        return _store(K, _gcd(K, K.load(self), K.load(self._coerce(other))))
+        return _store(K, _gcd(K, self.vals, self._coerce(other).vals))
 
     def derivative(self) -> "Poly":
-        return Poly(self.dom, [self.coeffs[i] * i for i in range(1, len(self.coeffs))])
+        K, vs = _kernel(self.dom), self.vals
+        return _store(K, _trim([K.mul(vs[i], K.of_int(i)) for i in range(1, len(vs))]))
 
     def __call__(self, v):
-        """Horner evaluation at an element of the coefficient domain."""
+        """Horner evaluation at an element of the coefficient domain or an int."""
         K = _kernel(self.dom)
-        if K.field is None:
-            return _horner(K, self.coeffs, v)
-        F = K.field
-        v = F.zero + v  # coerces an int, refuses an element of another field
-        return FieldElem(F, _horner(K, K.load(self), v.value))
+        v = K.of_int(v) if isinstance(v, int) else K.value(v)
+        return K.elem(_horner(K, self.vals, v))
 
     def compose(self, q: "Poly") -> "Poly":
-        acc = Poly.zero(self.dom)
-        for c in reversed(self.coeffs):
-            acc = acc * q + Poly.const(self.dom, c)
-        return acc
+        K, qv = _kernel(self.dom), self._coerce(q).vals
+        acc = []
+        for c in reversed(self.vals):
+            acc = _add(K, _mul(K, acc, qv), [c])
+        return _store(K, acc)
 
     def shift(self, k: int) -> "Poly":
         """Multiply by gen^k."""
         if self.is_zero():
             return self
-        return Poly(self.dom, (self.dom.zero,) * k + self.coeffs)
+        K = _kernel(self.dom)
+        return _store(K, (K.zero,) * k + self.vals)
 
     # -- comparisons / ordering ----------------------------------------------
 
@@ -214,14 +223,14 @@ class Poly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.coeffs == o.coeffs
+        return self.vals == o.vals
 
     def __hash__(self):
-        return hash((id(self.dom), self.coeffs))
+        return hash((id(self.dom), self.vals))
 
     def counter_key(self):
         """(degree, high-first value tuple): the package-wide polynomial order."""
-        return (self.degree, tuple(c.value for c in reversed(self.coeffs)))
+        return (self.degree, self.vals[::-1])
 
     # -- rendering -------------------------------------------------------------
 
@@ -267,10 +276,11 @@ class PolyRing:
     """Adapter letting Poly-over-D serve as the coefficient domain of an
     outer Poly.  Division by non-monic outer divisors is refused."""
 
-    __slots__ = ("dom", "zero", "one")
+    __slots__ = ("dom", "field", "zero", "one")
 
     def __init__(self, dom):
         self.dom = dom
+        self.field = dom if isinstance(dom, Field) else dom.field  # of_int reduces by its p
         self.zero = Poly.zero(dom)
         self.one = Poly.one(dom)
 
@@ -298,8 +308,6 @@ class FuncField:
         return self.from_elem(self.field.from_int(n))
 
     def from_elem(self, c: FieldElem) -> "RatFunc":
-        if c.field is not self.field:
-            raise FieldMismatch("constant from a different field")
         return RatFunc(self, Poly.const(self.field, c), Poly.one(self.field), reduced=True)
 
     def from_poly(self, f: Poly) -> "RatFunc":
@@ -452,7 +460,7 @@ class RatFunc:
         return self.num == o.num and self.den == o.den
 
     def __hash__(self):
-        return hash((id(self.ff), self.num.coeffs, self.den.coeffs))
+        return hash((id(self.ff), self.num.vals, self.den.vals))
 
     # -- rendering ----------------------------------------------------------------
 
@@ -495,7 +503,7 @@ def quadratic_roots(f: Poly) -> tuple:
 
 def _powmod_q(base: Poly, e: int, mod: Poly) -> Poly:
     K = _kernel(base.dom)
-    return _store(K, _powmod(K, K.load(base), e, K.load(mod)))
+    return _store(K, _powmod(K, base.vals, e, mod.vals))
 
 
 def is_irreducible(f: Poly) -> bool:
@@ -507,7 +515,7 @@ def is_irreducible(f: Poly) -> bool:
     if f.degree == 0:
         return False
     K = _kernel(f.dom)
-    return _irreducible(K, _monic(K, K.load(f)))
+    return _irreducible(K, _monic(K, f.vals))
 
 
 def monic_polys(F: Field, d: int) -> Iterator[Poly]:
@@ -531,7 +539,7 @@ def _pth_root(K: _Kernel, f: list) -> list:
 
 def _pth_root_poly(f: Poly) -> Poly:
     K = _kernel(f.dom)
-    return _store(K, _pth_root(K, K.load(f)))
+    return _store(K, _pth_root(K, f.vals))
 
 
 def _squarefree_decomposition(f: Poly) -> list:
@@ -543,7 +551,7 @@ def _squarefree_decomposition(f: Poly) -> list:
         raise SizeExceeded(f"degree {f.degree} exceeds {FACTOR_DEGREE_LIMIT}")
     K = _kernel(f.dom)
     p, mul = K.field.p, K.mul
-    f = K.load(f)
+    f = f.vals
     out = []
     e = 1
     while len(f) > 1:
@@ -596,24 +604,20 @@ def _equal_degree_split(f: Poly, d: int, rng: random.Random) -> list:
     F = f.dom
     if f.degree == d:
         return [f]
-    q = F.order
-    n = f.degree
+    K, q, n, fl = _kernel(F), F.order, f.degree, f.vals
     while True:
-        r = Poly(F, [F.from_value(rng.randrange(q)) for _ in range(n)])
-        if r.degree < 1:
+        r = _trim([rng.randrange(q) for _ in range(n)])
+        if len(r) < 2:
             continue
         if F.p == 2:  # the trace map r + r^2 + ... + r^(2^(dm-1)) mod f
-            K = _kernel(F)
-            fl = K.load(f)
-            t = _divmod(K, K.load(r), fl)[1]
+            t = _divmod(K, r, fl)[1]
             w = []
             for _ in range(d * F.m):
                 w = _add(K, w, t)
                 t = _divmod(K, _mul(K, t, t), fl)[1]
-            w = _store(K, w)
         else:
-            w = _powmod_q(r, (q ** d - 1) // 2, f) - Poly.one(F)
-        g = f.gcd(w)
+            w = _sub(K, _powmod(K, r, (q ** d - 1) // 2, fl), [1])
+        g = _store(K, _gcd(K, fl, w))
         if 0 < g.degree < f.degree:
             return (_equal_degree_split(g, d, rng)
                     + _equal_degree_split(f // g, d, rng))
@@ -656,7 +660,7 @@ def poly_roots(f: Poly) -> list:
 def xgcd(a: Poly, b: Poly):
     """(g, u, v) with u*a + v*b = g, g the monic gcd (or zero)."""
     K = _kernel(a.dom)
-    r0, r1 = K.load(a), K.load(a._coerce(b))
+    r0, r1 = a.vals, a._coerce(b).vals
     s0, s1 = [K.one], []
     t0, t1 = [], [K.one]
     while r1:
