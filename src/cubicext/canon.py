@@ -21,7 +21,9 @@ of maps is then the matrix product.  Matrices are normalized projectively
 
 The reduction is one value-level core, _reduce_values, on the base's
 ffield._Kernel (counter values over GF(q), RatFuncs over GF(q)(x)); ffcubic
-calls it directly, and reduce_cubic is the one site that wraps its values.
+calls it directly, and reduce_cubic is the one site that wraps its values:
+it normalises the map's raw entries on values (FracLinear._normalise, the
+normaliser the public constructor also ends in) and wraps each entry once.
 
 isom decides whether two canonical cubics define the same extension and
 raises ReducibleInput through require_irreducible, the package's one
@@ -163,14 +165,21 @@ class FracLinear:
 
     def __post_init__(self):
         K = _kernel(base_of(self.m00))
-        m00, m01, m10, m11 = ms = [K.value(m) for m in self.entries()]
+        self._normalise(K, *map(K.value, self.entries()))
+
+    def _normalise(self, K, *ms) -> "FracLinear":
+        """Store the kernel values ms = (m00, m01, m10, m11), scaled so the
+        first nonzero one is 1, wrapped once; SingularMatrix on det 0."""
+        m00, m01, m10, m11 = ms
         if not K.sub(K.mul(m00, m11), K.mul(m01, m10)):
             raise SingularMatrix("zero determinant")
         pivot = next(m for m in ms if m)
         if pivot != K.one:
             inv = K.inv(pivot)
-            for name, m in zip(("m00", "m01", "m10", "m11"), ms):
-                object.__setattr__(self, name, K.elem(K.mul(m, inv)))
+            ms = [K.mul(m, inv) for m in ms]
+        for name, m in zip(("m00", "m01", "m10", "m11"), ms):
+            object.__setattr__(self, name, K.elem(m))
+        return self
 
     @staticmethod
     @functools.lru_cache(maxsize=None)
@@ -214,15 +223,18 @@ def reduce_cubic(T: Cubic):
     w = K.elem
     shape = (Reducible(w(params[0]), (w(params[1]), w(params[2]))) if cls is Reducible
              else cls(w(params[0])))
-    return shape, FracLinear.identity(b) if m is None else FracLinear(*map(w, m))
+    if m is None:
+        return shape, FracLinear.identity(b)
+    return shape, object.__new__(FracLinear)._normalise(K, *m)  # the map's one wrap
 
 
 def _reduce_values(K, e, f, g) -> tuple:
     """reduce_cubic on the kernel values of X^3 + eX^2 + fX + g: (shape class,
     parameters, map entries).  The parameters are (a,) for a family and
-    (root, b, c) for Reducible; the entries (m00, m01, m10, m11) are not
-    normalised, and are None for the identity."""
-    add, sub, mul, n = K.add, K.sub, K.mul, K.of_int
+    (root, b, c) for Reducible; the entries (m00, m01, m10, m11) stay raw
+    kernel values, not normalised (decompose_any reads them as they are), and
+    are None for the identity."""
+    add, sub, mul = K.add, K.sub, K.mul
     if not g:
         return Reducible, (K.zero, e, f), None
     f2 = mul(f, f)
@@ -243,26 +255,33 @@ def _reduce_values(K, e, f, g) -> tuple:
             a = mul(t, K.inv(mul(e3, e3)))
             return Char3, (a,), (sub(K.zero, mul(f, e4)), mul(e4, e), t, K.zero)
     else:
-        efg, g27 = mul(mul(e, f), g), mul(n(27), mul(g, g))
+        two, three, six, nine, n27, minus2, minus3 = _constants(K)
+        efg, g27 = mul(mul(e, f), g), mul(n27, mul(g, g))
         # a detected rational root ends the reduction
-        t = sub(add(g27, mul(n(2), f3)), mul(n(9), efg))
+        t = sub(add(g27, mul(two, f3)), mul(nine, efg))
         if not t:
-            r = mul(mul(n(-3), g), K.inv(f))  # f != 0 here, else g would be 0
-        elif not e and f == n(-3):
+            r = mul(mul(minus3, g), K.inv(f))  # f != 0 here, else g would be 0
+        elif not e and f == minus3:
             return DepressedTrace, (sub(K.zero, g),), None
         else:
-            eg3 = mul(n(3), mul(e, g))
+            eg3 = mul(three, mul(e, g))
             if eg3 == f2:
-                g3 = mul(n(3), g)
+                g3 = mul(three, g)
                 a = mul(mul(g27, g), K.inv(sub(f3, g27)))
                 return Pure, (a,), (g3, f, K.zero, g3)
             d = sub(eg3, f2)
-            a = sub(n(-2), mul(mul(t, t), K.inv(mul(mul(d, d), d))))
-            gd3 = mul(mul(n(3), g), d)
+            a = sub(minus2, mul(mul(t, t), K.inv(mul(mul(d, d), d))))
+            gd3 = mul(mul(three, g), d)
             return DepressedTrace, (a,), (gd3, mul(f, d), gd3,
-                                          sub(add(f3, g27), mul(n(6), efg)))
+                                          sub(add(f3, g27), mul(six, efg)))
     er = add(e, r)
     return Reducible, (r, er, add(f, mul(r, er))), None
+
+
+@functools.lru_cache(maxsize=None)
+def _constants(K) -> tuple:
+    """The kernel values of 2, 3, 6, 9, 27, -2, -3: _reduce_values' constants."""
+    return tuple(map(K.of_int, (2, 3, 6, 9, 27, -2, -3)))
 
 
 def cubic_of(shape) -> Cubic:

@@ -13,7 +13,9 @@ are: over a Field their counter values, unwrapped once when the Poly is
 built from FieldElems (another field's element is refused) and wrapped by
 coeffs, lc and coeff(i) on access, so the kernel computes on ints with the
 field's own _add/_sub/_mul/_pow (over GF(p) the quadratic loops reduce % p
-inline); over other domains the elements, on their operators.  Division is
+inline); over other domains the elements, on their operators, each coerced
+into the domain when the Poly is built (a GF(q) constant becomes a RatFunc,
+another field's element is refused), so equal Polys hash equal.  Division is
 the classical quadratic one and accepts non-monic divisors.  The squarefree
 decomposition, factor_fq's first step, alone answers what needs only
 multiplicities; like factor_fq it refuses a degree above
@@ -76,7 +78,9 @@ class Poly:
 
     def __init__(self, dom, coeffs: Sequence):
         self.dom = dom
-        value = _kernel(dom).value  # refuses an element of another field
+        # refuses another field's element; coerces a constant into GF(q)(x)
+        value = (_kernel(dom).value if isinstance(dom, Field)
+                 else functools.partial(_domain_elem, dom))
         self.vals = tuple(_trim([value(c) for c in coeffs]))
 
     # -- constructors -------------------------------------------------------
@@ -270,6 +274,13 @@ def _as_domain_elem(dom, v):
         if isinstance(v, Poly) and v.dom is dom.dom:
             return v
     return None
+
+
+def _domain_elem(dom, v):
+    c = _as_domain_elem(dom, v)
+    if c is None:
+        raise FieldMismatch(f"{v!r} is not an element of {dom!r}")
+    return c
 
 
 class PolyRing:
