@@ -20,9 +20,12 @@ Local normalisation comes first in each family:
 
 Each signature reads its two local quantities, v_P(a) and the residue of the
 unit part a * pi^(-v), off one evaluation of a's numerator and denominator at
-the carrier's root (``places.unit_residue``), and then only the bin of the
-residual cubic (``ffcubic.bin_*``), never its roots; no RatFunc is built for
-them, nor for the odd-p resolvent.  Only the char-3 poles of order divisible
+the carrier's root (``places._unit_residue_value``, a counter value in the
+residue field), and then only the bin of the residual cubic (the value-level
+``ffcubic._bin_*``), never its roots; no RatFunc is built for them, nor for
+the odd-p resolvent.  The residue is wrapped as a FieldElem only on the rare
+branches: the resolvent at a residual double root, and the characteristic-3
+surgery and square class.  Only the char-3 poles of order divisible
 by three still go through the RatFunc surgery of ``char3_local_form``.
 
 The characteristic-2 resolvent is additive: ``as_local_reduce`` strips its
@@ -45,11 +48,11 @@ from .errors import (
     WrongFieldClass,
     ZeroInput,
 )
-from .ffcubic import (Irreducible, LinTimesQuad, LinTimesSquare, ThreeDistinct, bin_char3,
-                      bin_depressed, bin_pure)
+from .ffcubic import (Irreducible, LinTimesQuad, LinTimesSquare, ThreeDistinct, _bin_char3,
+                      _bin_depressed, _bin_pure, _family_field)
 from .ffield import Cube, Square, cube_classify, record, square_classify, trace_to_prime
-from .places import (Place, divisor_groups, group_places, residue_field, uniformizer,
-                     unit_residue, unit_residue_of, valuation)
+from .places import (Place, _unit_residue_value, divisor_groups, group_places, residue_field,
+                     uniformizer, unit_residue, unit_residue_of, valuation)
 from .polyring import RatFunc, _squarefree_decomposition
 
 
@@ -177,10 +180,10 @@ def pure_local_form(a: RatFunc, P: Place) -> Tuple[RatFunc, RatFunc]:
 
 def signature_pure(ext: Extension, P: Place) -> Signature:
     # v = 3j: the residue of a * pi^(-v) is that of pure_local_form's a'
-    v, res = unit_residue(ext.form.a, P)
+    v, k, r = _unit_residue_value(ext.form.a.num, ext.form.a.den, P)
     if v % 3 != 0:
         return SIG_FULLY_RAMIFIED
-    return _UNRAMIFIED[bin_pure(res)]
+    return _UNRAMIFIED[_bin_pure(_family_field(k, Pure), r)]
 
 
 # -- characteristic-2 resolvent ---------------------------------------------
@@ -281,20 +284,20 @@ def _resolvent_odd(a: RatFunc, P: Place, v: int, r) -> ResolventBehavior:
 
 
 def signature_depressed(ext: Extension, P: Place) -> Signature:
-    a = ext.form.a
-    v, res = unit_residue(a, P)
+    a = ext.form.a  # p != 3, as Extension checks
+    v, k, r = _unit_residue_value(a.num, a.den, P)
     if v < 0:
         if v % 3 != 0:
             return SIG_FULLY_RAMIFIED
         # deep pole: y = z/pi^(v/3) turns the form into z^3 = a*pi^(-v) + small,
         # a separable pure residual
-        return _UNRAMIFIED[bin_pure(res)]
-    kind = bin_depressed(res if v == 0 else res.field.zero)
+        return _UNRAMIFIED[_bin_pure(k, r)]
+    kind = _bin_depressed(k, r if v == 0 else 0)
     if kind is not LinTimesSquare:
         return _UNRAMIFIED[kind]
     # residual double root: the merged pair is separated by the resolvent
     return {Split: SIG_SPLIT, Inert: SIG_MIXED, Ramified: SIG_PARTIAL}[
-        _resolvent_odd(a, P, v, res) if res.field.p != 2 else resolvent_place_behavior(a, P)]
+        _resolvent_odd(a, P, v, k.from_value(r)) if k.p != 2 else resolvent_place_behavior(a, P)]
 
 
 # -- characteristic-3 family -------------------------------------------------
@@ -333,7 +336,7 @@ def char3_local_form(a: RatFunc, P: Place) -> Tuple[RatFunc, int, Tuple[RatFunc,
 
 def signature_char3(ext: Extension, P: Place) -> Signature:
     a = ext.form.a
-    v, res = unit_residue(a, P)
+    v, k, r = _unit_residue_value(a.num, a.den, P)
     if v < 0:
         if v % 3 != 0:
             return SIG_FULLY_RAMIFIED  # v prime to 3: one place, e = 3
@@ -341,15 +344,15 @@ def signature_char3(ext: Extension, P: Place) -> Signature:
         astar, v, _ = char3_local_form(a, P)
         if v < 0:
             return SIG_FULLY_RAMIFIED
-        v, res = unit_residue(astar, P)
+        v, k, r = _unit_residue_value(astar.num, astar.den, P)
     if v == 0:
-        return _UNRAMIFIED[bin_char3(res)]
+        return _UNRAMIFIED[_bin_char3(_family_field(k, Char3), r)]
     # a* = 0 at P: Newton polygon gives one unit root and a pair of slope
     # v*/2; parity of v* decides ramification, the square class of the
     # leading coefficient decides split vs inert
     if v % 2 == 1:
         return SIG_PARTIAL
-    if isinstance(square_classify(-res), Square):
+    if isinstance(square_classify(k.from_value(k._neg(r))), Square):
         return SIG_SPLIT
     return SIG_MIXED
 

@@ -20,8 +20,11 @@ builds every ``Decomp`` from such a list, and ``_lin_times_quad`` the
 cofactor of a single root.  ``decompose_pure``, ``decompose_depressed`` and
 ``decompose_char3`` check their parameter and make one ``_from_roots`` call;
 ``decompose_any`` reduces any monic cubic with canon's value-level core,
-pulls the roots back through the inverse map and makes one.  ``bin_*`` give
-the bin alone, from square and cube characters and traces, for ``arith``.
+pulls the roots back through the inverse map and makes one.  The value-level
+cores ``_bin_pure``, ``_bin_depressed`` and ``_bin_char3`` give the bin alone
+from a counter value, by square and cube characters and traces; ``arith``'s
+signatures call them on the unit residue's value, and each public ``bin_*``
+checks its parameter and calls its core.
 
 From input to result everything computes on counter values with the field's
 ``_add/_sub/_mul/_pow/_neg`` and the counter-value solvers of ``ffield``; a
@@ -58,8 +61,8 @@ from .ffield import (
     _root_values,
     _rth_roots,
     _solve_additive,
+    _trace_value,
     record,
-    trace_to_prime,
 )
 
 BRUTE_LIMIT = 1 << 16
@@ -122,12 +125,16 @@ _WRONG_P = {Pure: "X^3 - a is inseparable in characteristic 3",
             Char3: "X^3 + aX + a^2 is the characteristic-3 family"}
 
 
-def _family_param(a: FieldElem, family: type) -> tuple:
-    """(F, a.value), or the family's error: Char3 needs p = 3, the rest p != 3."""
-    F = _require_finite(getattr(a, "field", None))
+def _family_field(F: Field, family: type) -> Field:
+    """F, or the family's error: Char3 needs p = 3, the rest p != 3."""
     if (F.p == 3) != (family is Char3):
         raise WrongCharacteristic(_WRONG_P[family])
-    return F, a.value
+    return F
+
+
+def _family_param(a: FieldElem, family: type) -> tuple:
+    """(F, a.value) for a family parameter a, checked as _family_field."""
+    return _family_field(_require_finite(getattr(a, "field", None)), family), a.value
 
 
 def _lin_times_quad(F: Field, c: tuple, r: int) -> LinTimesQuad:
@@ -372,8 +379,22 @@ def _reducible_roots(F: Field, r: int, b: int, c: int) -> list:
 # ---------------------------------------------------------------------------
 
 def bin_pure(a: FieldElem) -> type:
-    """decompose_pure(a)'s outcome class, from s mod 3 and the cube character."""
-    F, v = _family_param(a, Pure)
+    """decompose_pure(a)'s outcome class (_bin_pure)."""
+    return _bin_pure(*_family_param(a, Pure))
+
+
+def bin_depressed(a: FieldElem) -> type:
+    """decompose_depressed(a)'s outcome class (_bin_depressed)."""
+    return _bin_depressed(*_family_param(a, DepressedTrace))
+
+
+def bin_char3(a: FieldElem) -> type:
+    """decompose_char3(a)'s outcome class (_bin_char3)."""
+    return _bin_char3(*_family_param(a, Char3))
+
+
+def _bin_pure(F: Field, v: int) -> type:
+    """The bin of X^3 - v, p != 3, from s mod 3 and the cube character."""
     s = F.order
     if not v:
         return Triple
@@ -382,21 +403,20 @@ def bin_pure(a: FieldElem) -> type:
     return ThreeDistinct if F._pow(v, (s - 1) // 3) == 1 else Irreducible
 
 
-def bin_depressed(a: FieldElem) -> type:
-    """decompose_depressed(a)'s outcome class, with no root computed.  Past the
-    square cases, the roots w, 1/w of W^2 - aW + 1 lie in GF(s)* if it splits
-    (Euler on a^2 - 4; Tr(1/a) = 0 for p = 2), else in the norm-1 torus, of
+def _bin_depressed(F: Field, v: int) -> type:
+    """The bin of X^3 - 3X - v, p != 3, with no root computed.  Past the
+    square cases, the roots w, 1/w of W^2 - vW + 1 lie in GF(s)* if it splits
+    (Euler on v^2 - 4; Tr(1/v) = 0 for p = 2), else in the norm-1 torus, of
     order n = s -+ 1.  3 not dividing n: one cube root c of w, one root
-    c + 1/c; else three or none as W^(n/3) = 1 in GF(s)[W]/(W^2 - aW + 1),
-    read off the Lucas/Dickson ladder as V_n/3(a) = 2 (_lucas).  W^k has
+    c + 1/c; else three or none as W^(n/3) = 1 in GF(s)[W]/(W^2 - vW + 1),
+    read off the Lucas/Dickson ladder as V_n/3(v) = 2 (_lucas).  W^k has
     norm 1, so Tr(W^k) = 2 makes it a root of (X - 1)^2; the ring is
     GF(s) x GF(s) or GF(s^2), with no nilpotents past the square cases, so
     W^k = 1 then, in every characteristic."""
-    F, v = _family_param(a, DepressedTrace)
     s = F.order
     if (not v) if F.p == 2 else v in (2, F.p - 2):
         return LinTimesSquare
-    split = (not trace_to_prime(FieldElem(F, F._pow(v, -1))) if F.p == 2
+    split = (not _trace_value(F, F._pow(v, -1)) if F.p == 2
              else F._pow(F._sub(F._mul(v, v), 4), (s - 1) // 2) == 1)
     n = s - 1 if split else s + 1
     if n % 3:
@@ -404,18 +424,17 @@ def bin_depressed(a: FieldElem) -> type:
     return ThreeDistinct if _lucas(F, v, n // 3) == 2 % F.p else Irreducible
 
 
-def bin_char3(a: FieldElem) -> type:
-    """decompose_char3(a)'s outcome class, with no root computed.  If -a is a
-    non-square, X -> X^3 + aX is a bijection: one root.  If -a = b^2, X = bY
-    gives b^3 (Y^3 - Y), whose image is b^3 times the trace-zero hyperplane:
-    -a^2 = b^3 (-b) is hit, by three roots, iff Tr(b) = 0."""
-    F, v = _family_param(a, Char3)
+def _bin_char3(F: Field, v: int) -> type:
+    """The bin of X^3 + vX + v^2 over GF(3^m), with no root computed.  If -v
+    is a non-square, X -> X^3 + vX is a bijection: one root.  If -v = b^2,
+    X = bY gives b^3 (Y^3 - Y), whose image is b^3 times the trace-zero
+    hyperplane: -v^2 = b^3 (-b) is hit, by three roots, iff Tr(b) = 0."""
     if not v:
         return Triple
     sq = _root_values(F, F._neg(v), 2)
     if sq is None:
         return LinTimesQuad
-    return Irreducible if trace_to_prime(FieldElem(F, sq[0])) else ThreeDistinct
+    return Irreducible if _trace_value(F, sq[0]) else ThreeDistinct
 
 
 # ---------------------------------------------------------------------------

@@ -13,13 +13,28 @@ groups the places by valuation without factoring, and in divisor_of).
 residue_field returns a ResidueData bundle: the residue field GF(q^d)
 itself, the embedding GF(q) -> GF(q^d), and the distinguished root of the
 carrier (the least one), so that reduction is literally evaluation at the
-root: one Horner pass on counter values in the residue field's kernel, over
-the coefficients' images under the embedding's table.  ResidueData.lift
-inverts reduction on polynomials of degree < d, which the local
-Artin-Schreier machinery in arith relies on.  unit_residue gives v_P(a)
-together with the residue of a * pi^(-v) from that evaluation.  Every entry
-point that takes a function and a place raises FieldMismatch when the
-function lives over another base field.
+root.  At a place of degree d >= 2 whose residue field has at most
+_ROW_MAX_ORDER = 2^8 elements, f -> f(root) is GF(p)-linear, so it is one
+dot product: row i of a table holds, for every coefficient value c, the
+GF(p)-coordinates of image(c) * root^i packed into one int, W = _ROW_BITS
+bits per coordinate; f(root) is the sum of row i at f's i-th coefficient,
+taken in one C-level pass, and each W-bit field of the sum, reduced mod p,
+is a digit of the counter value.  The rows grow lazily to the longest
+polynomial evaluated.  A row has q <= 2^4 entries (q^2 <= q^d <= 2^8), and
+each coordinate sum of a polynomial of length n is below n * p, so the rows
+grow only while len(rows) * p < 2^W, which is asserted.  Every other place
+takes one Horner pass in the residue field on the coefficients' images
+under the embedding's table.  The cache of residue fields keeps every
+table, and the bound on the order keeps them few and small: at most 120
+places over any GF(q) qualify, where a scan over the thousands of degree-2
+places of a larger GF(q) would hold q entries a row at each of them.
+
+ResidueData.lift inverts reduction on polynomials of degree < d, which the
+local Artin-Schreier machinery in arith relies on.  unit_residue gives
+v_P(a) together with the residue of a * pi^(-v) from that evaluation;
+_unit_residue_value gives it as a counter value, which arith's signatures
+read without wrapping.  Every entry point that takes a function and a
+place raises FieldMismatch when the function lives over another base field.
 """
 from __future__ import annotations
 
@@ -28,12 +43,15 @@ import math
 from typing import Iterator, Optional, Tuple, Union
 
 from .errors import DomainMismatch, FieldMismatch, NegativeValuation, SizeExceeded, ZeroInput
-from .ffield import FieldElem, _divmod, _horner, _irreducibles, _kernel, field_make, solve_modp
+from .ffield import (FieldElem, _divmod, _horner, _irreducibles, _kernel, _span, field_make,
+                     solve_modp)
 from .polyring import (Embedding, FuncField, Poly, RatFunc, _squarefree_decomposition, _store,
                        embedding, factor_fq, func_field, is_irreducible, poly_roots)
 
 INFINITE_VALUATION = math.inf
 PLACE_SCAN_LIMIT = 1 << 16  # places_up_to scans at most this many carriers per degree
+_ROW_BITS = 32  # W: the bits of one packed coordinate in a ResidueData row
+_ROW_MAX_ORDER = 1 << 8  # residue fields up to this order get packed rows
 
 
 class Place:
@@ -142,11 +160,14 @@ class ResidueData:
     root   -- the least root of the carrier in field (None at infinity)
 
     A finite place also keeps the base kernel, for stripping powers of the
-    carrier, and the residue field's kernel, for evaluation on the images of
-    embed's table.
+    carrier, and the residue field's kernel, for the Horner pass.  At degree
+    d >= 2, with q^d <= _ROW_MAX_ORDER, it keeps the packed rows of the
+    evaluation map instead (see the module docstring): rows[i][c] is
+    image(c) * root^i with its GF(p)-coordinate j in bits [jW, jW + W),
+    grown by _eval on demand while len(rows) * p < 2^W.
     """
 
-    __slots__ = ("place", "field", "embed", "root", "_kernel", "_rkernel")
+    __slots__ = ("place", "field", "embed", "root", "_kernel", "_rkernel", "_rows", "_unpack")
 
     def __init__(self, place: Place, field, embed: Embedding, root):
         self.place = place
@@ -154,8 +175,9 @@ class ResidueData:
         self.embed = embed
         self.root = root
         if root is not None:
-            self._kernel = _kernel(place.ff.field)
-            self._rkernel = _kernel(field)
+            self._kernel, self._rkernel = _kernel(place.ff.field), _kernel(field)
+            tabled = place.degree > 1 and field.order <= _ROW_MAX_ORDER
+            self._rows, self._unpack = ([], _unpacker(field.p, field.m)) if tabled else (None, None)
 
     def eval_poly(self, f: Poly) -> FieldElem:
         """f(root) with coefficients pushed through the embedding."""
@@ -165,13 +187,24 @@ class ResidueData:
             raise FieldMismatch("the polynomial is over another field than the place")
         return FieldElem(self.field, self._eval(f.vals))
 
-    def _eval(self, f: list) -> int:
-        """The counter value of f(root) for a base kernel list f: one Horner
-        pass in the residue field on the coefficients' images."""
-        images = self.embed.images
-        if images is not None:
-            f = [images[c] for c in f]
-        return _horner(self._rkernel, f, self.root.value)
+    def _eval(self, f) -> int:
+        """The counter value of f(root) for a base kernel list f: one sum over
+        the packed rows, grown first to len(f) by packing image(c) * root^i
+        for every c, or without rows one Horner pass in the residue field."""
+        rows = self._rows
+        if rows is None:
+            images = self.embed.images
+            return _horner(self._rkernel, [images[c] for c in f] if images else f, self.root.value)
+        if len(f) > len(rows):
+            k, W, h = self.field, _ROW_BITS, (self.field.m + 1) // 2
+            assert len(f) * k.p < 1 << W, "a coordinate sum would carry into the next"
+            lo = _span([1 << j * W for j in range(h)], k.p, int.__add__)  # packed x, x < p^h
+            hi, P = [x << h * W for x in lo], len(lo)
+            for i in range(len(rows), len(f)):
+                r = k._pow(self.root.value, i)
+                xs = [k._mul(c, r) for c in self.embed.images or range(k.p)]
+                rows.append([lo[x % P] + hi[x // P] for x in xs])
+        return self._unpack(sum(map(list.__getitem__, rows, f)))
 
     def reduce(self, a: RatFunc) -> FieldElem:
         """The residue of a at the place; caller guarantees v_P(a) >= 0."""
@@ -192,6 +225,23 @@ class ResidueData:
         sol = solve_modp(list(zip(*cols)), c.coeffs, base.p)
         coeffs = [base.elem(sol[i * m:(i + 1) * m]) for i in range(self.place.degree)]
         return Poly(base, coeffs)
+
+
+def _unpacker(p: int, n: int):
+    """The counter value of a packed sum of n coordinates, each reduced mod p:
+    inline for two (a degree-2 place over GF(p)), else a loop over the W-bit
+    fields from the top."""
+    W, mask = _ROW_BITS, (1 << _ROW_BITS) - 1
+    if n == 2:
+        return lambda s: (s & mask) % p + (s >> W) % p * p
+    shifts = range((n - 1) * W, -1, -W)
+
+    def unpack(s):
+        v = 0
+        for sh in shifts:
+            v = v * p + (s >> sh & mask) % p
+        return v
+    return unpack
 
 
 @functools.lru_cache(maxsize=None)
@@ -216,27 +266,34 @@ def unit_residue(a: RatFunc, P: Place) -> Tuple[int, FieldElem]:
 
 
 def unit_residue_of(num: Poly, den: Poly, P: Place) -> Tuple[int, FieldElem]:
-    """unit_residue of num/den for coprime num and den, with no RatFunc: at
-    infinity lc(num)/lc(den); at a finite place pi, the minimal polynomial of
-    the root, divides num or den exactly when it vanishes there, and that side
-    is divided by pi until it does not before it is evaluated."""
+    """unit_residue of num/den for coprime num and den, with no RatFunc
+    (_unit_residue_value, wrapped)."""
+    v, k, r = _unit_residue_value(num, den, P)
+    return v, FieldElem(k, r)
+
+
+def _unit_residue_value(num: Poly, den: Poly, P: Place) -> tuple:
+    """(v, residue field, counter value of the residue) of num/den for
+    coprime num and den: at infinity lc(num)/lc(den); at a finite place pi,
+    the minimal polynomial of the root, divides num or den exactly when it
+    vanishes there, and that side is divided by pi until it does not before
+    it is evaluated, all on their kernel lists."""
     if num.dom is not P.ff.field or den.dom is not P.ff.field:
         raise FieldMismatch("the function and the place are over different fields")
-    if not num:
+    ns, ds = num.vals, den.vals
+    if not ns:
         raise ZeroInput("the zero function has no unit part")
     if P.is_infinite:
-        return den.degree - num.degree, num.lc / den.lc
+        return len(ds) - len(ns), P.ff.field, P.ff.field._div(ns[-1], ds[-1])
     rd = residue_field(P)
-    K, k, pi = rd._kernel, rd.field, P.pi.vals
-    ns, ds = num.vals, den.vals
     v, n, d = 0, rd._eval(ns), rd._eval(ds)
     if not n:  # coprime, so at most one of n, d is zero
-        v, ns = _strip(K, ns, pi)
+        v, ns = _strip(rd._kernel, ns, P.pi.vals)
         n = rd._eval(ns)
     elif not d:
-        v, ds = _strip(K, ds, pi)
+        v, ds = _strip(rd._kernel, ds, P.pi.vals)
         v, d = -v, rd._eval(ds)
-    return v, FieldElem(k, k._div(n, d))
+    return v, rd.field, rd.field._div(n, d)
 
 
 def reduce_at(a: RatFunc, P: Place) -> FieldElem:

@@ -572,6 +572,9 @@ def _squarefree_decomposition(f: Poly) -> list:
             e *= p
             continue
         g = _gcd(K, f, df)
+        if len(g) == 1:  # f is squarefree: the walk below would find f alone
+            out.append((_store(K, f), e))
+            break
         w = _divmod(K, f, g)[0]
         i = 1
         while len(w) > 1:
