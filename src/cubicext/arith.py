@@ -21,9 +21,12 @@ Local normalisation comes first in each family:
 Each signature reads its two local quantities, v_P(a) and the residue of the
 unit part a * pi^(-v), off one evaluation of a's numerator and denominator at
 the carrier's root (``places._unit_residue_value``, a counter value in the
-residue field), and then only the bin of the residual cubic (the value-level
-``ffcubic._bin_*``), never its roots; no RatFunc is built for them, nor for
-the odd-p resolvent.  The residue is wrapped as a FieldElem only on the rare
+residue field), and then only the bin of the residual cubic, never its
+roots: a list index into the table of one value-level ``ffcubic._bin_*``
+core over the residue field (``_bin_table``, built once per field and core,
+for fields of at most ``places._ROW_MAX_ORDER`` elements), or the core
+itself on a larger field; no RatFunc is built for them, nor for the odd-p
+resolvent.  The residue is wrapped as a FieldElem only on the rare
 branches: the resolvent at a residual double root, and the characteristic-3
 surgery and square class.  Only the char-3 poles of order divisible
 by three still go through the RatFunc surgery of ``char3_local_form``.
@@ -36,6 +39,7 @@ differing signatures.
 """
 
 import enum
+import functools
 from typing import List, Optional, Tuple, Union
 
 from .canon import (Char3, Cubic, DepressedTrace, InseparablePure, Pure, Reducible,
@@ -51,8 +55,8 @@ from .errors import (
 from .ffcubic import (Irreducible, LinTimesQuad, LinTimesSquare, ThreeDistinct, _bin_char3,
                       _bin_depressed, _bin_pure, _family_field)
 from .ffield import Cube, Square, cube_classify, record, square_classify, trace_to_prime
-from .places import (Place, _unit_residue_value, divisor_groups, group_places, residue_field,
-                     uniformizer, unit_residue, unit_residue_of, valuation)
+from .places import (_ROW_MAX_ORDER, Place, _unit_residue_value, divisor_groups, group_places,
+                     residue_field, uniformizer, unit_residue, unit_residue_of, valuation)
 from .polyring import RatFunc, _squarefree_decomposition
 
 
@@ -152,6 +156,21 @@ SIG_PARTIAL = Signature(((2, 1), (1, 1)))
 _UNRAMIFIED = {Irreducible: SIG_INERT, ThreeDistinct: SIG_SPLIT, LinTimesQuad: SIG_MIXED}
 
 
+@functools.lru_cache(maxsize=None)
+def _bin_table(k, core) -> Optional[list]:
+    """[core(k, v) for every counter value v of the residue field k], built
+    on first use once per (field, core), or None when k has more than
+    places._ROW_MAX_ORDER elements.  It depends on the field alone, like
+    the Zech tables; nothing is kept per extension, place or input."""
+    return [core(k, v) for v in range(k.order)] if k.order <= _ROW_MAX_ORDER else None
+
+
+def _bin(core, k, r: int) -> type:
+    """core(k, r), the residual cubic's bin, read off k's table if it has one."""
+    table = _bin_table(k, core)
+    return core(k, r) if table is None else table[r]
+
+
 def signature(ext: Extension, P: Place) -> Signature:
     """Splitting type of the place P in the extension."""
     form = ext.form
@@ -183,7 +202,7 @@ def signature_pure(ext: Extension, P: Place) -> Signature:
     v, k, r = _unit_residue_value(ext.form.a.num, ext.form.a.den, P)
     if v % 3 != 0:
         return SIG_FULLY_RAMIFIED
-    return _UNRAMIFIED[_bin_pure(_family_field(k, Pure), r)]
+    return _UNRAMIFIED[_bin(_bin_pure, _family_field(k, Pure), r)]
 
 
 # -- characteristic-2 resolvent ---------------------------------------------
@@ -291,8 +310,8 @@ def signature_depressed(ext: Extension, P: Place) -> Signature:
             return SIG_FULLY_RAMIFIED
         # deep pole: y = z/pi^(v/3) turns the form into z^3 = a*pi^(-v) + small,
         # a separable pure residual
-        return _UNRAMIFIED[_bin_pure(k, r)]
-    kind = _bin_depressed(k, r if v == 0 else 0)
+        return _UNRAMIFIED[_bin(_bin_pure, k, r)]
+    kind = _bin(_bin_depressed, k, r if v == 0 else 0)
     if kind is not LinTimesSquare:
         return _UNRAMIFIED[kind]
     # residual double root: the merged pair is separated by the resolvent
@@ -346,7 +365,7 @@ def signature_char3(ext: Extension, P: Place) -> Signature:
             return SIG_FULLY_RAMIFIED
         v, k, r = _unit_residue_value(astar.num, astar.den, P)
     if v == 0:
-        return _UNRAMIFIED[_bin_char3(_family_field(k, Char3), r)]
+        return _UNRAMIFIED[_bin(_bin_char3, _family_field(k, Char3), r)]
     # a* = 0 at P: Newton polygon gives one unit root and a pair of slope
     # v*/2; parity of v* decides ramification, the square class of the
     # leading coefficient decides split vs inert

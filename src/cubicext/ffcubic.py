@@ -35,7 +35,10 @@ Only Adleman-Manders-Miller on the torus works on pairs mod W^2 - aW + 1
 (``_quad_ring``, inline % p over GF(p)), and its non-cube (delta + W)^(s-1)
 is built as conj(u)^2/N(u) with u = delta + W: one inverse in GF(s) per
 candidate delta.  Nothing is cached per input; the constants that depend
-only on the field live on the ``Field``.
+only on the field live on the ``Field``.  The bin tables are constants of
+the same kind: ``arith._bin_table`` keeps [core(k, v) for every counter
+value v] for each bin core and residue field k of at most 2^8 elements,
+built from the cores below on first use.
 
 ``brute_factor`` is an independent oracle: it scans every field element and
 never consults the criteria.  Keep it dumb; the tests rely on that.

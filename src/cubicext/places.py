@@ -28,6 +28,9 @@ under the embedding's table.  The cache of residue fields keeps every
 table, and the bound on the order keeps them few and small: at most 120
 places over any GF(q) qualify, where a scan over the thousands of degree-2
 places of a larger GF(q) would hold q entries a row at each of them.
+_ROW_MAX_ORDER bounds a second table too: arith's bin table per residue
+field and bin core, [core(k, v) for every v], is built only for a residue
+field of at most that order, and larger ones ask the core on each call.
 
 ResidueData.lift inverts reduction on polynomials of degree < d, which the
 local Artin-Schreier machinery in arith relies on.  unit_residue gives
@@ -51,17 +54,18 @@ from .polyring import (Embedding, FuncField, Poly, RatFunc, _squarefree_decompos
 INFINITE_VALUATION = math.inf
 PLACE_SCAN_LIMIT = 1 << 16  # places_up_to scans at most this many carriers per degree
 _ROW_BITS = 32  # W: the bits of one packed coordinate in a ResidueData row
-_ROW_MAX_ORDER = 1 << 8  # residue fields up to this order get packed rows
+_ROW_MAX_ORDER = 1 << 8  # residue fields up to this order get packed rows and bin tables
 
 
 class Place:
     """A place of GF(q)(x): finite (monic irreducible carrier) or infinite."""
 
-    __slots__ = ("ff", "pi")
+    __slots__ = ("ff", "pi", "_hash")
 
     def __init__(self, ff: FuncField, pi: Optional[Poly]):
         self.ff = ff
         self.pi = pi
+        self._hash = hash((id(ff), None if pi is None else pi.vals))
 
     @staticmethod
     def finite(pi: Poly) -> "Place":
@@ -106,7 +110,7 @@ class Place:
         return self.pi == other.pi
 
     def __hash__(self):
-        return hash((id(self.ff), None if self.pi is None else self.pi.vals))
+        return self._hash
 
     def __lt__(self, other):
         return self.sort_key() < other.sort_key()
