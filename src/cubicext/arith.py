@@ -22,10 +22,11 @@ Each signature reads its two local quantities, v_P(a) and the residue of the
 unit part a * pi^(-v), off one evaluation of a's numerator and denominator at
 the carrier's root (``places._unit_residue_value``, a counter value in the
 residue field), and then only the bin of the residual cubic, never its
-roots: a list index into the table of one value-level ``ffcubic._bin_*``
-core over the residue field (``_bin_table``, built once per field and core,
-for fields of at most ``places._ROW_MAX_ORDER`` elements), or the core
-itself on a larger field; no RatFunc is built for them, nor for the odd-p
+roots: a list index into the table of one ``ffcubic._bin_*`` over the
+residue field (``_bin_table``, built once per field and family, for fields
+of at most ``places._ROW_MAX_ORDER`` elements), or the ``_bin_*`` itself on
+a larger field.  Either way the bin is the class of the ``Decomp`` that the
+family's root core builds; no RatFunc is built for it, nor for the odd-p
 resolvent.  The residue is wrapped as a FieldElem only on the rare
 branches: the resolvent at a residual double root, and the characteristic-3
 surgery and square class.  Only the char-3 poles of order divisible
@@ -409,6 +410,7 @@ def _ramified_groups(ext: Extension):
     char-2 zeros of even order and char-3 poles of order divisible by 3 are
     split into places, for as_local_reduce and char3_local_form."""
     form, a, ff = ext.form, ext.form.a, ext.ff
+    _family_field(ext.field, type(form))  # a pure form in characteristic 3, a char-3 one elsewhere
     pure, trace = isinstance(form, Pure), isinstance(form, DepressedTrace)
     for g, v in divisor_groups(a):
         if pure or (trace and v < 0):

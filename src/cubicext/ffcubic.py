@@ -17,14 +17,15 @@ the inverse Frobenius (``_inseparable_roots``); the cofactor's quadratic
 formula (``_reducible_roots``).  Square and cube roots come from ``ffield``'s
 one r-th root routine (``_root_values``, ``_rth_roots``).  ``_from_roots``
 builds every ``Decomp`` from such a list, and ``_lin_times_quad`` the
-cofactor of a single root.  ``decompose_pure``, ``decompose_depressed`` and
-``decompose_char3`` check their parameter and make one ``_from_roots`` call;
-``decompose_any`` reduces any monic cubic with canon's value-level core,
-pulls the roots back through the inverse map and makes one.  The value-level
-cores ``_bin_pure``, ``_bin_depressed`` and ``_bin_char3`` give the bin alone
-from a counter value, by square and cube characters and traces; ``arith``'s
-signatures call them on the unit residue's value, and each public ``bin_*``
-checks its parameter and calls its core.
+cofactor of a single root.  ``_family_decomp`` writes each family's cubic
+once and makes one ``_from_roots`` call on its root core;
+``decompose_pure``, ``decompose_depressed`` and ``decompose_char3`` check
+their parameter and call it.  A bin is the class of that ``Decomp``, so
+there is one decision per family: ``_bin_pure``, ``_bin_depressed`` and
+``_bin_char3`` on a counter value (``arith``'s signatures read them) and the
+public ``bin_*`` on a checked parameter.  ``decompose_any`` reduces any
+monic cubic with canon's value-level core, pulls the roots back through the
+inverse map and makes one ``_from_roots`` call.
 
 From input to result everything computes on counter values with the field's
 ``_add/_sub/_mul/_pow/_neg`` and the counter-value solvers of ``ffield``; a
@@ -37,8 +38,8 @@ is built as conj(u)^2/N(u) with u = delta + W: one inverse in GF(s) per
 candidate delta.  Nothing is cached per input; the constants that depend
 only on the field live on the ``Field``.  The bin tables are constants of
 the same kind: ``arith._bin_table`` keeps [core(k, v) for every counter
-value v] for each bin core and residue field k of at most 2^8 elements,
-built from the cores below on first use.
+value v] for each ``_bin_*`` and residue field k of at most 2^8 elements,
+built from the root cores on first use.
 
 ``brute_factor`` is an independent oracle: it scans every field element and
 never consults the criteria.  Keep it dumb; the tests rely on that.
@@ -64,7 +65,6 @@ from .ffield import (
     _root_values,
     _rth_roots,
     _solve_additive,
-    _trace_value,
     record,
 )
 
@@ -297,22 +297,60 @@ def brute_factor(c: Cubic) -> Decomp:
 # canonical families
 # ---------------------------------------------------------------------------
 
+def _family_decomp(F: Field, v: int, family: type) -> Decomp:
+    """The Decomp of the family's cubic with parameter v, a counter value:
+    X^3 - v or X^3 - 3X - v (p != 3), X^3 + vX + v^2 (p = 3), from its root
+    core (_ROOTS)."""
+    if family is Char3:
+        c = (0, v, F._mul(v, v))
+    else:
+        c = (0, 0 if family is Pure else -3 % F.p, F._neg(v))
+    return _from_roots(F, c, _ROOTS[family](F, v))
+
+
 def decompose_pure(a: FieldElem) -> Decomp:
     """X^3 - a over GF(s), p != 3 (_pure_roots)."""
-    F, v = _family_param(a, Pure)
-    return _from_roots(F, (0, 0, F._neg(v)), _pure_roots(F, v))
+    return _family_decomp(*_family_param(a, Pure), Pure)
 
 
 def decompose_depressed(a: FieldElem) -> Decomp:
     """X^3 - 3X - a over GF(s), p != 3 (_depressed_roots)."""
-    F, v = _family_param(a, DepressedTrace)
-    return _from_roots(F, (0, -3 % F.p, F._neg(v)), _depressed_roots(F, v))
+    return _family_decomp(*_family_param(a, DepressedTrace), DepressedTrace)
 
 
 def decompose_char3(a: FieldElem) -> Decomp:
     """X^3 + aX + a^2 over GF(3^m) (_char3_roots)."""
-    F, v = _family_param(a, Char3)
-    return _from_roots(F, (0, v, F._mul(v, v)), _char3_roots(F, v))
+    return _family_decomp(*_family_param(a, Char3), Char3)
+
+
+def bin_pure(a: FieldElem) -> type:
+    """decompose_pure(a)'s outcome class."""
+    return type(decompose_pure(a))
+
+
+def bin_depressed(a: FieldElem) -> type:
+    """decompose_depressed(a)'s outcome class."""
+    return type(decompose_depressed(a))
+
+
+def bin_char3(a: FieldElem) -> type:
+    """decompose_char3(a)'s outcome class."""
+    return type(decompose_char3(a))
+
+
+def _bin_pure(F: Field, v: int) -> type:
+    """The bin of X^3 - v, p != 3, on a counter value."""
+    return type(_family_decomp(F, v, Pure))
+
+
+def _bin_depressed(F: Field, v: int) -> type:
+    """The bin of X^3 - 3X - v, p != 3, on a counter value."""
+    return type(_family_decomp(F, v, DepressedTrace))
+
+
+def _bin_char3(F: Field, v: int) -> type:
+    """The bin of X^3 + vX + v^2 over GF(3^m), on a counter value."""
+    return type(_family_decomp(F, v, Char3))
 
 
 def _pure_roots(F: Field, v: int) -> list:
@@ -375,69 +413,6 @@ def _reducible_roots(F: Field, r: int, b: int, c: int) -> list:
     quadratic's roots, a double one twice."""
     qroots = _quad_values(F, b, c)
     return [r, *qroots, *qroots] if len(qroots) == 1 else [r, *qroots]
-
-
-# ---------------------------------------------------------------------------
-# witness-free bins
-# ---------------------------------------------------------------------------
-
-def bin_pure(a: FieldElem) -> type:
-    """decompose_pure(a)'s outcome class (_bin_pure)."""
-    return _bin_pure(*_family_param(a, Pure))
-
-
-def bin_depressed(a: FieldElem) -> type:
-    """decompose_depressed(a)'s outcome class (_bin_depressed)."""
-    return _bin_depressed(*_family_param(a, DepressedTrace))
-
-
-def bin_char3(a: FieldElem) -> type:
-    """decompose_char3(a)'s outcome class (_bin_char3)."""
-    return _bin_char3(*_family_param(a, Char3))
-
-
-def _bin_pure(F: Field, v: int) -> type:
-    """The bin of X^3 - v, p != 3, from s mod 3 and the cube character."""
-    s = F.order
-    if not v:
-        return Triple
-    if s % 3 == 2:
-        return LinTimesQuad
-    return ThreeDistinct if F._pow(v, (s - 1) // 3) == 1 else Irreducible
-
-
-def _bin_depressed(F: Field, v: int) -> type:
-    """The bin of X^3 - 3X - v, p != 3, with no root computed.  Past the
-    square cases, the roots w, 1/w of W^2 - vW + 1 lie in GF(s)* if it splits
-    (Euler on v^2 - 4; Tr(1/v) = 0 for p = 2), else in the norm-1 torus, of
-    order n = s -+ 1.  3 not dividing n: one cube root c of w, one root
-    c + 1/c; else three or none as W^(n/3) = 1 in GF(s)[W]/(W^2 - vW + 1),
-    read off the Lucas/Dickson ladder as V_n/3(v) = 2 (_lucas).  W^k has
-    norm 1, so Tr(W^k) = 2 makes it a root of (X - 1)^2; the ring is
-    GF(s) x GF(s) or GF(s^2), with no nilpotents past the square cases, so
-    W^k = 1 then, in every characteristic."""
-    s = F.order
-    if (not v) if F.p == 2 else v in (2, F.p - 2):
-        return LinTimesSquare
-    split = (not _trace_value(F, F._pow(v, -1)) if F.p == 2
-             else F._pow(F._sub(F._mul(v, v), 4), (s - 1) // 2) == 1)
-    n = s - 1 if split else s + 1
-    if n % 3:
-        return LinTimesQuad
-    return ThreeDistinct if _lucas(F, v, n // 3) == 2 % F.p else Irreducible
-
-
-def _bin_char3(F: Field, v: int) -> type:
-    """The bin of X^3 + vX + v^2 over GF(3^m), with no root computed.  If -v
-    is a non-square, X -> X^3 + vX is a bijection: one root.  If -v = b^2,
-    X = bY gives b^3 (Y^3 - Y), whose image is b^3 times the trace-zero
-    hyperplane: -v^2 = b^3 (-b) is hit, by three roots, iff Tr(b) = 0."""
-    if not v:
-        return Triple
-    sq = _root_values(F, F._neg(v), 2)
-    if sq is None:
-        return LinTimesQuad
-    return Irreducible if _trace_value(F, sq[0]) else ThreeDistinct
 
 
 # ---------------------------------------------------------------------------

@@ -43,12 +43,12 @@ Square and cube roots come from one routine, Adleman-Manders-Miller for a
 prime r (``_rth_roots``; Tonelli-Shanks is its case r = 2), generic over the
 group, so ffcubic runs it on the norm-1 torus too.  The classifiers and
 solvers compute on counter values (``_root_values``, ``_quad_values``,
-``_artin_schreier_value``, ``_solve_additive``, ``_trace_value``), which
-ffcubic calls directly; ``square_classify``, ``cube_classify``,
-``_solve_quadratic`` and ``trace_to_prime`` wrap them for FieldElem
-callers.  The quadratic solver lives here (rather than with the polynomial
-machinery) because the square/cube classifiers below need it; polyring
-re-exports it.
+``_artin_schreier_value``, ``_solve_additive``), which ffcubic calls
+directly; ``square_classify``, ``cube_classify`` and ``_solve_quadratic``
+wrap them for FieldElem callers; ``trace_to_prime``, the one trace, works
+on a FieldElem's counter value.  The quadratic solver lives here (rather
+than with the polynomial machinery) because the square/cube classifiers
+below need it; polyring re-exports it.
 
 The package's one list kernel (_Kernel, _trim ... _horner), irreducibility
 test and scan of monic irreducibles live here, at the bottom of the import
@@ -704,17 +704,13 @@ def _field_cached(p: int, m: int) -> Field:
 
 def trace_to_prime(x: FieldElem) -> FieldElem:
     """Trace of GF(p^m) over GF(p), returned as an element of GF(p)."""
-    return field_make(x.field.p, 1).from_int(_trace_value(x.field, x.value))
-
-
-def _trace_value(F: Field, x: int) -> int:
-    """The trace of the counter value x over GF(p), as an int in [0, p)."""
-    acc = term = x
+    F = x.field
+    acc = term = x.value
     for _ in range(F.m - 1):
         term = F._pow(term, F.p)
         acc = F._add(acc, term)
     assert acc < F.p, "trace landed outside the prime field"
-    return acc
+    return field_make(F.p, 1).from_int(acc)
 
 
 # ---------------------------------------------------------------------------

@@ -29,8 +29,9 @@ table, and the bound on the order keeps them few and small: at most 120
 places over any GF(q) qualify, where a scan over the thousands of degree-2
 places of a larger GF(q) would hold q entries a row at each of them.
 _ROW_MAX_ORDER bounds a second table too: arith's bin table per residue
-field and bin core, [core(k, v) for every v], is built only for a residue
-field of at most that order, and larger ones ask the core on each call.
+field and family, [ffcubic._bin_*(k, v) for every v], is built only for a
+residue field of at most that order; on larger ones each signature builds
+the root core's Decomp for its one residue.
 
 ResidueData.lift inverts reduction on polynomials of degree < d, which the
 local Artin-Schreier machinery in arith relies on.  unit_residue gives
