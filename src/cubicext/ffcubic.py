@@ -12,20 +12,23 @@ Each canonical shape has a root core that returns all its roots in GF(s)
 with multiplicity (0, 1 or 3 counter values) from a closed form, with no
 general factorizer: the cube roots of a (``_pure_roots``); y = c + 1/c over
 the cube roots c of a root w of W^2 - aW + 1, in GF(s) or in the norm-1 torus
-of GF(s^2) (``_depressed_roots``); one GF(3)-linear solve (``_char3_roots``);
-the inverse Frobenius (``_inseparable_roots``); the cofactor's quadratic
-formula (``_reducible_roots``).  Square and cube roots come from ``ffield``'s
-one r-th root routine (``_root_values``, ``_rth_roots``).  ``_from_roots``
+of GF(s^2) (``_depressed_roots``); one square root and one of two fixed
+GF(3)-linear maps (``_char3_roots``); the inverse Frobenius
+(``_inseparable_roots``); the cofactor's quadratic formula
+(``_reducible_roots``).  Square and cube roots come from ``ffield``'s one
+r-th root routine (``_root_values``, ``_rth_roots``).  ``_from_roots``
 builds every ``Decomp`` from such a list, and ``_lin_times_quad`` the
 cofactor of a single root.  ``_family_decomp`` writes each family's cubic
-once and makes one ``_from_roots`` call on its root core;
-``decompose_pure``, ``decompose_depressed`` and ``decompose_char3`` check
-their parameter and call it.  A bin is the class of that ``Decomp``, so
-there is one decision per family: ``_bin_pure``, ``_bin_depressed`` and
-``_bin_char3`` on a counter value (``arith``'s signatures read them) and the
-public ``bin_*`` on a checked parameter.  ``decompose_any`` reduces any
-monic cubic with canon's value-level core, pulls the roots back through the
-inverse map and makes one ``_from_roots`` call.
+once and makes one ``_from_roots`` call on its root core, read through
+``_family_roots``; ``decompose_pure``, ``decompose_depressed`` and
+``decompose_char3`` check their parameter and call it.  A bin is the class
+of that ``Decomp``, so there is one decision per family: ``_bin_pure``,
+``_bin_depressed`` and ``_bin_char3`` on a counter value (``arith``'s
+signatures read them) and the public ``bin_*`` on a checked parameter.
+``decompose_any`` reduces any monic cubic with canon's value-level core,
+takes a family shape's roots from ``_family_roots`` and any other shape's
+from its core, pulls them back through the inverse map and makes one
+``_from_roots`` call.
 
 From input to result everything computes on counter values with the field's
 ``_add/_sub/_mul/_pow/_neg`` and the counter-value solvers of ``ffield``; a
@@ -36,16 +39,23 @@ Only Adleman-Manders-Miller on the torus works on pairs mod W^2 - aW + 1
 (``_quad_ring``, inline % p over GF(p)), and its non-cube (delta + W)^(s-1)
 is built as conj(u)^2/N(u) with u = delta + W: one inverse in GF(s) per
 candidate delta.  Nothing is cached per input; the constants that depend
-only on the field live on the ``Field``.  The bin tables are constants of
-the same kind: ``arith._bin_table`` keeps [core(k, v) for every counter
-value v] for each ``_bin_*`` and residue field k of at most 2^8 elements,
-built from the root cores on first use.
+only on the field live on the ``Field`` (the char-3 core's two maps too).
+The tables are constants of the same kind, both for fields of at most
+``places._ROW_MAX_ORDER`` = 2^8 elements.  ``_root_table`` keeps, per field
+and family (Pure, DepressedTrace, Char3), one entry per counter value v:
+the root core's tuple of roots, filled from the core the first time
+``_family_roots`` reads that entry, so a table is never built whole and
+holds at most one entry per element.  ``arith._bin_table`` keeps
+[core(k, v) for every counter value v] for each ``_bin_*`` and residue
+field k, built whole on first use.  Above the bound, and for the
+Reducible and InseparablePure shapes, each call runs the core.
 
 ``brute_factor`` is an independent oracle: it scans every field element and
 never consults the criteria.  Keep it dumb; the tests rely on that.
 """
 
-from typing import ClassVar, Tuple, Union
+import functools
+from typing import ClassVar, Optional, Tuple, Union
 
 from .canon import (
     Char3,
@@ -64,9 +74,9 @@ from .ffield import (
     _quad_values,
     _root_values,
     _rth_roots,
-    _solve_additive,
     record,
 )
+from .places import _ROW_MAX_ORDER
 
 BRUTE_LIMIT = 1 << 16
 
@@ -300,12 +310,12 @@ def brute_factor(c: Cubic) -> Decomp:
 def _family_decomp(F: Field, v: int, family: type) -> Decomp:
     """The Decomp of the family's cubic with parameter v, a counter value:
     X^3 - v or X^3 - 3X - v (p != 3), X^3 + vX + v^2 (p = 3), from its root
-    core (_ROOTS)."""
+    core, read through the family's root table (_family_roots)."""
     if family is Char3:
         c = (0, v, F._mul(v, v))
     else:
         c = (0, 0 if family is Pure else -3 % F.p, F._neg(v))
-    return _from_roots(F, c, _ROOTS[family](F, v))
+    return _from_roots(F, c, _family_roots(F, v, family))
 
 
 def decompose_pure(a: FieldElem) -> Decomp:
@@ -387,19 +397,27 @@ def _depressed_roots(F: Field, v: int) -> list:
 def _char3_roots(F: Field, v: int) -> list:
     """The roots of X^3 + vX + v^2 over GF(3^m), with multiplicity.
 
-    v = 0 is the triple root.  Otherwise X -> X^3 + vX is GF(3)-linear with
-    kernel 0 and the square roots of -v, so one linear solve of
-    X^3 + vX = -v^2 finds a root r or shows there is none.  If -v = b^2 the
-    roots are r, r + b and r - b; if -v is a non-square the map is a
-    bijection and r is the only root.  A square factor never appears.
+    v = 0 is the triple root.  Otherwise X = wZ, with one square root w, and
+    one of the field's two fixed linear maps (F.char3_maps) give the roots.
+    If -v = w^2 the cubic is w^3 (Z^3 - Z + w): it has roots iff Tr(w) = 0,
+    and then they are wZ, wZ + w and wZ - w for Z = section(-w).  Otherwise
+    -v = n w^2, n = F.nonsquare, the cubic is w^3 (Z^3 - nZ + n^2 w), and
+    Z -> Z^3 - nZ is a bijection: one root.  A square factor never appears.
     """
     if not v:
         return [0, 0, 0]
-    r = _solve_additive(F, lambda x: F._add(F._pow(x, 3), F._mul(v, x)), F._neg(F._mul(v, v)))
-    if r is None:
+    sub, mul, neg, n = F._sub, F._mul, F._neg, F.nonsquare
+    section, inverse = F.char3_maps
+    sq = _root_values(F, neg(v), 2)
+    if sq is None:
+        w = _root_values(F, F._div(neg(v), n), 2)[0]
+        return [mul(w, inverse(neg(mul(mul(n, n), w))))]
+    w = sq[0]
+    z = section(neg(w))
+    if sub(F._pow(z, 3), z) != neg(w):  # Tr(w) != 0
         return []
-    sq = _root_values(F, F._neg(v), 2)
-    return [r] if sq is None else [r, F._add(r, sq[0]), F._sub(r, sq[0])]
+    r = mul(w, z)
+    return [r, F._add(r, w), sub(r, w)]
 
 
 def _inseparable_roots(F: Field, v: int) -> list:
@@ -423,6 +441,28 @@ _ROOTS = {Pure: _pure_roots, DepressedTrace: _depressed_roots, Char3: _char3_roo
           InseparablePure: _inseparable_roots, Reducible: _reducible_roots}
 
 
+@functools.lru_cache(maxsize=None)
+def _root_table(F: Field, family: type) -> Optional[list]:
+    """The root table of a family (Pure, DepressedTrace or Char3) over F:
+    one entry per counter value v, None until _family_roots first reads it
+    and then tuple(_ROOTS[family](F, v)).  None for F of more than
+    places._ROW_MAX_ORDER elements.  Like arith._bin_table it depends on
+    the field alone and holds at most one entry per element."""
+    return [None] * F.order if F.order <= _ROW_MAX_ORDER else None
+
+
+def _family_roots(F: Field, v: int, family: type):
+    """The family's root core at v, read off its root table over F, which
+    the first read of an entry fills; the core itself above the bound."""
+    table = _root_table(F, family)
+    if table is None:
+        return _ROOTS[family](F, v)
+    roots = table[v]
+    if roots is None:
+        roots = table[v] = tuple(_ROOTS[family](F, v))
+    return roots
+
+
 def decompose_any(c) -> Decomp:
     """Classify a monic cubic (or canonical shape, as its cubic) over GF(s).
 
@@ -442,7 +482,7 @@ def decompose_any(c) -> Decomp:
     K = _kernel(F)
     e, f, g = cv = (K.value(c.e), K.value(c.f), K.value(c.g))
     cls, params, m = _reduce_values(K, e, f, g)
-    roots = _ROOTS[cls](F, *params)
+    roots = _family_roots(F, *params, cls) if cls in _WRONG_P else _ROOTS[cls](F, *params)
     if m is not None:
         add, sub, mul = F._add, F._sub, F._mul
         m00, m01, m10, m11 = m

@@ -34,18 +34,23 @@ Representation invariants:
     once per process.
   * The other per-field constants are built on first use as well and never
     depend on an input: the least non-square (``nonsquare``, odd p) and the
-    least non-cube (``noncube``, q = 1 mod 3) for the r-th root routine,
-    and for q = 2^m the echelon rows of y -> y^2 + y (``as_section``), so
-    y^2 + y = u is solved in at most m - 1 XORs.  One int each for the
-    first two, m - 1 triples of ints (under 3 KiB at m = 20) for the last.
+    least non-cube (``noncube``, q = 1 mod 3) for the r-th root routine;
+    for q = 2^m the echelon rows of y -> y^2 + y (``as_section``), so
+    y^2 + y = u is solved in at most m - 1 XORs, and for q = 3^m the two
+    GF(3)-linear maps of ffcubic's char-3 root core (``char3_maps``): a
+    section of Z -> Z^3 - Z and the inverse of Z -> Z^3 - nZ, n the least
+    non-square, each two lookups and one addition on lists of 3^(m//2) and
+    3^(m - m//2) values (``_linear_inverse``).  One int each for the first
+    two, m - 1 triples of ints (under 3 KiB at m = 20) for as_section, and
+    at most 4 * 729 ints (m = 12) for char3_maps.
 
 Square and cube roots come from one routine, Adleman-Manders-Miller for a
 prime r (``_rth_roots``; Tonelli-Shanks is its case r = 2), generic over the
 group, so ffcubic runs it on the norm-1 torus too.  The classifiers and
 solvers compute on counter values (``_root_values``, ``_quad_values``,
-``_artin_schreier_value``, ``_solve_additive``), which ffcubic calls
-directly; ``square_classify``, ``cube_classify`` and ``_solve_quadratic``
-wrap them for FieldElem callers; ``trace_to_prime``, the one trace, works
+``_artin_schreier_value``), which ffcubic calls directly;
+``square_classify``, ``cube_classify`` and ``_solve_quadratic`` wrap them
+for FieldElem callers; ``trace_to_prime``, the one trace, works
 on a FieldElem's counter value.  The quadratic solver lives here (rather
 than with the polynomial machinery) because the square/cube classifiers
 below need it; polyring re-exports it.
@@ -380,11 +385,12 @@ class Field:
     with closures for the field's shape on the first read of any of them,
     and the method _div over them; FieldElem looks them up by name.  The
     per-field constants of the module docstring (exp, log, zech, nonsquare,
-    noncube, as_section) are slots built on first use as well.
+    noncube, as_section, char3_maps) are slots built on first use as well.
     """
 
     __slots__ = ("p", "m", "order", "modulus", "zero", "one", "exp", "log", "zech",
-                 "nonsquare", "noncube", "as_section", "_add", "_sub", "_neg", "_mul", "_pow")
+                 "nonsquare", "noncube", "as_section", "char3_maps",
+                 "_add", "_sub", "_neg", "_mul", "_pow")
 
     def __init__(self, p: int, m: int):
         self.p = p
@@ -406,6 +412,8 @@ class Field:
             self.noncube = self._least_non_power(3)
         elif name == "as_section" and self.p == 2:
             self.as_section = self._as_section()
+        elif name == "char3_maps" and self.p == 3:
+            self.char3_maps = self._char3_maps()
         else:
             raise AttributeError(name)
         return getattr(self, name)
@@ -435,6 +443,32 @@ class Field:
                     x ^= pre
             rows.append((r.bit_length() - 1, r, x))
         return tuple(rows)
+
+    def _char3_maps(self) -> tuple:
+        """For p = 3, (section, inverse): two GF(3)-linear maps on counter
+        values.  L(Z) = Z^3 - Z has kernel GF(3) and the trace-0 hyperplane
+        as image, so for the least basis value c of nonzero trace the map
+        sending 1 to c and t^j to L(t^j) is a bijection; section is its
+        inverse, and L(section(u)) = u exactly when Tr(u) = 0.  inverse
+        undoes Z -> Z^3 - nZ, n = nonsquare, a bijection since Z^2 = n has
+        no root."""
+        p, m, sub, mul = 3, self.m, self._sub, self._mul
+        basis = [p ** j for j in range(m)]
+        c = next(x for x in basis if trace_to_prime(FieldElem(self, x)).value)
+        section = [c] + [sub(self._pow(x, 3), x) for x in basis[1:]]
+        return (self._linear_inverse(section),
+                self._linear_inverse([sub(self._pow(x, 3), mul(self.nonsquare, x)) for x in basis]))
+
+    def _linear_inverse(self, images: list):
+        """u -> f^-1(u) on counter values, for the GF(p)-linear bijection f
+        with f(p^j) = images[j]: f^-1 of the basis by solve_modp, then one
+        lookup on the low h = m//2 digits of u and one on the rest, added."""
+        p, m, add = self.p, self.m, self._add
+        matrix = [list(row) for row in zip(*(_digits(x, p, m) for x in images))]
+        cols = [_counter(solve_modp(matrix, _digits(p ** j, p, m), p), p) for j in range(m)]
+        h = m // 2
+        lo, hi, split = _span(cols[:h], p, add), _span(cols[h:], p, add), p ** h
+        return lambda u: add(lo[u % split], hi[u // split])
 
     def _build_tables(self):
         """exp[k] = g^k for 0 <= k < 2(q-1), log[g^k] = k, and for odd p
@@ -834,7 +868,7 @@ def _rth_roots(w, r: int, z, n: int, mul, pw) -> list:
 
 
 # ---------------------------------------------------------------------------
-# monic quadratics (shared with polyring.quadratic_roots) and linear solves
+# monic quadratics (shared with polyring.quadratic_roots) and y^2 + y = u
 # ---------------------------------------------------------------------------
 
 def _solve_quadratic(F: Field, b: FieldElem, c: FieldElem) -> tuple:
@@ -893,20 +927,6 @@ def _artin_schreier_value(F: Field, u: int) -> Optional[int]:
         return None
     assert F._mul(y, y) ^ y == u
     return y
-
-
-def _solve_additive(F: Field, L, u: int) -> Optional[int]:
-    """Some y with L(y) = u for a GF(p)-linear map L on counter values of F,
-    or None.
-
-    L is applied to the basis 1, t, ..., t^(m-1) and the system is solved
-    on digits by solve_modp.
-    """
-    p, m = F.p, F.m
-    cols = [_digits(L(p ** j), p, m) for j in range(m)]
-    matrix = [[col[i] for col in cols] for i in range(m)]
-    sol = solve_modp(matrix, _digits(u, p, m), p)
-    return None if sol is None else _counter(sol, p)
 
 
 # ---------------------------------------------------------------------------

@@ -28,10 +28,12 @@ under the embedding's table.  The cache of residue fields keeps every
 table, and the bound on the order keeps them few and small: at most 120
 places over any GF(q) qualify, where a scan over the thousands of degree-2
 places of a larger GF(q) would hold q entries a row at each of them.
-_ROW_MAX_ORDER bounds a second table too: arith's bin table per residue
-field and family, [ffcubic._bin_*(k, v) for every v], is built only for a
-residue field of at most that order; on larger ones each signature builds
-the root core's Decomp for its one residue.
+_ROW_MAX_ORDER bounds the package's two other per-field tables too, so
+all three share one bound: arith's bin table per residue field and family,
+[ffcubic._bin_*(k, v) for every v], built whole on first use, and ffcubic's
+root table per field and family, whose entry for a parameter is filled from
+the family's root core the first time it is read.  On a larger field each
+signature and each decomposition runs the root core for its one value.
 
 ResidueData.lift inverts reduction on polynomials of degree < d, which the
 local Artin-Schreier machinery in arith relies on.  unit_residue gives
@@ -55,7 +57,7 @@ from .polyring import (Embedding, FuncField, Poly, RatFunc, _squarefree_decompos
 INFINITE_VALUATION = math.inf
 PLACE_SCAN_LIMIT = 1 << 16  # places_up_to scans at most this many carriers per degree
 _ROW_BITS = 32  # W: the bits of one packed coordinate in a ResidueData row
-_ROW_MAX_ORDER = 1 << 8  # residue fields up to this order get packed rows and bin tables
+_ROW_MAX_ORDER = 1 << 8  # fields up to this order get packed rows, bin tables and root tables
 
 
 class Place:
