@@ -25,9 +25,9 @@ residue field), and then only the bin of the residual cubic, never its
 roots: a list index into the table of one ``ffcubic._bin_*`` over the
 residue field (``_bin_table``, built once per field and family, for fields
 of at most ``places._ROW_MAX_ORDER`` elements), or the ``_bin_*`` itself on
-a larger field.  Either way the bin is the class of the ``Decomp`` that the
-family's root core builds, read through ffcubic's root table under the
-same bound, so building a bin table also fills the root table of its field
+a larger field.  Either way the bin is read off the family's root core's
+roots through ffcubic's root table under the same bound (no ``Decomp`` is
+built), so building a bin table also fills the root table of its field
 and family; no RatFunc is built for it, nor for the odd-p resolvent.  The
 residue is wrapped as a FieldElem only on the rare branches: the resolvent
 at a residual double root, and the characteristic-3 surgery and square

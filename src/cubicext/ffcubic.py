@@ -12,19 +12,22 @@ Each canonical shape has a root core that returns all its roots in GF(s)
 with multiplicity (0, 1 or 3 counter values) from a closed form, with no
 general factorizer: the cube roots of a (``_pure_roots``); y = c + 1/c over
 the cube roots c of a root w of W^2 - aW + 1, in GF(s) or in the norm-1 torus
-of GF(s^2) (``_depressed_roots``); one square root and one of two fixed
-GF(3)-linear maps (``_char3_roots``); the inverse Frobenius
-(``_inseparable_roots``); the cofactor's quadratic formula
-(``_reducible_roots``).  Square and cube roots come from ``ffield``'s one
-r-th root routine (``_root_values``, ``_rth_roots``).  ``_from_roots``
-builds every ``Decomp`` from such a list, and ``_lin_times_quad`` the
+of GF(s^2) (``_depressed_roots``); one square root and the field's
+Artin-Schreier solver or a fixed GF(3)-linear inverse (``_char3_roots``);
+the inverse Frobenius (``_inseparable_roots``); the cofactor's quadratic
+formula (``_reducible_roots``).  Square and cube roots come from
+``ffield``'s one r-th root routine (``_root_values``, ``_rth_roots``).
+``_BINS`` maps a list of roots to its bin by (roots with multiplicity,
+distinct roots), the one multiplicity case analysis: ``_from_roots`` builds
+every ``Decomp`` for the bin read there, and ``_lin_times_quad`` the
 cofactor of a single root.  ``_family_decomp`` writes each family's cubic
 once and makes one ``_from_roots`` call on its root core, read through
 ``_family_roots``; ``decompose_pure``, ``decompose_depressed`` and
-``decompose_char3`` check their parameter and call it.  A bin is the class
-of that ``Decomp``, so there is one decision per family: ``_bin_pure``,
-``_bin_depressed`` and ``_bin_char3`` on a counter value (``arith``'s
-signatures read them) and the public ``bin_*`` on a checked parameter.
+``decompose_char3`` check their parameter and call it.  ``_bin_pure``,
+``_bin_depressed`` and ``_bin_char3`` read the same roots' bin off
+``_BINS`` on a counter value, building no ``Decomp`` (``arith``'s
+signatures read them); the public ``bin_*`` take the class of
+``decompose_*`` on a checked parameter.
 ``decompose_any`` reduces any monic cubic with canon's value-level core,
 takes a family shape's roots from ``_family_roots`` and any other shape's
 from its core, pulls them back through the inverse map and makes one
@@ -70,6 +73,7 @@ from .errors import SizeExceeded, WrongCharacteristic, WrongFieldClass
 from .ffield import (
     Field,
     FieldElem,
+    _artin_schreier_value,
     _kernel,
     _quad_values,
     _root_values,
@@ -122,6 +126,10 @@ class Triple:
 
 Decomp = Union[Irreducible, LinTimesQuad, ThreeDistinct, LinTimesSquare, Triple]
 
+# a cubic's bin by (its roots in GF(s) with multiplicity, its distinct roots)
+_BINS = {(0, 0): Irreducible, (1, 1): LinTimesQuad, (3, 3): ThreeDistinct,
+         (3, 2): LinTimesSquare, (3, 1): Triple}
+
 
 # ---------------------------------------------------------------------------
 # small shared helpers
@@ -160,20 +168,26 @@ def _lin_times_quad(F: Field, c: tuple, r: int) -> LinTimesQuad:
     return LinTimesQuad(FieldElem(F, r), (FieldElem(F, b), FieldElem(F, cc)))
 
 
+def _bin_of(roots) -> Optional[type]:
+    """The bin of a cubic from all its roots in GF(s) with multiplicity, read
+    off _BINS; None for a root count other than 0, 1 or 3."""
+    return _BINS.get((len(roots), len(set(roots))))
+
+
 def _from_roots(F: Field, c: tuple, roots) -> Decomp:
     """The Decomp of X^3 + eX^2 + fX + g, c = (e, f, g), from all its roots in
-    GF(s) with multiplicity (0, 1 or 3 counter values)."""
-    if not roots:
+    GF(s) with multiplicity (0, 1 or 3 counter values), built for its bin."""
+    cls = _bin_of(roots)
+    assert cls, "a cubic has 0, 1 or 3 roots with multiplicity"
+    if cls is Irreducible:
         return Irreducible()
-    if len(roots) == 1:
+    if cls is LinTimesQuad:
         return _lin_times_quad(F, c, roots[0])
-    assert len(roots) == 3, "a cubic has 0, 1 or 3 roots with multiplicity"
     lo, mid, hi = roots = sorted(roots)
-    if lo == hi:
+    if cls is Triple:
         return Triple(FieldElem(F, lo))
-    if lo == mid or mid == hi:  # the middle of the sorted triple is the double root
-        return LinTimesSquare(simple=FieldElem(F, hi if lo == mid else lo),
-                              double=FieldElem(F, mid))
+    if cls is LinTimesSquare:  # (simple, double): the middle of the sorted triple is double
+        return LinTimesSquare(FieldElem(F, hi if lo == mid else lo), FieldElem(F, mid))
     return ThreeDistinct(tuple(FieldElem(F, r) for r in roots))
 
 
@@ -350,17 +364,17 @@ def bin_char3(a: FieldElem) -> type:
 
 def _bin_pure(F: Field, v: int) -> type:
     """The bin of X^3 - v, p != 3, on a counter value."""
-    return type(_family_decomp(F, v, Pure))
+    return _bin_of(_family_roots(F, v, Pure))
 
 
 def _bin_depressed(F: Field, v: int) -> type:
     """The bin of X^3 - 3X - v, p != 3, on a counter value."""
-    return type(_family_decomp(F, v, DepressedTrace))
+    return _bin_of(_family_roots(F, v, DepressedTrace))
 
 
 def _bin_char3(F: Field, v: int) -> type:
     """The bin of X^3 + vX + v^2 over GF(3^m), on a counter value."""
-    return type(_family_decomp(F, v, Char3))
+    return _bin_of(_family_roots(F, v, Char3))
 
 
 def _pure_roots(F: Field, v: int) -> list:
@@ -397,24 +411,23 @@ def _depressed_roots(F: Field, v: int) -> list:
 def _char3_roots(F: Field, v: int) -> list:
     """The roots of X^3 + vX + v^2 over GF(3^m), with multiplicity.
 
-    v = 0 is the triple root.  Otherwise X = wZ, with one square root w, and
-    one of the field's two fixed linear maps (F.char3_maps) give the roots.
+    v = 0 is the triple root.  Otherwise X = wZ, with one square root w.
     If -v = w^2 the cubic is w^3 (Z^3 - Z + w): it has roots iff Tr(w) = 0,
-    and then they are wZ, wZ + w and wZ - w for Z = section(-w).  Otherwise
-    -v = n w^2, n = F.nonsquare, the cubic is w^3 (Z^3 - nZ + n^2 w), and
-    Z -> Z^3 - nZ is a bijection: one root.  A square factor never appears.
+    and then they are wZ, wZ + w and wZ - w for Z = _artin_schreier_value(-w),
+    which is None otherwise.  Else -v = n w^2, n = F.nonsquare, the cubic is
+    w^3 (Z^3 - nZ + n^2 w), and Z -> Z^3 - nZ is a bijection (F.char3_maps[1]
+    inverts it): one root.  A square factor never appears.
     """
     if not v:
         return [0, 0, 0]
     sub, mul, neg, n = F._sub, F._mul, F._neg, F.nonsquare
-    section, inverse = F.char3_maps
     sq = _root_values(F, neg(v), 2)
     if sq is None:
         w = _root_values(F, F._div(neg(v), n), 2)[0]
-        return [mul(w, inverse(neg(mul(mul(n, n), w))))]
+        return [mul(w, F.char3_maps[1](neg(mul(mul(n, n), w))))]
     w = sq[0]
-    z = section(neg(w))
-    if sub(F._pow(z, 3), z) != neg(w):  # Tr(w) != 0
+    z = _artin_schreier_value(F, neg(w))
+    if z is None:  # Tr(w) != 0
         return []
     r = mul(w, z)
     return [r, F._add(r, w), sub(r, w)]

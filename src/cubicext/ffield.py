@@ -35,14 +35,16 @@ Representation invariants:
   * The other per-field constants are built on first use as well and never
     depend on an input: the least non-square (``nonsquare``, odd p) and the
     least non-cube (``noncube``, q = 1 mod 3) for the r-th root routine;
-    for q = 2^m the echelon rows of y -> y^2 + y (``as_section``), so
-    y^2 + y = u is solved in at most m - 1 XORs, and for q = 3^m the two
-    GF(3)-linear maps of ffcubic's char-3 root core (``char3_maps``): a
-    section of Z -> Z^3 - Z and the inverse of Z -> Z^3 - nZ, n the least
-    non-square, each two lookups and one addition on lists of 3^(m//2) and
-    3^(m - m//2) values (``_linear_inverse``).  One int each for the first
-    two, m - 1 triples of ints (under 3 KiB at m = 20) for as_section, and
-    at most 4 * 729 ints (m = 12) for char3_maps.
+    for p = 2 and 3 a section of the GF(p)-linear Z -> Z^p - Z
+    (``as_section``), through which ``_artin_schreier_value`` solves
+    y^p - y = u, and for p = 3 ffcubic's char-3 pair (``char3_maps``):
+    as_section and the inverse of Z -> Z^3 - nZ, n the least non-square.
+    Each map is inverted once on the basis by solve_modp, the one GF(p)
+    elimination, and applied as two lookups and one addition on lists of
+    p^(m//2) and p^(m - m//2) values (``_linear_inverse``).  One int each
+    for the first two, about 2^(m//2) + 2^(m - m//2) ints for as_section
+    when p = 2 (2,048 at m = 20, built in about 4 ms), and at most 4 * 729
+    ints (m = 12) for both maps when p = 3.
 
 Square and cube roots come from one routine, Adleman-Manders-Miller for a
 prime r (``_rth_roots``; Tonelli-Shanks is its case r = 2), generic over the
@@ -385,7 +387,9 @@ class Field:
     with closures for the field's shape on the first read of any of them,
     and the method _div over them; FieldElem looks them up by name.  The
     per-field constants of the module docstring (exp, log, zech, nonsquare,
-    noncube, as_section, char3_maps) are slots built on first use as well.
+    noncube, as_section, char3_maps) are slots built on first use as well;
+    one the field's shape lacks (as_section for p > 3) raises AttributeError,
+    and char3_maps[0] is as_section.
     """
 
     __slots__ = ("p", "m", "order", "modulus", "zero", "one", "exp", "log", "zech",
@@ -410,7 +414,7 @@ class Field:
             self.nonsquare = self._least_non_power(2)
         elif name == "noncube" and self.order % 3 == 1:
             self.noncube = self._least_non_power(3)
-        elif name == "as_section" and self.p == 2:
+        elif name == "as_section" and self.p in (2, 3):
             self.as_section = self._as_section()
         elif name == "char3_maps" and self.p == 3:
             self.char3_maps = self._char3_maps()
@@ -424,40 +428,24 @@ class Field:
         e = (self.order - 1) // r
         return next(v for v in range(2, self.order) if self._pow(v, e) != 1)
 
-    def _as_section(self) -> tuple:
-        """Rows (pivot, L(x), x) spanning the image of the GF(2)-linear map
-        L(y) = y^2 + y on counter values, for every m.  L has kernel {0, 1},
-        so the L(t^j), j = 1..m-1, are independent and span the trace-0
-        hyperplane.  Each is reduced by the rows before it, so its pivot
-        (highest set bit) is no earlier row's pivot and every later row has
-        that bit clear: u reduced by the rows in this order leaves 0 exactly
-        when Tr(u) = 0, and the x of the rows used add up to a solution.
-        L(1) = 0, so the solution has constant term 0."""
-        rows = []
-        for j in range(1, self.m):
-            x = 1 << j
-            r = self._mul(x, x) ^ x
-            for pivot, row, pre in rows:
-                if r >> pivot & 1:
-                    r ^= row
-                    x ^= pre
-            rows.append((r.bit_length() - 1, r, x))
-        return tuple(rows)
+    def _as_section(self):
+        """For p = 2 or 3, a section of the GF(p)-linear map L(Z) = Z^p - Z on
+        counter values.  L has kernel GF(p) and the trace-0 hyperplane as
+        image, so for the least basis value c of nonzero trace the map sending
+        1 to c and t^j to L(t^j) is a bijection; the section is its inverse
+        (_linear_inverse).  L(section(u)) = u exactly when Tr(u) = 0, and then
+        section(u) has constant term 0."""
+        p, sub = self.p, self._sub
+        basis = [p ** j for j in range(self.m)]
+        c = next(x for x in basis if trace_to_prime(FieldElem(self, x)).value)
+        return self._linear_inverse([c] + [sub(self._pow(x, p), x) for x in basis[1:]])
 
     def _char3_maps(self) -> tuple:
-        """For p = 3, (section, inverse): two GF(3)-linear maps on counter
-        values.  L(Z) = Z^3 - Z has kernel GF(3) and the trace-0 hyperplane
-        as image, so for the least basis value c of nonzero trace the map
-        sending 1 to c and t^j to L(t^j) is a bijection; section is its
-        inverse, and L(section(u)) = u exactly when Tr(u) = 0.  inverse
-        undoes Z -> Z^3 - nZ, n = nonsquare, a bijection since Z^2 = n has
-        no root."""
-        p, m, sub, mul = 3, self.m, self._sub, self._mul
-        basis = [p ** j for j in range(m)]
-        c = next(x for x in basis if trace_to_prime(FieldElem(self, x)).value)
-        section = [c] + [sub(self._pow(x, 3), x) for x in basis[1:]]
-        return (self._linear_inverse(section),
-                self._linear_inverse([sub(self._pow(x, 3), mul(self.nonsquare, x)) for x in basis]))
+        """For p = 3, (as_section, inverse): inverse undoes the GF(3)-linear
+        Z -> Z^3 - nZ, n = nonsquare, a bijection since Z^2 = n has no root."""
+        sub, mul, n = self._sub, self._mul, self.nonsquare
+        images = [sub(self._pow(x, 3), mul(n, x)) for x in (3 ** j for j in range(self.m))]
+        return self.as_section, self._linear_inverse(images)
 
     def _linear_inverse(self, images: list):
         """u -> f^-1(u) on counter values, for the GF(p)-linear bijection f
@@ -868,7 +856,7 @@ def _rth_roots(w, r: int, z, n: int, mul, pw) -> list:
 
 
 # ---------------------------------------------------------------------------
-# monic quadratics (shared with polyring.quadratic_roots) and y^2 + y = u
+# monic quadratics (shared with polyring.quadratic_roots) and y^p - y = u
 # ---------------------------------------------------------------------------
 
 def _solve_quadratic(F: Field, b: FieldElem, c: FieldElem) -> tuple:
@@ -913,20 +901,12 @@ def _artin_schreier_particular(F: Field, u: FieldElem) -> FieldElem:
 
 
 def _artin_schreier_value(F: Field, u: int) -> Optional[int]:
-    """Some y with y^2 + y = u on counter values of GF(2^m), or None when
-    Tr(u) = 1.
-
-    u reduced by F.as_section, at most m - 1 XORs; this y has constant term 0.
-    """
-    y, rest = 0, u
-    for pivot, row, pre in F.as_section:
-        if rest >> pivot & 1:
-            rest ^= row
-            y ^= pre
-    if rest:
-        return None
-    assert F._mul(y, y) ^ y == u
-    return y
+    """The y with y^p - y = u and constant term 0 on counter values of
+    GF(p^m), p = 2 or 3, or None when Tr(u) != 0: y = F.as_section(u), kept
+    if it solves the equation.  The package's one solver of y^p - y = u (for
+    p = 2 that is y^2 + y = u)."""
+    y = F.as_section(u)
+    return y if F._sub(F._pow(y, F.p), y) == u else None
 
 
 # ---------------------------------------------------------------------------

@@ -497,8 +497,8 @@ class RatFunc:
 def quadratic_roots(f: Poly) -> tuple:
     """Roots in GF(q) of a quadratic over GF(q), ascending.
 
-    Works in both characteristics: odd q by discriminant, q even by the
-    echelon rows of y -> y^2 + y.  A double root is reported once.
+    Works in both characteristics: odd q by discriminant, q even by
+    ffield._artin_schreier_value.  A double root is reported once.
     """
     if not isinstance(f.dom, Field):
         raise DomainMismatch("quadratic_roots works over a finite field")
