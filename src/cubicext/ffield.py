@@ -39,12 +39,12 @@ Representation invariants:
     (``as_section``), through which ``_artin_schreier_value`` solves
     y^p - y = u, and for p = 3 ffcubic's char-3 pair (``char3_maps``):
     as_section and the inverse of Z -> Z^3 - nZ, n the least non-square.
-    Each map is inverted once on the basis by solve_modp, the one GF(p)
-    elimination, and applied as two lookups and one addition on lists of
-    p^(m//2) and p^(m - m//2) values (``_linear_inverse``).  One int each
-    for the first two, about 2^(m//2) + 2^(m - m//2) ints for as_section
-    when p = 2 (2,048 at m = 20, built in about 4 ms), and at most 4 * 729
-    ints (m = 12) for both maps when p = 3.
+    Each map is inverted on the whole basis by one solve_modp, the one GF(p)
+    elimination, run on [A | I], and applied as two lookups and one addition
+    on lists of p^(m//2) and p^(m - m//2) values (``_linear_inverse``).  One
+    int each for the first two, about 2^(m//2) + 2^(m - m//2) ints for
+    as_section when p = 2 (2,048 at m = 20, built in about 0.6 ms), and at
+    most 4 * 729 ints (m = 12) for both maps when p = 3.
 
 Square and cube roots come from one routine, Adleman-Manders-Miller for a
 prime r (``_rth_roots``; Tonelli-Shanks is its case r = 2), generic over the
@@ -449,11 +449,12 @@ class Field:
 
     def _linear_inverse(self, images: list):
         """u -> f^-1(u) on counter values, for the GF(p)-linear bijection f
-        with f(p^j) = images[j]: f^-1 of the basis by solve_modp, then one
+        with f(p^j) = images[j]: f^-1 of the basis by one solve_modp, then one
         lookup on the low h = m//2 digits of u and one on the rest, added."""
         p, m, add = self.p, self.m, self._add
         matrix = [list(row) for row in zip(*(_digits(x, p, m) for x in images))]
-        cols = [_counter(solve_modp(matrix, _digits(p ** j, p, m), p), p) for j in range(m)]
+        basis = [_digits(p ** j, p, m) for j in range(m)]
+        cols = [_counter(x, p) for x in solve_modp(matrix, basis, p)]
         h = m // 2
         lo, hi, split = _span(cols[:h], p, add), _span(cols[h:], p, add), p ** h
         return lambda u: add(lo[u % split], hi[u // split])
@@ -913,11 +914,13 @@ def _artin_schreier_value(F: Field, u: int) -> Optional[int]:
 # small exact linear algebra mod p (shared with the residue-field machinery)
 # ---------------------------------------------------------------------------
 
-def solve_modp(matrix: list, rhs: list, p: int) -> Optional[list]:
-    """One solution of matrix * x = rhs over GF(p), or None.  Gaussian elimination."""
-    n = len(matrix)
+def solve_modp(matrix: list, rhss: list, p: int) -> Optional[list]:
+    """One solution x of matrix * x = b over GF(p) for each right-hand side b
+    in rhss, from one Gaussian elimination of [matrix | rhss]; None when some
+    b has none."""
+    n, k = len(matrix), len(rhss)
     m = len(matrix[0]) if n else 0
-    aug = [[v % p for v in row] + [rhs[i] % p] for i, row in enumerate(matrix)]
+    aug = [[v % p for v in row] + [b[i] % p for b in rhss] for i, row in enumerate(matrix)]
     pivots = []
     r = 0
     for col in range(m):
@@ -935,10 +938,10 @@ def solve_modp(matrix: list, rhs: list, p: int) -> Optional[list]:
         r += 1
         if r == n:
             break
-    for i in range(r, n):
-        if aug[i][m]:
-            return None
-    x = [0] * m
+    if any(v for row in aug[r:] for v in row[m:]):
+        return None
+    xs = [[0] * m for _ in range(k)]
     for i, col in enumerate(pivots):
-        x[col] = aug[i][m]
-    return x
+        for x, v in zip(xs, aug[i][m:]):
+            x[col] = v
+    return xs

@@ -5,6 +5,19 @@ generates) or the infinite place.  The infinite place sorts first, finite
 places sort by (degree, counter key); every list of places this module
 returns is in that order.
 
+The places of degree d >= 2 come from one walk of k = GF(q^d) under the
+Frobenius v -> v^q (_orbit_places, cached per base field and degree): the
+elements are visited in counter order and each unvisited one is followed
+around its orbit.  The orbits of size exactly d are the root sets of the
+monic irreducibles of degree d, (1/d) sum_{e | d} mu(d/e) q^e of them
+(Rosen, Number Theory in Function Fields, Prop. 2.1), so the walk visits
+each element once and tests no candidate.  A carrier is prod (X - w) over
+its orbit, pulled back into GF(q) through the embedding, and the orbit's
+first-visited element is its least root.  places_up_to reads every degree
+d >= 2 off the walk, and residue_field takes its root from it while q^d <=
+PLACE_SCAN_LIMIT (above, it factors the carrier).  iter_places stays the
+lazy scan of ffield's monic irreducibles, one irreducibility test each.
+
 Valuation conventions: v_P(f) counts the power of the monic carrier dividing
 f, and v_infinity(num/den) = deg den - deg num, so deg-degree bookkeeping
 sums to zero on principal divisors (asserted in divisor_groups, which
@@ -49,13 +62,13 @@ import math
 from typing import Iterator, Optional, Tuple, Union
 
 from .errors import DomainMismatch, FieldMismatch, NegativeValuation, SizeExceeded, ZeroInput
-from .ffield import (FieldElem, _divmod, _horner, _irreducibles, _kernel, _span, field_make,
-                     solve_modp)
+from .ffield import (FieldElem, _divmod, _horner, _irreducibles, _kernel, _mul, _span,
+                     field_make, solve_modp)
 from .polyring import (Embedding, FuncField, Poly, RatFunc, _squarefree_decomposition, _store,
                        embedding, factor_fq, func_field, is_irreducible, poly_roots)
 
 INFINITE_VALUATION = math.inf
-PLACE_SCAN_LIMIT = 1 << 16  # places_up_to scans at most this many carriers per degree
+PLACE_SCAN_LIMIT = 1 << 16  # places_up_to walks at most this many elements of GF(q^d)
 _ROW_BITS = 32  # W: the bits of one packed coordinate in a ResidueData row
 _ROW_MAX_ORDER = 1 << 8  # fields up to this order get packed rows, bin tables and root tables
 
@@ -229,7 +242,7 @@ class ResidueData:
         m, k, image = base.m, self.field, self.embed.value_image
         cols = [FieldElem(k, k._mul(image(base.p ** j), k._pow(self.root.value, i))).coeffs
                 for i in range(self.place.degree) for j in range(m)]
-        sol = solve_modp(list(zip(*cols)), c.coeffs, base.p)
+        sol = solve_modp(list(zip(*cols)), [c.coeffs], base.p)[0]
         coeffs = [base.elem(sol[i * m:(i + 1) * m]) for i in range(self.place.degree)]
         return Poly(base, coeffs)
 
@@ -253,6 +266,10 @@ def _unpacker(p: int, n: int):
 
 @functools.lru_cache(maxsize=None)
 def residue_field(P: Place) -> ResidueData:
+    """The residue field of P, its embedding of GF(q) and the carrier's least
+    root: -c for X + c, from the Frobenius walk of GF(q^d) while q^d <=
+    PLACE_SCAN_LIMIT (_orbit_places, shared with places_up_to), else the
+    least of poly_roots of the carrier lifted to GF(q^d)."""
     base = P.ff.field
     if P.is_infinite:
         return ResidueData(P, base, embedding(base, base), None)
@@ -261,6 +278,8 @@ def residue_field(P: Place) -> ResidueData:
     emb = embedding(base, k)
     if d == 1:
         root = emb(-P.pi.coeff(0))
+    elif k.order <= PLACE_SCAN_LIMIT:
+        root = FieldElem(k, _orbit_places(base, d)[P.pi.vals])
     else:
         lifted = _store(_kernel(k), map(emb.value_image, P.pi.vals))
         root = poly_roots(lifted)[0]
@@ -349,8 +368,10 @@ def divisor_of(a: RatFunc) -> list:
 def iter_places(ff: FuncField, dmax: int) -> Iterator[Place]:
     """Infinity, then every finite place of degree <= dmax, in place order.
 
-    Lazy: each carrier is built and tested when it is reached, so a caller
-    that stops early pays only for the places it took.
+    Lazy: each candidate carrier is built in counter order and tested for
+    irreducibility when it is reached, so a caller that stops early pays
+    only for the places it took; places_up_to gives the same places from
+    the Frobenius walks.
     """
     yield Place.infinity(ff)
     K = _kernel(ff.field)
@@ -360,13 +381,48 @@ def iter_places(ff: FuncField, dmax: int) -> Iterator[Place]:
 
 
 @functools.lru_cache(maxsize=None)
+def _orbit_places(base, d: int) -> dict:
+    """The carriers of the places of degree d >= 2 over base = GF(q), as
+    kernel value tuples in place order, each mapped to the counter value of
+    its least root in k = GF(q^d): one walk of k in counter order follows
+    each unvisited v through v -> v^q; an orbit of size d is the root set of
+    one carrier, prod (X - w) pulled back into GF(q) through the embedding,
+    and v, its first-visited element, is its least root."""
+    k = field_make(base.p, base.m * d)
+    K, pw, neg, q = _kernel(k), k._pow, k._neg, base.order
+    back = {w: v for v, w in enumerate(embedding(base, k).images or range(q))}
+    seen = bytearray(k.order)
+    out = []
+    for v in range(k.order):
+        if seen[v]:
+            continue
+        orbit, w = [v], pw(v, q)
+        while w != v:
+            orbit.append(w)
+            w = pw(w, q)
+        for w in orbit:
+            seen[w] = 1
+        if len(orbit) == d:
+            f = [neg(v), 1]
+            for w in orbit[1:]:
+                f = _mul(K, f, [neg(w), 1])
+            out.append((tuple(map(back.__getitem__, f)), v))
+    out.sort(key=lambda t: t[0][::-1])
+    return dict(out)
+
+
+@functools.lru_cache(maxsize=None)
 def places_up_to(ff: FuncField, dmax: int) -> tuple:
     """Infinity plus every finite place of degree <= dmax, in place order.
 
-    The q^d monic polynomials of each degree d are tested one by one, so
-    SizeExceeded is raised up front when q^dmax exceeds PLACE_SCAN_LIMIT.
+    Degree 1 is the q carriers X + c; each degree d >= 2 is read off one
+    Frobenius walk of GF(q^d) (_orbit_places), which visits all q^d
+    elements, so SizeExceeded is raised up front when q^dmax exceeds
+    PLACE_SCAN_LIMIT.
     """
     # q >= 2, so every dmax > 16 exceeds the 2^16 limit: no need for q^dmax
     if dmax > 16 or ff.field.order ** dmax > PLACE_SCAN_LIMIT:
         raise SizeExceeded(f"{ff.field.order}^{dmax} candidate places exceed {PLACE_SCAN_LIMIT}")
-    return tuple(iter_places(ff, dmax))
+    K = _kernel(ff.field)
+    return tuple(iter_places(ff, min(dmax, 1))) + tuple(
+        Place(ff, _store(K, f)) for d in range(2, dmax + 1) for f in _orbit_places(ff.field, d))
