@@ -15,8 +15,12 @@ each element once and tests no candidate.  A carrier is prod (X - w) over
 its orbit, pulled back into GF(q) through the embedding, and the orbit's
 first-visited element is its least root.  places_up_to reads every degree
 d >= 2 off the walk, and residue_field takes its root from it while q^d <=
-PLACE_SCAN_LIMIT (above, it factors the carrier).  iter_places stays the
-lazy scan of ffield's monic irreducibles, one irreducibility test each.
+PLACE_SCAN_LIMIT (above, it tests the carrier for irreducibility and
+factors it).  iter_places stays the lazy scan of ffield's monic
+irreducibles, one irreducibility test each.  A carrier that is not
+irreducible, possible only for a Place built without Place.finite, has no
+residue field: residue_field raises DomainMismatch on both sides of the
+bound.
 
 Valuation conventions: v_P(f) counts the power of the monic carrier dividing
 f, and v_infinity(num/den) = deg den - deg num, so deg-degree bookkeeping
@@ -52,7 +56,11 @@ ResidueData.lift inverts reduction on polynomials of degree < d, which the
 local Artin-Schreier machinery in arith relies on.  unit_residue gives
 v_P(a) together with the residue of a * pi^(-v) from that evaluation;
 _unit_residue_value gives it as a counter value, which arith's signatures
-read without wrapping.  Every entry point that takes a function and a
+read without wrapping.  The residue decides divisibility: pi, the minimal
+polynomial of the root, divides f exactly when f(root) = 0, so v_P(a) is
+found by exact divisions by pi while the residue is 0, with no trial
+division that fails.  valuation, which has no residue field at hand, strips
+pi by trial division.  Every entry point that takes a function and a
 place raises FieldMismatch when the function lives over another base field.
 """
 from __future__ import annotations
@@ -62,8 +70,8 @@ import math
 from typing import Iterator, Optional, Tuple, Union
 
 from .errors import DomainMismatch, FieldMismatch, NegativeValuation, SizeExceeded, ZeroInput
-from .ffield import (FieldElem, _divmod, _horner, _irreducibles, _kernel, _mul, _span,
-                     field_make, solve_modp)
+from .ffield import (FieldElem, _divmod, _horner, _irreducible, _irreducibles, _kernel, _mul,
+                     _span, field_make, solve_modp)
 from .polyring import (Embedding, FuncField, Poly, RatFunc, _squarefree_decomposition, _store,
                        embedding, factor_fq, func_field, is_irreducible, poly_roots)
 
@@ -71,6 +79,7 @@ INFINITE_VALUATION = math.inf
 PLACE_SCAN_LIMIT = 1 << 16  # places_up_to walks at most this many elements of GF(q^d)
 _ROW_BITS = 32  # W: the bits of one packed coordinate in a ResidueData row
 _ROW_MAX_ORDER = 1 << 8  # fields up to this order get packed rows, bin tables and root tables
+_REDUCIBLE = "the carrier of a finite place must be irreducible"
 
 
 class Place:
@@ -90,7 +99,7 @@ class Place:
         if not pi.is_monic():
             raise DomainMismatch("the carrier of a finite place must be monic")
         if not is_irreducible(pi):
-            raise DomainMismatch("the carrier of a finite place must be irreducible")
+            raise DomainMismatch(_REDUCIBLE)
         return Place(func_field(pi.dom), pi)
 
     @staticmethod
@@ -136,14 +145,13 @@ class Place:
 # valuations
 # ---------------------------------------------------------------------------
 
-def _strip(K, f: list, pi: list) -> Tuple[int, list]:
-    """(n, f / pi^n) for the largest n with pi^n dividing f, on K's lists."""
+def _strip(K, f: list, pi: list) -> int:
+    """The largest n with pi^n dividing f, on K's lists."""
     n = 0
     while True:
-        q, r = _divmod(K, f, pi)
+        f, r = _divmod(K, f, pi)
         if r:
-            return n, f
-        f = q
+            return n
         n += 1
 
 
@@ -157,8 +165,8 @@ def valuation(a: RatFunc, P: Place) -> Union[int, float]:
         return a.den.degree - a.num.degree
     # the fraction is reduced, so at most one of num/den is divisible
     K, pi = _kernel(P.ff.field), P.pi.vals
-    v = _strip(K, a.num.vals, pi)[0]
-    return v if v else -_strip(K, a.den.vals, pi)[0]
+    v = _strip(K, a.num.vals, pi)
+    return v if v else -_strip(K, a.den.vals, pi)
 
 
 def uniformizer(P: Place) -> RatFunc:
@@ -269,7 +277,9 @@ def residue_field(P: Place) -> ResidueData:
     """The residue field of P, its embedding of GF(q) and the carrier's least
     root: -c for X + c, from the Frobenius walk of GF(q^d) while q^d <=
     PLACE_SCAN_LIMIT (_orbit_places, shared with places_up_to), else the
-    least of poly_roots of the carrier lifted to GF(q^d)."""
+    least of poly_roots of the carrier lifted to GF(q^d).  A carrier that is
+    not irreducible (a Place built without Place.finite) raises
+    DomainMismatch on both sides of the bound."""
     base = P.ff.field
     if P.is_infinite:
         return ResidueData(P, base, embedding(base, base), None)
@@ -277,13 +287,16 @@ def residue_field(P: Place) -> ResidueData:
     k = field_make(base.p, base.m * d)
     emb = embedding(base, k)
     if d == 1:
-        root = emb(-P.pi.coeff(0))
-    elif k.order <= PLACE_SCAN_LIMIT:
-        root = FieldElem(k, _orbit_places(base, d)[P.pi.vals])
+        return ResidueData(P, k, emb, emb(-P.pi.coeff(0)))
+    if k.order <= PLACE_SCAN_LIMIT:
+        root = _orbit_places(base, d).get(P.pi.vals)
+    elif _irreducible(_kernel(base), P.pi.vals):
+        root = poly_roots(_store(_kernel(k), map(emb.value_image, P.pi.vals)))[0].value
     else:
-        lifted = _store(_kernel(k), map(emb.value_image, P.pi.vals))
-        root = poly_roots(lifted)[0]
-    return ResidueData(P, k, emb, root)
+        root = None
+    if root is None:
+        raise DomainMismatch(_REDUCIBLE)
+    return ResidueData(P, k, emb, FieldElem(k, root))
 
 
 def unit_residue(a: RatFunc, P: Place) -> Tuple[int, FieldElem]:
@@ -302,8 +315,8 @@ def _unit_residue_value(num: Poly, den: Poly, P: Place) -> tuple:
     """(v, residue field, counter value of the residue) of num/den for
     coprime num and den: at infinity lc(num)/lc(den); at a finite place pi,
     the minimal polynomial of the root, divides num or den exactly when it
-    vanishes there, and that side is divided by pi until it does not before
-    it is evaluated, all on their kernel lists."""
+    vanishes there, so while a side's residue is 0 it is divided by pi,
+    exactly, and evaluated again, all on their kernel lists."""
     if num.dom is not P.ff.field or den.dom is not P.ff.field:
         raise FieldMismatch("the function and the place are over different fields")
     ns, ds = num.vals, den.vals
@@ -313,12 +326,12 @@ def _unit_residue_value(num: Poly, den: Poly, P: Place) -> tuple:
         return len(ds) - len(ns), P.ff.field, P.ff.field._div(ns[-1], ds[-1])
     rd = residue_field(P)
     v, n, d = 0, rd._eval(ns), rd._eval(ds)
-    if not n:  # coprime, so at most one of n, d is zero
-        v, ns = _strip(rd._kernel, ns, P.pi.vals)
-        n = rd._eval(ns)
-    elif not d:
-        v, ds = _strip(rd._kernel, ds, P.pi.vals)
-        v, d = -v, rd._eval(ds)
+    while not n:  # coprime, so at most one of n, d is zero
+        ns = _divmod(rd._kernel, ns, P.pi.vals)[0]
+        v, n = v + 1, rd._eval(ns)
+    while not d:
+        ds = _divmod(rd._kernel, ds, P.pi.vals)[0]
+        v, d = v - 1, rd._eval(ds)
     return v, rd.field, rd.field._div(n, d)
 
 

@@ -518,7 +518,7 @@ def _powmod_q(base: Poly, e: int, mod: Poly) -> Poly:
 
 
 def is_irreducible(f: Poly) -> bool:
-    """Irreducibility over GF(q) by the Frobenius power criterion."""
+    """Irreducibility over GF(q) by Ben-Or's test (ffield._irreducible)."""
     if not isinstance(f.dom, Field):
         raise DomainMismatch("irreducibility is tested over a finite field")
     if f.is_zero():

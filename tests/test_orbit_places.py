@@ -10,12 +10,14 @@ PLACE_SCAN_LIMIT.  Checked here against code that shares none of it:
 * every root is ``poly_roots`` of the lifted carrier, its least root;
 * a place built on its own by ``Place.finite`` gets the same residue data;
 * the scan bound is checked before any walk starts;
-* no residue field of a scanned place factors its carrier.
+* no residue field of a scanned place factors its carrier;
+* a Place built on a reducible carrier gets Place.finite's DomainMismatch
+  from residue_field, on both sides of the bound, and nothing is factored.
 """
 import pytest
 
 from cubicext import places
-from cubicext.errors import SizeExceeded
+from cubicext.errors import DomainMismatch, SizeExceeded
 from cubicext.ffield import field_make
 from cubicext.places import (PLACE_SCAN_LIMIT, Place, iter_places, places_up_to,
                              residue_field)
@@ -97,3 +99,29 @@ def test_scanned_residue_fields_factor_no_carrier(monkeypatch):
     assert F.order ** big.degree > PLACE_SCAN_LIMIT
     assert residue_field(big).root is not None
     assert len(calls) == 1
+
+
+# reducible carriers of degree 2 and 3: below the bound the walk has no such
+# carrier, above it the carrier is tested before it is factored
+REDUCIBLE = [((7, 1), [6, 0, 1]), ((7, 1), [1, 2, 1]), ((7, 1), [6, 0, 0, 1]), ((2, 2), [0, 0, 1]),
+             ((257, 1), [256, 0, 1]), ((2, 9), [0, 1, 1]), ((41, 1), [40, 0, 0, 1]),
+             ((41, 1), [1, 3, 3, 1])]
+
+
+@pytest.mark.parametrize("pm,ints", REDUCIBLE, ids=[f"GF({p}^{m})-{c}" for (p, m), c in REDUCIBLE])
+def test_a_reducible_carrier_has_no_residue_field(pm, ints, monkeypatch):
+    F = field_make(*pm)
+    pi = Poly.of_ints(F, ints)
+    with pytest.raises(DomainMismatch) as refused:
+        Place.finite(pi)
+    factored = []
+    monkeypatch.setattr(places, "poly_roots", factored.append)
+    with pytest.raises(DomainMismatch) as raised:
+        residue_field(Place(func_field(F), pi))
+    assert str(raised.value) == str(refused.value)
+    assert factored == []
+
+
+def test_the_reducible_carriers_cover_both_sides_and_degrees():
+    sides = {(len(c) - 1, (p ** m) ** (len(c) - 1) > PLACE_SCAN_LIMIT) for (p, m), c in REDUCIBLE}
+    assert sides == {(2, False), (3, False), (2, True), (3, True)}
