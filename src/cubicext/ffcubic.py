@@ -39,7 +39,7 @@ root is wrapped in ``FieldElem`` only when its ``Decomp`` is built.  The
 torus questions that need only a trace (Tr W^e for one e; is W or z a cube)
 run the Lucas/Dickson ladder V_e = Tr(W^e) on GF(s) alone (``_lucas``).
 Only Adleman-Manders-Miller on the torus works on pairs mod W^2 - aW + 1
-(``_quad_ring``, inline % p over GF(p)), and its non-cube (delta + W)^(s-1)
+(``_quad_ring``, on the field's bound ops), and its non-cube (delta + W)^(s-1)
 is built as conj(u)^2/N(u) with u = delta + W: one inverse in GF(s) per
 candidate delta.  Nothing is cached per input; the constants that depend
 only on the field live on the ``Field`` (the char-3 core's two maps too).
@@ -193,19 +193,13 @@ def _from_roots(F: Field, c: tuple, roots) -> Decomp:
 
 def _quad_ring(F: Field, a: int):
     """(mul, pow) of GF(s)[W]/(W^2 - aW + 1) on pairs c0 + c1 W of counter
-    values, inline % p over GF(p); pow takes exponents e >= 0."""
+    values, on the field's bound ops; pow takes exponents e >= 0."""
     add, sub, mul = F._add, F._sub, F._mul
-    if F.m == 1:
-        p = F.p
 
-        def tmul(u, v):
-            x = u[1] * v[1]
-            return ((u[0] * v[0] - x) % p, (u[0] * v[1] + u[1] * v[0] + a * x) % p)
-    else:
-        def tmul(u, v):
-            x = mul(u[1], v[1])
-            return (sub(mul(u[0], v[0]), x),
-                    add(add(mul(u[0], v[1]), mul(u[1], v[0])), mul(a, x)))
+    def tmul(u, v):
+        x = mul(u[1], v[1])
+        return (sub(mul(u[0], v[0]), x),
+                add(add(mul(u[0], v[1]), mul(u[1], v[0])), mul(a, x)))
 
     def tpow(u, e):
         acc = (1, 0)
@@ -227,15 +221,9 @@ def _lucas(F: Field, a: int, e: int) -> int:
     V_2k+1 = V_k V_k+1 - a: two products and two differences a bit."""
     two = lo = 2 % F.p
     hi = a
-    if F.m == 1:
-        p = F.p
-        for bit in bin(e)[2:]:
-            x = (lo * hi - a) % p  # V_2k+1
-            lo, hi = (x, (hi * hi - two) % p) if bit == "1" else ((lo * lo - two) % p, x)
-        return lo
     sub, mul = F._sub, F._mul
     for bit in bin(e)[2:]:
-        x = sub(mul(lo, hi), a)
+        x = sub(mul(lo, hi), a)  # V_2k+1
         lo, hi = (x, sub(mul(hi, hi), two)) if bit == "1" else (sub(mul(lo, lo), two), x)
     return lo
 

@@ -57,17 +57,19 @@ on a FieldElem's counter value.  The quadratic solver lives here (rather
 than with the polynomial machinery) because the square/cube classifiers
 below need it; polyring re-exports it.
 
-The package's one list kernel (_Kernel, _trim ... _horner), irreducibility
-test and scan of monic irreducibles live here, at the bottom of the import
-graph.  The test is Ben-Or's (FOCS 1981): gcd(x^(q^i) - x, f) = 1 for
-i <= d/2, stopping at the first factor, so a candidate with a root costs
-one Frobenius power (on random candidates it beats the full criterion:
-Gao and Panario, Found. Comput. Math. 1997); it finds every field modulus
-and every place of the lazy scan.  _ptrim, _pmul, _pmod and _ppowmod stay,
-uncalled, as the tests' oracle.  So does ``record``: it makes the package's
-frozen value classes as @dataclass(frozen=True) would (fields are the
-annotations less ClassVar ones; equal only within one class) without
-generating code or importing dataclasses.
+The package's one list kernel (_Kernel, _trim ... _horner), Frobenius walk
+and scan of monic irreducibles live here, at the bottom of the import
+graph.  The walk (_distinct_degree) yields the groups gcd(x^(q^i) - x, f)
+of distinct-degree factorization lazily, for factor_fq and for the one
+irreducibility test, Ben-Or's (FOCS 1981), which reads its first group
+only, so a candidate with a root costs one Frobenius power (on random
+candidates it beats the full criterion: Gao and Panario, Found. Comput.
+Math. 1997); it finds every field modulus and every place of the lazy
+scan.  _ptrim, _pmul, _pmod and _ppowmod stay, uncalled, as the tests'
+oracle.  So does ``record``: it makes the package's frozen value classes
+as @dataclass(frozen=True) would (fields are the annotations less ClassVar
+ones; equal only within one class) without generating code or importing
+dataclasses.
 """
 from __future__ import annotations
 
@@ -324,18 +326,32 @@ def _prime_divisors(n: int) -> list:
     return out
 
 
-def _irreducible(K: _Kernel, f: list) -> bool:
-    """Is the monic f of degree d >= 1 irreducible over K's field GF(q)?  Yes
-    iff gcd(x^(q^i) - x, f) = 1 for i = 1 ... d // 2, since a reducible f has
-    an irreducible factor of some degree i <= d/2, which divides x^(q^i) - x
-    (Ben-Or, FOCS 1981).  The test stops at the first i with a factor, so a
-    candidate with a root pays one power."""
+def _distinct_degree(K: _Kernel, f: list) -> Iterator[tuple]:
+    """(g, i), i ascending and lazily, for the product g of the degree-i
+    irreducible factors of the squarefree monic f over GF(q): for each i
+    with deg f >= 2i, h = x^(q^i) mod f by one power of the previous h and
+    g = gcd(f, h - x), which f sheds; then what is left of f (von zur
+    Gathen and Gerhard, Modern Computer Algebra, 14.2)."""
     x = h = [0, 1]
-    for _ in range((len(f) - 1) // 2):
-        h = _powmod(K, h, K.field.order, f)
-        if len(_gcd(K, f, _sub(K, h, x))) > 1:
-            return False
-    return True
+    i = 1
+    while len(f) > 2 * i:
+        h = _powmod(K, h, K.field.order, f)  # reduces h mod the shrunk f first
+        g = _gcd(K, f, _sub(K, h, x))
+        if len(g) > 1:
+            yield g, i
+            f = _divmod(K, f, g)[0]
+        i += 1
+    if len(f) > 1:
+        yield f, len(f) - 1
+
+
+def _irreducible(K: _Kernel, f: list) -> bool:
+    """Is the monic f irreducible over K's field GF(q)?  Ben-Or's test (FOCS
+    1981) is the first group of the shared walk, _distinct_degree: a
+    reducible f of degree d has an irreducible factor of degree i <= d/2, so
+    the first group has degree d (0 for f = 1) only when f is irreducible.
+    The walk is lazy, so a candidate with a root pays one power."""
+    return next(_distinct_degree(K, f), (f, 0))[1] == len(f) - 1
 
 
 def _irreducibles(K: _Kernel, d: int) -> Iterator[list]:

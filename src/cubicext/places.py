@@ -20,7 +20,7 @@ factors it).  iter_places stays the lazy scan of ffield's monic
 irreducibles, one irreducibility test each.  A carrier that is not
 irreducible, possible only for a Place built without Place.finite, has no
 residue field: residue_field raises DomainMismatch on both sides of the
-bound.
+bound, above it checking the carrier before it builds the residue field.
 
 Valuation conventions: v_P(f) counts the power of the monic carrier dividing
 f, and v_infinity(num/den) = deg den - deg num, so deg-degree bookkeeping
@@ -279,21 +279,21 @@ def residue_field(P: Place) -> ResidueData:
     PLACE_SCAN_LIMIT (_orbit_places, shared with places_up_to), else the
     least of poly_roots of the carrier lifted to GF(q^d).  A carrier that is
     not irreducible (a Place built without Place.finite) raises
-    DomainMismatch on both sides of the bound."""
+    DomainMismatch on both sides of the bound, above it before GF(q^d) is
+    built, so that no field size decides the error."""
     base = P.ff.field
     if P.is_infinite:
         return ResidueData(P, base, embedding(base, base), None)
     d = P.degree
+    scanned = base.order ** d <= PLACE_SCAN_LIMIT
+    if not scanned and not _irreducible(_kernel(base), P.pi.vals):
+        raise DomainMismatch(_REDUCIBLE)
     k = field_make(base.p, base.m * d)
     emb = embedding(base, k)
     if d == 1:
         return ResidueData(P, k, emb, emb(-P.pi.coeff(0)))
-    if k.order <= PLACE_SCAN_LIMIT:
-        root = _orbit_places(base, d).get(P.pi.vals)
-    elif _irreducible(_kernel(base), P.pi.vals):
-        root = poly_roots(_store(_kernel(k), map(emb.value_image, P.pi.vals)))[0].value
-    else:
-        root = None
+    root = (_orbit_places(base, d).get(P.pi.vals) if scanned
+            else poly_roots(_store(_kernel(k), map(emb.value_image, P.pi.vals)))[0].value)
     if root is None:
         raise DomainMismatch(_REDUCIBLE)
     return ResidueData(P, k, emb, FieldElem(k, root))

@@ -19,7 +19,9 @@ another field's element is refused), so equal Polys hash equal.  Division is
 the classical quadratic one and accepts non-monic divisors.  The squarefree
 decomposition, factor_fq's first step, alone answers what needs only
 multiplicities; like factor_fq it refuses a degree above
-FACTOR_DEGREE_LIMIT before any work.
+FACTOR_DEGREE_LIMIT before any work.  Its second step is ffield's one
+Frobenius walk (ffield._distinct_degree), whose first group is also
+is_irreducible's Ben-Or test; _powmod_q has no caller and stays for tests.
 
 Rational functions are kept reduced with a monic denominator, so equal
 functions have equal representations.
@@ -593,24 +595,11 @@ def _squarefree_decomposition(f: Poly) -> list:
 
 
 def _distinct_degree(f: Poly) -> list:
-    """[(product of irreducible factors of degree d, d)] for squarefree monic f."""
-    F = f.dom
-    out = []
-    x = Poly.gen(F)
-    h = x
-    g = f
-    d = 0
-    while g.degree > 2 * (d + 1) - 1 and g.degree > 0:
-        d += 1
-        h = _powmod_q(h, F.order, g)
-        gd = g.gcd(h - x)
-        if gd.degree > 0:
-            out.append((gd, d))
-            g = g // gd
-            h = h % g
-    if g.degree > 0:
-        out.append((g, g.degree))
-    return out
+    """[(product of irreducible factors of degree d, d)] for squarefree monic
+    f: the groups of ffield's one Frobenius walk (ffield._distinct_degree,
+    whose first group is also Ben-Or's irreducibility test), wrapped."""
+    K = _kernel(f.dom)
+    return [(_store(K, g), d) for g, d in ffield._distinct_degree(K, f.vals)]
 
 
 def _equal_degree_split(f: Poly, d: int, rng: random.Random) -> list:
