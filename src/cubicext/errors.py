@@ -65,7 +65,8 @@ class PoleHit(CubicExtError):
 
 
 class SingularMatrix(CubicExtError):
-    """A fractional-linear map with zero determinant."""
+    """A zero determinant: a fractional-linear map, or GF(p)-linear images
+    that are not a basis (Field._inverse_columns)."""
 
 
 # --- cubic classification ------------------------------------------------

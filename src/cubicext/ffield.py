@@ -39,12 +39,14 @@ Representation invariants:
     (``as_section``), through which ``_artin_schreier_value`` solves
     y^p - y = u, and for p = 3 ffcubic's char-3 pair (``char3_maps``):
     as_section and the inverse of Z -> Z^3 - nZ, n the least non-square.
-    Each map is inverted on the whole basis by one solve_modp, the one GF(p)
-    elimination, run on [A | I], and applied as two lookups and one addition
-    on lists of p^(m//2) and p^(m - m//2) values (``_linear_inverse``).  One
-    int each for the first two, about 2^(m//2) + 2^(m - m//2) ints for
+    Each map is inverted by ``_linear_inverse``: ``_inverse_columns``, the
+    package's one GF(p) elimination (Gauss-Jordan on [A | I], which places'
+    residue lifts run too), gives the inverse on the basis, applied as two
+    lookups and one addition on lists of p^(m//2) and p^(m - m//2) spans.
+    One int each for the first two, about 2^(m//2) + 2^(m - m//2) ints for
     as_section when p = 2 (2,048 at m = 20, built in about 0.6 ms), and at
-    most 4 * 729 ints (m = 12) for both maps when p = 3.
+    most 4 * 729 ints (m = 12) for both maps when p = 3.  A residue lift,
+    rare next to these maps, keeps only the m columns of its inverse.
 
 Square and cube roots come from one routine, Adleman-Manders-Miller for a
 prime r (``_rth_roots``; Tonelli-Shanks is its case r = 2), generic over the
@@ -78,7 +80,8 @@ import operator
 from array import array
 from typing import Iterator, Optional, Sequence
 
-from .errors import DivisionByZero, DomainMismatch, FieldMismatch, NotPrime, SizeExceeded
+from .errors import (DivisionByZero, DomainMismatch, FieldMismatch, NotPrime, SingularMatrix,
+                     SizeExceeded)
 
 MAX_ORDER = 1 << 20  # guard for field constructions that would never finish
 
@@ -466,15 +469,33 @@ class Field:
         images = [sub(self._pow(x, 3), mul(n, x)) for x in (3 ** j for j in range(self.m))]
         return self.as_section, self._linear_inverse(images)
 
+    def _inverse_columns(self, images: list) -> list:
+        """f^-1(p^j) for j < m, for the GF(p)-linear bijection f on counter
+        values with f(p^j) = images[j]: Gauss-Jordan on [A | I] mod p, A's
+        column j the digits of images[j], leaves them as the columns of the
+        right half (SingularMatrix at a missing pivot: the images are no
+        basis).  f^-1(u) is the sum of u's digit j times column j."""
+        p, m = self.p, self.m
+        rows = [list(a) + [int(i == j) for j in range(m)]
+                for i, a in enumerate(zip(*(_digits(x, p, m) for x in images)))]
+        for c in range(m):
+            r = next((r for r in range(c, m) if rows[r][c]), None)
+            if r is None:
+                raise SingularMatrix("the images are not a basis")
+            rows[c], rows[r] = rows[r], rows[c]
+            inv = pow(rows[c][c], -1, p)
+            piv = rows[c] = [v * inv % p for v in rows[c]]
+            for i, row in enumerate(rows):
+                if i != c and row[c]:
+                    rows[i] = [(a - row[c] * b) % p for a, b in zip(row, piv)]
+        return [_counter(col, p) for col in zip(*(row[m:] for row in rows))]
+
     def _linear_inverse(self, images: list):
-        """u -> f^-1(u) on counter values, for the GF(p)-linear bijection f
-        with f(p^j) = images[j]: f^-1 of the basis by one solve_modp, then one
-        lookup on the low h = m//2 digits of u and one on the rest, added."""
+        """u -> f^-1(u) on counter values, f as in _inverse_columns, for maps
+        applied often: one lookup on the low h = m//2 digits of u and one on
+        the rest, in spans of the inverse's columns, added."""
         p, m, add = self.p, self.m, self._add
-        matrix = [list(row) for row in zip(*(_digits(x, p, m) for x in images))]
-        basis = [_digits(p ** j, p, m) for j in range(m)]
-        cols = [_counter(x, p) for x in solve_modp(matrix, basis, p)]
-        h = m // 2
+        cols, h = self._inverse_columns(images), m // 2
         lo, hi, split = _span(cols[:h], p, add), _span(cols[h:], p, add), p ** h
         return lambda u: add(lo[u % split], hi[u // split])
 
@@ -927,40 +948,3 @@ def _artin_schreier_value(F: Field, u: int) -> Optional[int]:
     p = 2 that is y^2 + y = u)."""
     y = F.as_section(u)
     return y if F._sub(F._pow(y, F.p), y) == u else None
-
-
-# ---------------------------------------------------------------------------
-# small exact linear algebra mod p (shared with the residue-field machinery)
-# ---------------------------------------------------------------------------
-
-def solve_modp(matrix: list, rhss: list, p: int) -> Optional[list]:
-    """One solution x of matrix * x = b over GF(p) for each right-hand side b
-    in rhss, from one Gaussian elimination of [matrix | rhss]; None when some
-    b has none."""
-    n, k = len(matrix), len(rhss)
-    m = len(matrix[0]) if n else 0
-    aug = [[v % p for v in row] + [b[i] % p for b in rhss] for i, row in enumerate(matrix)]
-    pivots = []
-    r = 0
-    for col in range(m):
-        piv = next((i for i in range(r, n) if aug[i][col]), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = pow(aug[r][col], -1, p)
-        aug[r] = [(v * inv) % p for v in aug[r]]
-        for i in range(n):
-            if i != r and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [(a - f * b) % p for a, b in zip(aug[i], aug[r])]
-        pivots.append(col)
-        r += 1
-        if r == n:
-            break
-    if any(v for row in aug[r:] for v in row[m:]):
-        return None
-    xs = [[0] * m for _ in range(k)]
-    for i, col in enumerate(pivots):
-        for x, v in zip(xs, aug[i][m:]):
-            x[col] = v
-    return xs

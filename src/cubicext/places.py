@@ -52,16 +52,23 @@ root table per field and family, whose entry for a parameter is filled from
 the family's root core the first time it is read.  On a larger field each
 signature and each decomposition runs the root core for its one value.
 
-ResidueData.lift inverts reduction on polynomials of degree < d, which the
-local Artin-Schreier machinery in arith relies on.  unit_residue gives
-v_P(a) together with the residue of a * pi^(-v) from that evaluation;
-_unit_residue_value gives it as a counter value, which arith's signatures
-read without wrapping.  The residue decides divisibility: pi, the minimal
-polynomial of the root, divides f exactly when f(root) = 0, so v_P(a) is
-found by exact divisions by pi while the residue is 0, with no trial
-division that fails.  valuation, which has no residue field at hand, strips
-pi by trial division.  Every entry point that takes a function and a
-place raises FieldMismatch when the function lives over another base field.
+ResidueData.lift inverts reduction on polynomials of degree < d (arith's
+local normal forms, canon's Hensel roots): c itself at degree 1.  At d >= 2,
+f -> f(root) on their counter values sum c_i q^i is GF(p)-linear onto
+GF(q^d); the first lift at a place inverts it on the basis by the residue
+field's _inverse_columns, ffield's one GF(p) elimination, and keeps the
+m * d columns (a place lifts once a surgery pass or Hensel root, too rarely
+for lookup lists).
+
+unit_residue gives v_P(a) together with the residue of a * pi^(-v) from
+the evaluation above; _unit_residue_value gives it as a counter value,
+which arith's signatures read without wrapping.  The residue decides
+divisibility: pi, the minimal polynomial of the root, divides f exactly
+when f(root) = 0, so v_P(a) is found by exact divisions by pi while the
+residue is 0, with no trial division that fails.  valuation, which has no
+residue field at hand, strips pi by trial division.  Every entry point that
+takes a function and a place raises FieldMismatch when the function lives
+over another base field.
 """
 from __future__ import annotations
 
@@ -70,8 +77,8 @@ import math
 from typing import Iterator, Optional, Tuple, Union
 
 from .errors import DomainMismatch, FieldMismatch, NegativeValuation, SizeExceeded, ZeroInput
-from .ffield import (FieldElem, _divmod, _horner, _irreducible, _irreducibles, _kernel, _mul,
-                     _span, field_make, solve_modp)
+from .ffield import (FieldElem, _digits, _divmod, _horner, _irreducible, _irreducibles, _kernel,
+                     _mul, _span, _trim, field_make)
 from .polyring import (Embedding, FuncField, Poly, RatFunc, _squarefree_decomposition, _store,
                        embedding, factor_fq, func_field, is_irreducible, poly_roots)
 
@@ -192,10 +199,13 @@ class ResidueData:
     d >= 2, with q^d <= _ROW_MAX_ORDER, it keeps the packed rows of the
     evaluation map instead (see the module docstring): rows[i][c] is
     image(c) * root^i with its GF(p)-coordinate j in bits [jW, jW + W),
-    grown by _eval on demand while len(rows) * p < 2^W.
+    grown by _eval on demand while len(rows) * p < 2^W.  At degree d >= 2
+    the first lift keeps the inverse of f -> f(root) on the basis, m * d
+    ints from the residue field's _inverse_columns, for every later lift.
     """
 
-    __slots__ = ("place", "field", "embed", "root", "_kernel", "_rkernel", "_rows", "_unpack")
+    __slots__ = ("place", "field", "embed", "root", "_kernel", "_rkernel", "_rows", "_unpack",
+                 "_inverse")
 
     def __init__(self, place: Place, field, embed: Embedding, root):
         self.place = place
@@ -204,6 +214,7 @@ class ResidueData:
         self.root = root
         if root is not None:
             self._kernel, self._rkernel = _kernel(place.ff.field), _kernel(field)
+            self._inverse = None
             tabled = place.degree > 1 and field.order <= _ROW_MAX_ORDER
             self._rows, self._unpack = ([], _unpacker(field.p, field.m)) if tabled else (None, None)
 
@@ -241,18 +252,21 @@ class ResidueData:
         return self.eval_poly(a.num) / self.eval_poly(a.den)
 
     def lift(self, c: FieldElem) -> Poly:
-        """The unique polynomial of degree < d reducing to c at the place."""
-        base = self.place.ff.field
-        if self.place.is_infinite:
-            return Poly.const(base, c)
-        if c.field is not self.field:
+        """The unique polynomial of degree < d reducing to c at the place: c
+        itself at degree 1, else the base-q digits of f^-1(c) for f -> f(root)
+        on counter values sum c_i q^i, the sum of c's base-p digit j times the
+        kept column f^-1(p^j) (see the module docstring)."""
+        base, d, k = self.place.ff.field, self.place.degree, self.field
+        if not self.place.is_infinite and c.field is not k:
             raise DomainMismatch("element not in the residue field")
-        m, k, image = base.m, self.field, self.embed.value_image
-        cols = [FieldElem(k, k._mul(image(base.p ** j), k._pow(self.root.value, i))).coeffs
-                for i in range(self.place.degree) for j in range(m)]
-        sol = solve_modp(list(zip(*cols)), [c.coeffs], base.p)[0]
-        coeffs = [base.elem(sol[i * m:(i + 1) * m]) for i in range(self.place.degree)]
-        return Poly(base, coeffs)
+        if d == 1:  # infinity included
+            return Poly.const(base, c)
+        if self._inverse is None:
+            image, r = self.embed.value_image, self.root.value
+            self._inverse = k._inverse_columns([k._mul(image(base.p ** j), k._pow(r, i))
+                                                for i in range(d) for j in range(base.m)])
+        value = functools.reduce(k._add, map(k._mul, _digits(c.value, k.p, k.m), self._inverse), 0)
+        return _store(self._kernel, _trim(_digits(value, base.order, d)))
 
 
 def _unpacker(p: int, n: int):

@@ -18,8 +18,8 @@ into the domain when the Poly is built (a GF(q) constant becomes a RatFunc,
 another field's element is refused), so equal Polys hash equal.  Division is
 the classical quadratic one and accepts non-monic divisors.  The squarefree
 decomposition, factor_fq's first step, alone answers what needs only
-multiplicities; like factor_fq it refuses a degree above
-FACTOR_DEGREE_LIMIT before any work.  Its second step is ffield's one
+multiplicities; it refuses a degree above FACTOR_DEGREE_LIMIT before any
+work, and so does factor_fq through it.  Its second step is ffield's one
 Frobenius walk (ffield._distinct_degree), whose first group is also
 is_irreducible's Ben-Or test; _powmod_q has no caller and stays for tests.
 
@@ -637,8 +637,6 @@ def factor_fq(f: Poly):
         raise DomainMismatch("factor_fq works over a finite field")
     if f.is_zero():
         raise ZeroPolynomial("cannot factor the zero polynomial")
-    if f.degree > FACTOR_DEGREE_LIMIT:
-        raise SizeExceeded(f"degree {f.degree} exceeds {FACTOR_DEGREE_LIMIT}")
     unit = f.lc
     if f.degree == 0:
         return unit, []

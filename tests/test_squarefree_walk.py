@@ -14,6 +14,7 @@ import random
 
 import pytest
 
+from cubicext import polyring
 from cubicext.arith import (Constant, Extension, Geometric, RamificationReport,
                             as_local_reduce, char3_local_form, genus, is_constant_extension,
                             ramification_report)
@@ -25,7 +26,7 @@ from cubicext.ffield import Cube, NonCube, NonSquare, cube_classify, field_make,
 from cubicext.places import Place, places_up_to, valuation
 from cubicext.polyring import (FACTOR_DEGREE_LIMIT, FACTOR_SEED, Poly, RatFunc,
                                _distinct_degree, _equal_degree_split, _squarefree_decomposition,
-                               func_field)
+                               factor_fq, func_field, poly_roots)
 
 # ---------------------------------------------------------------------------
 # oracle: the earlier squarefree decomposition, factorization, divisor,
@@ -404,6 +405,19 @@ def test_a_degree_above_the_limit_raises_before_any_work():
         "SizeExceeded"
     with pytest.raises(SizeExceeded):
         _squarefree_decomposition(big.monic())
+
+
+def test_factor_fq_above_the_limit_raises_before_any_gcd(monkeypatch):
+    def no_gcd(*args):
+        raise AssertionError("a gcd ran above FACTOR_DEGREE_LIMIT")
+
+    monkeypatch.setattr(polyring, "_gcd", no_gcd)
+    F = field_make(5)
+    x = Poly.gen(F)
+    big = (x ** (FACTOR_DEGREE_LIMIT + 1) + x + 1) * 3
+    for call in (factor_fq, poly_roots):
+        with pytest.raises(SizeExceeded, match=f"^degree 513 exceeds {FACTOR_DEGREE_LIMIT}$"):
+            call(big)
 
 
 # ---------------------------------------------------------------------------
