@@ -5,22 +5,23 @@ generates) or the infinite place.  The infinite place sorts first, finite
 places sort by (degree, counter key); every list of places this module
 returns is in that order.
 
-The places of degree d >= 2 come from one walk of k = GF(q^d) under the
-Frobenius v -> v^q (_orbit_places, cached per base field and degree): the
-elements are visited in counter order and each unvisited one is followed
-around its orbit.  The orbits of size exactly d are the root sets of the
-monic irreducibles of degree d, (1/d) sum_{e | d} mu(d/e) q^e of them
-(Rosen, Number Theory in Function Fields, Prop. 2.1), so the walk visits
-each element once and tests no candidate.  A carrier is prod (X - w) over
-its orbit, pulled back into GF(q) through the embedding, and the orbit's
-first-visited element is its least root.  places_up_to reads every degree
-d >= 2 off the walk, and residue_field takes its root from it while q^d <=
-PLACE_SCAN_LIMIT (above, it tests the carrier for irreducibility and
-factors it).  iter_places stays the lazy scan of ffield's monic
-irreducibles, one irreducibility test each.  A carrier that is not
-irreducible, possible only for a Place built without Place.finite, has no
-residue field: residue_field raises DomainMismatch on both sides of the
-bound, above it checking the carrier before it builds the residue field.
+iter_places is the one place enumerator, lazy by degree; places_up_to
+runs it to the end.  Degree 1 is the q carriers X + c.  A degree d >= 2
+with q^d <= PLACE_SCAN_LIMIT comes whole off one walk of k = GF(q^d) under
+the Frobenius v -> v^q (_orbit_places, cached per base field and degree):
+the elements are visited in counter order and each unvisited one is
+followed around its orbit.  The orbits of size exactly d are the root sets
+of the monic irreducibles of degree d, (1/d) sum_{e | d} mu(d/e) q^e of
+them (Rosen, Number Theory in Function Fields, Prop. 2.1), so the walk
+visits each element once and tests no candidate.  A carrier is
+prod (X - w) over its orbit, pulled back into GF(q) through the embedding,
+and the orbit's first-visited element is its least root, which the place
+carries for residue_field.  A larger degree is ffield's scan of monic
+irreducibles, one irreducibility test each.  Its places, those of degree 1
+and any place built alone (Place.finite, group_places) carry no root:
+residue_field tests the carrier for irreducibility, so a reducible one
+raises DomainMismatch before anything is factored, then takes -c for X + c
+or the least of poly_roots of the lifted carrier, and walks nothing.
 
 Valuation conventions: v_P(f) counts the power of the monic carrier dividing
 f, and v_infinity(num/den) = deg den - deg num, so deg-degree bookkeeping
@@ -83,20 +84,21 @@ from .polyring import (Embedding, FuncField, Poly, RatFunc, _squarefree_decompos
                        embedding, factor_fq, func_field, is_irreducible, poly_roots)
 
 INFINITE_VALUATION = math.inf
-PLACE_SCAN_LIMIT = 1 << 16  # places_up_to walks at most this many elements of GF(q^d)
+PLACE_SCAN_LIMIT = 1 << 16  # iter_places walks GF(q^d) up to this order, places_up_to no further
 _ROW_BITS = 32  # W: the bits of one packed coordinate in a ResidueData row
 _ROW_MAX_ORDER = 1 << 8  # fields up to this order get packed rows, bin tables and root tables
 _REDUCIBLE = "the carrier of a finite place must be irreducible"
 
 
 class Place:
-    """A place of GF(q)(x): finite (monic irreducible carrier) or infinite."""
+    """A place of GF(q)(x): finite (monic irreducible carrier) or infinite.
+    _root is the counter value of the carrier's least root in GF(q^d) when
+    iter_places' walk found it, else None; ==, hash and repr ignore it."""
 
-    __slots__ = ("ff", "pi", "_hash")
+    __slots__ = ("ff", "pi", "_root", "_hash")
 
-    def __init__(self, ff: FuncField, pi: Optional[Poly]):
-        self.ff = ff
-        self.pi = pi
+    def __init__(self, ff: FuncField, pi: Optional[Poly], _root: Optional[int] = None):
+        self.ff, self.pi, self._root = ff, pi, _root
         self._hash = hash((id(ff), None if pi is None else pi.vals))
 
     @staticmethod
@@ -289,27 +291,22 @@ def _unpacker(p: int, n: int):
 @functools.lru_cache(maxsize=None)
 def residue_field(P: Place) -> ResidueData:
     """The residue field of P, its embedding of GF(q) and the carrier's least
-    root: -c for X + c, from the Frobenius walk of GF(q^d) while q^d <=
-    PLACE_SCAN_LIMIT (_orbit_places, shared with places_up_to), else the
-    least of poly_roots of the carrier lifted to GF(q^d).  A carrier that is
-    not irreducible (a Place built without Place.finite) raises
-    DomainMismatch on both sides of the bound, above it before GF(q^d) is
-    built, so that no field size decides the error."""
+    root: the one P carries from iter_places' walk, else -c for X + c, else
+    the least of poly_roots of the carrier lifted to GF(q^d).  A carrier
+    with no root is tested for irreducibility first, so a Place built on a
+    reducible carrier without Place.finite raises DomainMismatch before
+    GF(q^d) is built."""
     base = P.ff.field
     if P.is_infinite:
         return ResidueData(P, base, embedding(base, base), None)
-    d = P.degree
-    scanned = base.order ** d <= PLACE_SCAN_LIMIT
-    if not scanned and not _irreducible(_kernel(base), P.pi.vals):
+    root = P._root
+    if root is None and not _irreducible(_kernel(base), P.pi.vals):
         raise DomainMismatch(_REDUCIBLE)
-    k = field_make(base.p, base.m * d)
+    k = field_make(base.p, base.m * P.degree)
     emb = embedding(base, k)
-    if d == 1:
-        return ResidueData(P, k, emb, emb(-P.pi.coeff(0)))
-    root = (_orbit_places(base, d).get(P.pi.vals) if scanned
-            else poly_roots(_store(_kernel(k), map(emb.value_image, P.pi.vals)))[0].value)
     if root is None:
-        raise DomainMismatch(_REDUCIBLE)
+        root = (emb.value_image(base._neg(P.pi.vals[0])) if P.degree == 1
+                else poly_roots(_store(_kernel(k), map(emb.value_image, P.pi.vals)))[0].value)
     return ResidueData(P, k, emb, FieldElem(k, root))
 
 
@@ -395,26 +392,31 @@ def divisor_of(a: RatFunc) -> list:
 def iter_places(ff: FuncField, dmax: int) -> Iterator[Place]:
     """Infinity, then every finite place of degree <= dmax, in place order.
 
-    Lazy: each candidate carrier is built in counter order and tested for
-    irreducibility when it is reached, so a caller that stops early pays
-    only for the places it took; places_up_to gives the same places from
-    the Frobenius walks.
+    Lazy by degree: degree 1 is the carriers X + c; a degree d >= 2 with
+    q^d <= PLACE_SCAN_LIMIT is read whole off one Frobenius walk of GF(q^d)
+    when the enumeration first reaches it, each place carrying its least
+    root; a larger degree is ffield's scan of monic irreducibles.  A caller
+    that stops early pays for no degree beyond the one it stopped in.
     """
     yield Place.infinity(ff)
-    K = _kernel(ff.field)
+    base, K = ff.field, _kernel(ff.field)
     for d in range(1, dmax + 1):
-        for f in _irreducibles(K, d):
-            yield Place(ff, _store(K, f))
+        if d > 1 and base.order ** d <= PLACE_SCAN_LIMIT:
+            for f, root in _orbit_places(base, d):
+                yield Place(ff, _store(K, f), root)
+        else:
+            for f in _irreducibles(K, d):
+                yield Place(ff, _store(K, f))
 
 
 @functools.lru_cache(maxsize=None)
-def _orbit_places(base, d: int) -> dict:
+def _orbit_places(base, d: int) -> tuple:
     """The carriers of the places of degree d >= 2 over base = GF(q), as
-    kernel value tuples in place order, each mapped to the counter value of
-    its least root in k = GF(q^d): one walk of k in counter order follows
-    each unvisited v through v -> v^q; an orbit of size d is the root set of
-    one carrier, prod (X - w) pulled back into GF(q) through the embedding,
-    and v, its first-visited element, is its least root."""
+    (kernel value tuple, counter value of its least root in k = GF(q^d))
+    pairs in place order: one walk of k in counter order follows each
+    unvisited v through v -> v^q; an orbit of size d is the root set of one
+    carrier, prod (X - w) pulled back into GF(q) through the embedding, and
+    v, its first-visited element, is its least root."""
     k = field_make(base.p, base.m * d)
     K, pw, neg, q = _kernel(k), k._pow, k._neg, base.order
     back = {w: v for v, w in enumerate(embedding(base, k).images or range(q))}
@@ -435,21 +437,17 @@ def _orbit_places(base, d: int) -> dict:
                 f = _mul(K, f, [neg(w), 1])
             out.append((tuple(map(back.__getitem__, f)), v))
     out.sort(key=lambda t: t[0][::-1])
-    return dict(out)
+    return tuple(out)
 
 
 @functools.lru_cache(maxsize=None)
 def places_up_to(ff: FuncField, dmax: int) -> tuple:
-    """Infinity plus every finite place of degree <= dmax, in place order.
-
-    Degree 1 is the q carriers X + c; each degree d >= 2 is read off one
-    Frobenius walk of GF(q^d) (_orbit_places), which visits all q^d
-    elements, so SizeExceeded is raised up front when q^dmax exceeds
-    PLACE_SCAN_LIMIT.
+    """Infinity plus every finite place of degree <= dmax, in place order:
+    iter_places run to the end, so each degree d >= 2 is one Frobenius walk
+    of GF(q^d), all q^d elements, and SizeExceeded is raised up front when
+    q^dmax exceeds PLACE_SCAN_LIMIT.
     """
     # q >= 2, so every dmax > 16 exceeds the 2^16 limit: no need for q^dmax
     if dmax > 16 or ff.field.order ** dmax > PLACE_SCAN_LIMIT:
         raise SizeExceeded(f"{ff.field.order}^{dmax} candidate places exceed {PLACE_SCAN_LIMIT}")
-    K = _kernel(ff.field)
-    return tuple(iter_places(ff, min(dmax, 1))) + tuple(
-        Place(ff, _store(K, f)) for d in range(2, dmax + 1) for f in _orbit_places(ff.field, d))
+    return tuple(iter_places(ff, dmax))
