@@ -21,7 +21,9 @@ Local normalisation comes first in each family:
 Each signature reads its two local quantities, v_P(a) and the residue of the
 unit part a * pi^(-v), off one evaluation of a's numerator and denominator at
 the carrier's root (``places._unit_residue_value``, a counter value in the
-residue field), and then only the bin of the residual cubic, never its
+residue field, which at a finite place is one ``ResidueData._unit_value``
+call: evaluate both sides, strip the carrier, divide by the field's bound
+``_div``), and then only the bin of the residual cubic, never its
 roots: a list index into the table of one ``ffcubic._bin_*`` over the
 residue field (``_bin_table``, built once per field and family, for fields
 of at most ``places._ROW_MAX_ORDER`` elements), or the ``_bin_*`` itself on

@@ -13,13 +13,13 @@ Representation invariants:
     back.  Elements are totally ordered by that value; every "least root" /
     "least witness" promise in this package refers to that order.
   * The arithmetic on counter values is bound per field on first read: the
-    first read of _add, _sub, _neg, _mul or _pow sets all five to closures
-    for the field's shape (``Field._bind_ops``), so no call tests p or m or
-    reads a table off the field.  GF(p) computes inline with % p and pow.
-    For m > 1 that read first builds, never at import, array tables
+    first read of _add, _sub, _neg, _mul, _pow or _div sets all six to
+    closures for the field's shape (``Field._bind_ops``), so no call tests p
+    or m or reads a table off the field.  GF(p) computes inline with % p and
+    pow.  For m > 1 that read first builds, never at import, array tables
     exp[k] = g^k (two periods) and log, for the least generator g in counter
-    order, and the closures capture them: multiply, inverse and power are
-    lookups.  Addition is XOR in characteristic 2; for odd p it goes
+    order, and the closures capture them: multiply, divide, inverse and
+    power are lookups.  Addition is XOR in characteristic 2; for odd p it goes
     through Zech logarithms, zech[k] = log(1 + g^k) (K. Huber, IEEE Trans.
     IT 36, 1990), since 1 + v in counter form only bumps the lowest digit
     of v.
@@ -109,8 +109,8 @@ class _Kernel:
         if isinstance(dom, Field):
             self.field, self.p = dom, (dom.p if dom.m == 1 else 0)
             self.zero, self.one = 0, 1
-            self.add, self.sub, self.mul, pw = dom._add, dom._sub, dom._mul, dom._pow
-            self.inv = lambda c: pw(c, -1)
+            self.add, self.sub, self.mul = dom._add, dom._sub, dom._mul
+            self.inv = functools.partial(dom._div, 1)
         else:
             self.field, self.p = None, 0
             self.zero, self.one = dom.zero, dom.one
@@ -405,9 +405,9 @@ class Field:
     """The finite field GF(p^m).  Obtain instances through field_make.
 
     Besides the element constructors it holds the arithmetic on counter
-    values: the slots _add, _sub, _neg, _mul and _pow, which _bind_ops fills
-    with closures for the field's shape on the first read of any of them,
-    and the method _div over them; FieldElem looks them up by name.  The
+    values: the slots _add, _sub, _neg, _mul, _pow and _div, which _bind_ops
+    fills with closures for the field's shape on the first read of any of
+    them; FieldElem looks them up by name.  The
     per-field constants of the module docstring (exp, log, zech, nonsquare,
     noncube, as_section, char3_maps) are slots built on first use as well;
     one the field's shape lacks (as_section for p > 3) raises AttributeError,
@@ -416,7 +416,7 @@ class Field:
 
     __slots__ = ("p", "m", "order", "modulus", "zero", "one", "exp", "log", "zech",
                  "nonsquare", "noncube", "as_section", "char3_maps",
-                 "_add", "_sub", "_neg", "_mul", "_pow")
+                 "_add", "_sub", "_neg", "_mul", "_pow", "_div")
 
     def __init__(self, p: int, m: int):
         self.p = p
@@ -430,7 +430,7 @@ class Field:
         # only reached while a per-field slot is still unset
         if name in ("exp", "log", "zech") and self.m > 1:
             self._build_tables()
-        elif name in ("_add", "_sub", "_neg", "_mul", "_pow"):
+        elif name in ("_add", "_sub", "_neg", "_mul", "_pow", "_div"):
             self._bind_ops()
         elif name == "nonsquare" and self.p != 2:
             self.nonsquare = self._least_non_power(2)
@@ -577,8 +577,8 @@ class Field:
     # -- arithmetic on counter values ----------------------------------------
 
     def _bind_ops(self):
-        """Bind _add, _sub, _neg, _mul and _pow on counter values as closures
-        for the field's shape: GF(p), GF(2^m) or odd GF(p^m)."""
+        """Bind _add, _sub, _neg, _mul, _pow and _div on counter values as
+        closures for the field's shape: GF(p), GF(2^m) or odd GF(p^m)."""
         p, n = self.p, self.order - 1
         if self.m == 1:
             def pw(a, e):
@@ -588,6 +588,7 @@ class Field:
                     raise DivisionByZero("inverse of 0") from None
             self._add, self._sub = (lambda a, b: (a + b) % p), (lambda a, b: (a - b) % p)
             self._neg, self._mul, self._pow = (lambda a: -a % p), (lambda a, b: a * b % p), pw
+            self._div = lambda a, b: a * pw(b, -1) % p
             return
         exp, log, zech, h = self.exp, self.log, self.zech, n // 2  # -1 = g^h
 
@@ -610,9 +611,8 @@ class Field:
             self._add, self._neg = add, lambda a: exp[log[a] + h] if a else 0
             self._sub = lambda a, b: add(a, exp[log[b] + h]) if b else a
         self._mul, self._pow = (lambda a, b: exp[log[a] + log[b]] if a and b else 0), pw
-
-    def _div(self, a: int, b: int) -> int:
-        return self._mul(a, self._pow(b, -1))
+        # a or b is 0: a * b^-1, where pw raises DivisionByZero for b = 0
+        self._div = lambda a, b: exp[log[a] - log[b] + n] if a and b else a * pw(b, -1)
 
     # -- constructors ------------------------------------------------------
 

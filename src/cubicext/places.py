@@ -63,13 +63,19 @@ for lookup lists).
 
 unit_residue gives v_P(a) together with the residue of a * pi^(-v) from
 the evaluation above; _unit_residue_value gives it as a counter value,
-which arith's signatures read without wrapping.  The residue decides
-divisibility: pi, the minimal polynomial of the root, divides f exactly
-when f(root) = 0, so v_P(a) is found by exact divisions by pi while the
-residue is 0, with no trial division that fails.  valuation, which has no
-residue field at hand, strips pi by trial division.  Every entry point that
-takes a function and a place raises FieldMismatch when the function lives
-over another base field.
+which arith's signatures read without wrapping.  At a finite place that is
+one call, ResidueData._unit_value on the kernel lists of num and den: when
+the rows already reach both lengths it sums both sides over them and
+unpacks them inline, else _eval grows the rows (or runs Horner) side by
+side; then it strips and divides with the residue field's bound _div.  The
+residue decides divisibility: pi, the minimal polynomial of the root,
+divides f exactly when f(root) = 0, so v_P(a) is found by exact divisions
+by pi while the residue is 0, with no trial division that fails; num and
+den need not be coprime.  An empty denominator raises ZeroDenominator
+before anything is evaluated.  valuation, which has no residue field at
+hand, strips pi by trial division.  Every entry point that takes a function
+and a place raises FieldMismatch when the function lives over another base
+field.
 """
 from __future__ import annotations
 
@@ -77,7 +83,8 @@ import functools
 import math
 from typing import Iterator, Optional, Tuple, Union
 
-from .errors import DomainMismatch, FieldMismatch, NegativeValuation, SizeExceeded, ZeroInput
+from .errors import (DomainMismatch, FieldMismatch, NegativeValuation, SizeExceeded,
+                     ZeroDenominator, ZeroInput)
 from .ffield import (FieldElem, _digits, _divmod, _horner, _irreducible, _irreducibles, _kernel,
                      _mul, _span, _trim, field_make)
 from .polyring import (Embedding, FuncField, Poly, RatFunc, _squarefree_decomposition, _store,
@@ -201,9 +208,12 @@ class ResidueData:
     d >= 2, with q^d <= _ROW_MAX_ORDER, it keeps the packed rows of the
     evaluation map instead (see the module docstring): rows[i][c] is
     image(c) * root^i with its GF(p)-coordinate j in bits [jW, jW + W),
-    grown by _eval on demand while len(rows) * p < 2^W.  At degree d >= 2
-    the first lift keeps the inverse of f -> f(root) on the basis, m * d
-    ints from the residue field's _inverse_columns, for every later lift.
+    grown by _eval on demand while len(rows) * p < 2^W.  _unit_value takes
+    a unit residue in one call: both sides read off the rows inline, the
+    strip by the carrier, one division (see the module docstring).  At
+    degree d >= 2 the first lift keeps the inverse of f -> f(root) on the
+    basis, m * d ints from the residue field's _inverse_columns, for every
+    later lift.  Nothing is kept per input.
     """
 
     __slots__ = ("place", "field", "embed", "root", "_kernel", "_rkernel", "_rows", "_unpack",
@@ -246,6 +256,28 @@ class ResidueData:
                 xs = [k._mul(c, r) for c in self.embed.images or range(k.p)]
                 rows.append([lo[x % P] + hi[x // P] for x in xs])
         return self._unpack(sum(map(list.__getitem__, rows, f)))
+
+    def _unit_value(self, ns: list, ds: list) -> tuple:
+        """(v, field, counter value of the residue of num/den * pi^(-v)) for
+        the nonzero base kernel lists ns and ds of num and den, in one call.
+        When the rows already reach both lengths, both sides are summed over
+        them and unpacked inline; else _eval takes each side, growing the
+        rows or running Horner.  pi, the minimal polynomial of the root,
+        divides a side exactly when its residue is 0, so while it is 0 the
+        side is divided by pi, exactly, and evaluated again."""
+        rows, v = self._rows, 0
+        if rows is not None and len(ns) <= len(rows) >= len(ds):
+            row, unpack = list.__getitem__, self._unpack
+            n, d = unpack(sum(map(row, rows, ns))), unpack(sum(map(row, rows, ds)))
+        else:
+            n, d = self._eval(ns), self._eval(ds)
+        while not n:
+            ns = _divmod(self._kernel, ns, self.place.pi.vals)[0]
+            v, n = v + 1, self._eval(ns)
+        while not d:
+            ds = _divmod(self._kernel, ds, self.place.pi.vals)[0]
+            v, d = v - 1, self._eval(ds)
+        return v, self.field, self.field._div(n, d)
 
     def reduce(self, a: RatFunc) -> FieldElem:
         """The residue of a at the place; caller guarantees v_P(a) >= 0."""
@@ -316,34 +348,28 @@ def unit_residue(a: RatFunc, P: Place) -> Tuple[int, FieldElem]:
 
 
 def unit_residue_of(num: Poly, den: Poly, P: Place) -> Tuple[int, FieldElem]:
-    """unit_residue of num/den for coprime num and den, with no RatFunc
-    (_unit_residue_value, wrapped)."""
+    """unit_residue of num/den, with no RatFunc (_unit_residue_value,
+    wrapped).  num and den need not be coprime: a common factor cancels,
+    and a common power of pi gives v = v_P(num) - v_P(den)."""
     v, k, r = _unit_residue_value(num, den, P)
     return v, FieldElem(k, r)
 
 
 def _unit_residue_value(num: Poly, den: Poly, P: Place) -> tuple:
-    """(v, residue field, counter value of the residue) of num/den for
-    coprime num and den: at infinity lc(num)/lc(den); at a finite place pi,
-    the minimal polynomial of the root, divides num or den exactly when it
-    vanishes there, so while a side's residue is 0 it is divided by pi,
-    exactly, and evaluated again, all on their kernel lists."""
+    """(v, residue field, counter value of the residue) of num/den: at
+    infinity lc(num)/lc(den); at a finite place one ResidueData._unit_value
+    call on their kernel lists.  ZeroInput for num = 0, ZeroDenominator for
+    den = 0, before anything is evaluated."""
     if num.dom is not P.ff.field or den.dom is not P.ff.field:
         raise FieldMismatch("the function and the place are over different fields")
     ns, ds = num.vals, den.vals
     if not ns:
         raise ZeroInput("the zero function has no unit part")
-    if P.is_infinite:
+    if not ds:
+        raise ZeroDenominator("the denominator is zero")
+    if P.pi is None:
         return len(ds) - len(ns), P.ff.field, P.ff.field._div(ns[-1], ds[-1])
-    rd = residue_field(P)
-    v, n, d = 0, rd._eval(ns), rd._eval(ds)
-    while not n:  # coprime, so at most one of n, d is zero
-        ns = _divmod(rd._kernel, ns, P.pi.vals)[0]
-        v, n = v + 1, rd._eval(ns)
-    while not d:
-        ds = _divmod(rd._kernel, ds, P.pi.vals)[0]
-        v, d = v - 1, rd._eval(ds)
-    return v, rd.field, rd.field._div(n, d)
+    return residue_field(P)._unit_value(ns, ds)
 
 
 def reduce_at(a: RatFunc, P: Place) -> FieldElem:
