@@ -30,11 +30,15 @@ of at most ``places._ROW_MAX_ORDER`` elements), or the ``_bin_*`` itself on
 a larger field.  Either way the bin is read off the family's root core's
 roots through ffcubic's root table under the same bound (no ``Decomp`` is
 built), so building a bin table also fills the root table of its field
-and family; no RatFunc is built for it, nor for the odd-p resolvent.  The
-residue is wrapped as a FieldElem only on the rare branches: the resolvent
-at a residual double root, and the characteristic-3 surgery and square
-class.  Only the char-3 poles of order divisible by three still go through
-the RatFunc surgery of ``char3_local_form``.
+and family; no RatFunc is built for it.  The rarer branches stay on counter
+values too: the odd-p resolvent at a residual double root (``_resolvent_odd``)
+forms a -+ 2 on the kernel lists of num and den, takes its residue with one
+more ``_unit_value`` call, and reads a square class by Euler's test with the
+field's bound ``_pow``, as the characteristic-3 family does for -r at a zero
+of even order; a characteristic-2 zero of odd order is (2,1;1,1) at once.
+Only a characteristic-2 zero of even order (``resolvent_place_behavior``) and
+a char-3 pole of order divisible by three (the RatFunc surgery of
+``char3_local_form``) wrap the parameter as RatFunc and FieldElem again.
 
 The characteristic-2 resolvent is additive: ``as_local_reduce`` strips its
 even-order poles at one place.  Whether it has a global solution is a root
@@ -59,9 +63,10 @@ from .errors import (
 )
 from .ffcubic import (Irreducible, LinTimesQuad, LinTimesSquare, ThreeDistinct, _bin_char3,
                       _bin_depressed, _bin_pure, _family_field)
-from .ffield import Cube, Square, cube_classify, record, square_classify, trace_to_prime
+from .ffield import (Cube, _kernel, _scale, _sub, cube_classify, record, square_classify,
+                     trace_to_prime)
 from .places import (_ROW_MAX_ORDER, Place, _unit_residue_value, divisor_groups, group_places,
-                     residue_field, uniformizer, unit_residue, unit_residue_of, valuation)
+                     residue_field, uniformizer, unit_residue, valuation)
 from .polyring import RatFunc, _squarefree_decomposition
 
 
@@ -270,7 +275,7 @@ def resolvent_place_behavior(a: RatFunc, P: Place) -> ResolventBehavior:
     if a.is_zero():
         raise ReducibleInput("parameter 0 makes the trace form reducible")
     if ff.field.p != 2:
-        return _resolvent_odd(a, P, *unit_residue(a, P))
+        return _resolvent_odd(a, P, *_unit_residue_value(a.num, a.den, P))
     u = ff.one / a + ff.one
     if u.is_zero():  # a = 1: resolvent z^2 + z = 0 splits
         return Split
@@ -284,27 +289,31 @@ def resolvent_place_behavior(a: RatFunc, P: Place) -> ResolventBehavior:
     return Inert
 
 
-def _resolvent_odd(a: RatFunc, P: Place, v: int, r) -> ResolventBehavior:
-    """resolvent_place_behavior for odd p from (v, r) = unit_residue(a, P).
-    The resolvent field is K(sqrt(-27(a^2-4))): read the parity of v_P and
-    the unit part's square class off (v, r) and, at a residue +-2, off that
-    of a -+ 2 = (num -+ 2 den)/den, as a +- 2 is then a unit with residue +-4."""
+def _resolvent_odd(a: RatFunc, P: Place, v: int, k, r: int) -> ResolventBehavior:
+    """resolvent_place_behavior for odd p from (v, k, r) = _unit_residue_value
+    of a at P, on counter values in the residue field k.  The resolvent field
+    is K(sqrt(-27(a^2-4))): read the parity of v_P and the unit part's square
+    class (Euler's test) off (v, r) and, at a residue +-2, off that of
+    a -+ 2 = (num -+ 2 den)/den, as a +- 2 is then a unit with residue +-4."""
+    p, mul = k.p, k._mul
     if v < 0:  # a^2 - 4 = a^2 (1 - 4/a^2)
-        v, r = 2 * v, r * r
+        v, r = 2 * v, mul(r, r)
     elif v > 0:
-        v, r = 0, r.field.from_int(-4)
-    elif r * r == 4:
-        two = 2 if r == 2 else -2
-        shifted = a.num - a.den * two
-        if shifted.is_zero():
+        v, r = 0, -4 % p
+    elif mul(r, r) == 4:  # p >= 5, so 4 is its own counter value
+        two = 2 if r == 2 else -2 % p
+        K, ds = _kernel(a.ff.field), a.den.vals
+        shifted = _sub(K, a.num.vals, _scale(K, ds, two))
+        if not shifted:
             raise ReducibleInput("parameter +-2 makes the trace form reducible")
-        v, r = unit_residue_of(shifted, a.den, P)
-        r = r * (2 * two)
+        v, _, r = ((len(ds) - len(shifted), k, k._div(shifted[-1], ds[-1])) if P.pi is None
+                   else residue_field(P)._unit_value(shifted, ds))
+        r = mul(r, 2 * two % p)
     else:
-        r = r * r - 4
+        r = k._sub(mul(r, r), 4)
     if v % 2 == 1:
         return Ramified
-    return Split if isinstance(square_classify(r * -27), Square) else Inert
+    return Split if k._pow(mul(r, -27 % p), (k.order - 1) // 2) == 1 else Inert
 
 
 def signature_depressed(ext: Extension, P: Place) -> Signature:
@@ -319,9 +328,13 @@ def signature_depressed(ext: Extension, P: Place) -> Signature:
     kind = _bin(_bin_depressed, k, r if v == 0 else 0)
     if kind is not LinTimesSquare:
         return _UNRAMIFIED[kind]
-    # residual double root: the merged pair is separated by the resolvent
+    # residual double root: the merged pair is separated by the resolvent; in
+    # characteristic 2 only at a zero of a, where an odd order ramifies (u = 1/a + 1
+    # keeps an odd pole, as _ramified_groups reads)
+    if k.p == 2 and v % 2:
+        return SIG_PARTIAL
     return {Split: SIG_SPLIT, Inert: SIG_MIXED, Ramified: SIG_PARTIAL}[
-        _resolvent_odd(a, P, v, k.from_value(r)) if k.p != 2 else resolvent_place_behavior(a, P)]
+        _resolvent_odd(a, P, v, k, r) if k.p != 2 else resolvent_place_behavior(a, P)]
 
 
 # -- characteristic-3 family -------------------------------------------------
@@ -336,8 +349,7 @@ def char3_local_form(a: RatFunc, P: Place) -> Tuple[RatFunc, int, Tuple[RatFunc,
     itself is a root of y^3 + ay + a^2, so the input was reducible.
     """
     ff = a.ff
-    if ff.field.p != 3:
-        raise WrongCharacteristic("this local form is the characteristic-3 family's")
+    _family_field(ff.field, Char3)  # p = 3, or decompose_char3's error
     if a.is_zero():
         raise ZeroInput("no local form for the zero parameter")
     pi = uniformizer(P)
@@ -376,9 +388,7 @@ def signature_char3(ext: Extension, P: Place) -> Signature:
     # leading coefficient decides split vs inert
     if v % 2 == 1:
         return SIG_PARTIAL
-    if isinstance(square_classify(k.from_value(k._neg(r))), Square):
-        return SIG_SPLIT
-    return SIG_MIXED
+    return SIG_SPLIT if k._pow(k._neg(r), (k.order - 1) // 2) == 1 else SIG_MIXED
 
 
 # ---------------------------------------------------------------------------

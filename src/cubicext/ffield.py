@@ -59,7 +59,7 @@ on a FieldElem's counter value.  The quadratic solver lives here (rather
 than with the polynomial machinery) because the square/cube classifiers
 below need it; polyring re-exports it.
 
-The package's one list kernel (_Kernel, _trim ... _horner), Frobenius walk
+The package's one list kernel (_Kernel, _trim ... _deflate), Frobenius walk
 and scan of monic irreducibles live here, at the bottom of the import
 graph.  The walk (_distinct_degree) yields the groups gcd(x^(q^i) - x, f)
 of distinct-degree factorization lazily, for factor_fq and for the one
@@ -95,8 +95,9 @@ class _Kernel:
 
     Over a Field the list entries are counter values and add/sub/mul/inv are
     the field's bound ops on them; over GF(p) (p set, else 0) the loops of
-    _mul, _divmod and _horner reduce % p inline instead.  Over any other
-    domain the entries are the elements and the operations their operators.
+    _mul, _divmod, _horner and _deflate reduce % p inline instead.  Over any
+    other domain the entries are the elements and the operations their
+    operators.
     A Poly holds these entries (load reads them); value/elem unwrap and wrap
     one element (value refuses another field's element); of_int gives an
     integer's entry, elsewhere from the ints cache keyed by n mod p.
@@ -267,6 +268,22 @@ def _horner(K: _Kernel, a: Sequence, v):
     for c in reversed(a):
         acc = add(mul(acc, v), c)
     return acc
+
+
+def _deflate(K: _Kernel, a: Sequence, v) -> list:
+    """Horner's partial sums of a at v, top coefficient first: the last is
+    a(v), and the others, read backwards, are the quotient of a by X - v."""
+    acc, out, p = K.zero, [], K.p
+    if p:
+        for c in reversed(a):
+            acc = (acc * v + c) % p
+            out.append(acc)
+        return out
+    add, mul = K.add, K.mul
+    for c in reversed(a):
+        acc = add(mul(acc, v), c)
+        out.append(acc)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -71,7 +71,11 @@ side; then it strips and divides with the residue field's bound _div.  The
 residue decides divisibility: pi, the minimal polynomial of the root,
 divides f exactly when f(root) = 0, so v_P(a) is found by exact divisions
 by pi while the residue is 0, with no trial division that fails; num and
-den need not be coprime.  An empty denominator raises ZeroDenominator
+den need not be coprime.  At a place of degree 1, pi = X - root, so each
+side is one Horner pass that keeps its partial sums (ffield._deflate): the
+last is the residue and the others, read backwards, are the quotient by pi,
+so a zero residue is stripped from the same pass, with no division and no
+second evaluation.  An empty denominator raises ZeroDenominator
 before anything is evaluated.  valuation, which has no residue field at
 hand, strips pi by trial division.  Every entry point that takes a function
 and a place raises FieldMismatch when the function lives over another base
@@ -85,8 +89,8 @@ from typing import Iterator, Optional, Tuple, Union
 
 from .errors import (DomainMismatch, FieldMismatch, NegativeValuation, SizeExceeded,
                      ZeroDenominator, ZeroInput)
-from .ffield import (FieldElem, _digits, _divmod, _horner, _irreducible, _irreducibles, _kernel,
-                     _mul, _span, _trim, field_make)
+from .ffield import (FieldElem, _deflate, _digits, _divmod, _horner, _irreducible, _irreducibles,
+                     _kernel, _mul, _span, _trim, field_make)
 from .polyring import (Embedding, FuncField, Poly, RatFunc, _squarefree_decomposition, _store,
                        embedding, factor_fq, func_field, is_irreducible, poly_roots)
 
@@ -208,16 +212,19 @@ class ResidueData:
     d >= 2, with q^d <= _ROW_MAX_ORDER, it keeps the packed rows of the
     evaluation map instead (see the module docstring): rows[i][c] is
     image(c) * root^i with its GF(p)-coordinate j in bits [jW, jW + W),
-    grown by _eval on demand while len(rows) * p < 2^W.  _unit_value takes
-    a unit residue in one call: both sides read off the rows inline, the
-    strip by the carrier, one division (see the module docstring).  At
+    grown by _eval on demand while len(rows) * p < 2^W.  At degree 1 it
+    keeps the root's counter value z as _line instead, as pi = X - z.
+    _unit_value takes a unit residue in one call: both sides read off the
+    rows inline, or at degree 1 off Horner passes whose partial sums also
+    divide by pi; the strip by the carrier; one division (see the module
+    docstring).  At
     degree d >= 2 the first lift keeps the inverse of f -> f(root) on the
     basis, m * d ints from the residue field's _inverse_columns, for every
     later lift.  Nothing is kept per input.
     """
 
-    __slots__ = ("place", "field", "embed", "root", "_kernel", "_rkernel", "_rows", "_unpack",
-                 "_inverse")
+    __slots__ = ("place", "field", "embed", "root", "_kernel", "_rkernel", "_line", "_rows",
+                 "_unpack", "_inverse")
 
     def __init__(self, place: Place, field, embed: Embedding, root):
         self.place = place
@@ -226,7 +233,7 @@ class ResidueData:
         self.root = root
         if root is not None:
             self._kernel, self._rkernel = _kernel(place.ff.field), _kernel(field)
-            self._inverse = None
+            self._inverse, self._line = None, root.value if place.degree == 1 else None
             tabled = place.degree > 1 and field.order <= _ROW_MAX_ORDER
             self._rows, self._unpack = ([], _unpacker(field.p, field.m)) if tabled else (None, None)
 
@@ -260,22 +267,32 @@ class ResidueData:
     def _unit_value(self, ns: list, ds: list) -> tuple:
         """(v, field, counter value of the residue of num/den * pi^(-v)) for
         the nonzero base kernel lists ns and ds of num and den, in one call.
-        When the rows already reach both lengths, both sides are summed over
-        them and unpacked inline; else _eval takes each side, growing the
-        rows or running Horner.  pi, the minimal polynomial of the root,
-        divides a side exactly when its residue is 0, so while it is 0 the
-        side is divided by pi, exactly, and evaluated again."""
-        rows, v = self._rows, 0
+        At degree 1 each side is one _deflate pass, and while its last
+        partial sum, the residue, is 0, the others, read backwards, are the
+        side divided by pi, deflated again.  Else, when the rows already
+        reach both lengths, both sides are summed over them and unpacked
+        inline, or _eval takes each side, growing the rows or running
+        Horner; pi, the minimal polynomial of the root, divides a side
+        exactly when its residue is 0, so while it is 0 the side is divided
+        by pi, exactly, and evaluated again."""
+        rows, z, K, v = self._rows, self._line, self._kernel, 0
+        if z is not None:  # pi = X - z: Horner's partial sums hold the quotient by pi too
+            n, d = _deflate(K, ns, z), _deflate(K, ds, z)
+            while not n[-1]:
+                v, n = v + 1, _deflate(K, n[-2::-1], z)
+            while not d[-1]:
+                v, d = v - 1, _deflate(K, d[-2::-1], z)
+            return v, self.field, self.field._div(n[-1], d[-1])
         if rows is not None and len(ns) <= len(rows) >= len(ds):
             row, unpack = list.__getitem__, self._unpack
             n, d = unpack(sum(map(row, rows, ns))), unpack(sum(map(row, rows, ds)))
         else:
             n, d = self._eval(ns), self._eval(ds)
         while not n:
-            ns = _divmod(self._kernel, ns, self.place.pi.vals)[0]
+            ns = _divmod(K, ns, self.place.pi.vals)[0]
             v, n = v + 1, self._eval(ns)
         while not d:
-            ds = _divmod(self._kernel, ds, self.place.pi.vals)[0]
+            ds = _divmod(K, ds, self.place.pi.vals)[0]
             v, d = v - 1, self._eval(ds)
         return v, self.field, self.field._div(n, d)
 
