@@ -95,9 +95,9 @@ class _Kernel:
 
     Over a Field the list entries are counter values and add/sub/mul/inv are
     the field's bound ops on them; over GF(p) (p set, else 0) the loops of
-    _mul, _divmod, _horner and _deflate reduce % p inline instead.  Over any
-    other domain the entries are the elements and the operations their
-    operators.
+    _mul, _divmod, _gcd, _horner and _deflate reduce % p inline instead.
+    Over any other domain the entries are the elements and the operations
+    their operators.
     A Poly holds these entries (load reads them); value/elem unwrap and wrap
     one element (value refuses another field's element); of_int gives an
     integer's entry, elsewhere from the ints cache keyed by n mod p.
@@ -237,7 +237,27 @@ def _monic(K: _Kernel, a: list) -> list:
 
 
 def _gcd(K: _Kernel, a: list, b: list) -> list:
-    """The monic gcd of a and b, [] when both are zero."""
+    """The monic gcd of a and b, [] when both are zero.
+
+    Over GF(p) the remainder sequence runs in this one frame.  It relies on
+    the kernel's invariant: lists are trimmed and their entries lie in
+    [0, p).  So each divisor's leading coefficient is inverted once, a is
+    reduced in place by popping its top entry and keeping the entries below
+    in [0, p), and no quotient is built.  Both inputs are copied, since they
+    may be a caller's lists or a Poly's tuples."""
+    p = K.p
+    if p:
+        a, b = list(a), list(b)
+        while b:
+            n, ib, low = len(b) - 1, pow(b[-1], -1, p), b[:-1]
+            while len(a) > n:
+                c = a.pop() * ib % p
+                if c:
+                    for i, y in enumerate(low, len(a) - n):
+                        a[i] = (a[i] - c * y) % p
+            a, b = b, _trim(a)
+        ib = pow(a[-1], -1, p) if a else 0
+        return [v * ib % p for v in a]
     while b:
         a, b = b, _divmod(K, a, b)[1]
     return _monic(K, a)

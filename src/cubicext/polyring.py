@@ -568,7 +568,8 @@ def _squarefree_decomposition(f: Poly) -> list:
     out = []
     e = 1
     while len(f) > 1:
-        df = _trim([mul(f[i], i % p) for i in range(1, len(f))])
+        df = _trim([f[i] * i % p for i in range(1, len(f))] if K.p
+                   else [mul(f[i], i % p) for i in range(1, len(f))])
         if not df:
             f = _pth_root(K, f)
             e *= p
