@@ -167,18 +167,21 @@ class FracLinear:
         K = _kernel(base_of(self.m00))
         self._normalise(K, *map(K.value, self.entries()))
 
-    def _normalise(self, K, *ms) -> "FracLinear":
-        """Store the kernel values ms = (m00, m01, m10, m11), scaled so the
-        first nonzero one is 1, wrapped once; SingularMatrix on det 0."""
-        m00, m01, m10, m11 = ms
-        if not K.sub(K.mul(m00, m11), K.mul(m01, m10)):
+    def _normalise(self, K, m00, m01, m10, m11) -> "FracLinear":
+        """Store the kernel values m00, m01, m10, m11, scaled so the first
+        nonzero one is 1, wrapped once; SingularMatrix on det 0.  Past the
+        determinant check (m00, m01) != (0, 0), so that pivot is m00 or m01."""
+        mul, elem = K.mul, K.elem
+        if mul(m00, m11) == mul(m01, m10):  # det 0 on canonical values
             raise SingularMatrix("zero determinant")
-        pivot = next(m for m in ms if m)
+        pivot = m00 or m01
         if pivot != K.one:
             inv = K.inv(pivot)
-            ms = [K.mul(m, inv) for m in ms]
-        for name, m in zip(("m00", "m01", "m10", "m11"), ms):
-            object.__setattr__(self, name, K.elem(m))
+            m00, m01, m10, m11 = mul(m00, inv), mul(m01, inv), mul(m10, inv), mul(m11, inv)
+        object.__setattr__(self, "m00", elem(m00))
+        object.__setattr__(self, "m01", elem(m01))
+        object.__setattr__(self, "m10", elem(m10))
+        object.__setattr__(self, "m11", elem(m11))
         return self
 
     @staticmethod
@@ -255,33 +258,33 @@ def _reduce_values(K, e, f, g) -> tuple:
             a = mul(t, K.inv(mul(e3, e3)))
             return Char3, (a,), (sub(K.zero, mul(f, e4)), mul(e4, e), t, K.zero)
     else:
-        two, three, six, nine, n27, minus2, minus3 = _constants(K)
-        efg, g27 = mul(mul(e, f), g), mul(n27, mul(g, g))
+        two, three, n27, minus2, minus3 = _constants(K)
+        g3, g27 = mul(three, g), mul(n27, mul(g, g))
+        eg3 = mul(e, g3)
+        efg3 = mul(eg3, f)
         # a detected rational root ends the reduction
-        t = sub(add(g27, mul(two, f3)), mul(nine, efg))
+        t = sub(add(g27, mul(two, f3)), mul(three, efg3))  # 9efg = 3 * 3efg
         if not t:
             r = mul(mul(minus3, g), K.inv(f))  # f != 0 here, else g would be 0
         elif not e and f == minus3:
             return DepressedTrace, (sub(K.zero, g),), None
+        elif eg3 == f2:
+            a = mul(mul(g27, g), K.inv(sub(f3, g27)))
+            return Pure, (a,), (g3, f, K.zero, g3)
         else:
-            eg3 = mul(three, mul(e, g))
-            if eg3 == f2:
-                g3 = mul(three, g)
-                a = mul(mul(g27, g), K.inv(sub(f3, g27)))
-                return Pure, (a,), (g3, f, K.zero, g3)
             d = sub(eg3, f2)
             a = sub(minus2, mul(mul(t, t), K.inv(mul(mul(d, d), d))))
-            gd3 = mul(mul(three, g), d)
+            gd3 = mul(g3, d)
             return DepressedTrace, (a,), (gd3, mul(f, d), gd3,
-                                          sub(add(f3, g27), mul(six, efg)))
+                                          sub(add(f3, g27), mul(two, efg3)))  # 6efg
     er = add(e, r)
     return Reducible, (r, er, add(f, mul(r, er))), None
 
 
 @functools.lru_cache(maxsize=None)
 def _constants(K) -> tuple:
-    """The kernel values of 2, 3, 6, 9, 27, -2, -3: _reduce_values' constants."""
-    return tuple(map(K.of_int, (2, 3, 6, 9, 27, -2, -3)))
+    """The kernel values of 2, 3, 27, -2, -3: _reduce_values' constants."""
+    return tuple(map(K.of_int, (2, 3, 27, -2, -3)))
 
 
 def cubic_of(shape) -> Cubic:

@@ -260,7 +260,7 @@ def _gcd(K: _Kernel, a: list, b: list) -> list:
         return [v * ib % p for v in a]
     while b:
         a, b = b, _divmod(K, a, b)[1]
-    return _monic(K, a)
+    return list(_monic(K, a))  # a may still be a caller's sequence
 
 
 def _powmod(K: _Kernel, base: list, e: int, mod: list) -> list:
