@@ -7,6 +7,8 @@ follows from its valuation, so one walk reads groups of ramified places off
 the squarefree parts of the parameter (and, for odd p, of a -+ 2), factoring
 only what a local form needs; ``ramification_report`` factors the groups
 into places, and ``genus`` sums d * deg g over them into Riemann-Hurwitz.
+The walk first refuses a pure form in characteristic 3, and a char-3 form
+elsewhere, with the signatures' WrongCharacteristic.
 
 Local normalisation comes first in each family:
 
@@ -51,7 +53,7 @@ import enum
 import functools
 from typing import List, Optional, Tuple, Union
 
-from .canon import (Char3, Cubic, DepressedTrace, InseparablePure, Pure, Reducible,
+from .canon import (Char3, DepressedTrace, InseparablePure, Pure, Reducible,
                     has_rational_root, _roots_in)
 from .errors import (
     ConstantExtension,
@@ -120,9 +122,6 @@ class Extension:
         if isinstance(self.form, DepressedTrace):
             return "depressed_trace"
         return "char3"
-
-    def cubic(self) -> Cubic:
-        return self.form.cubic()
 
 
 # ---------------------------------------------------------------------------
@@ -276,17 +275,14 @@ def resolvent_place_behavior(a: RatFunc, P: Place) -> ResolventBehavior:
         raise ReducibleInput("parameter 0 makes the trace form reducible")
     if ff.field.p != 2:
         return _resolvent_odd(a, P, *_unit_residue_value(a.num, a.den, P))
-    u = ff.one / a + ff.one
-    if u.is_zero():  # a = 1: resolvent z^2 + z = 0 splits
+    ur, _ = as_local_reduce(ff.one / a + ff.one, P)
+    if not ur:  # z^2 + z = 0 (a = 1, or u reduced to 0) splits
         return Split
-    ur, _ = as_local_reduce(u, P)
-    v = valuation(ur, P)
-    if isinstance(v, int) and v < 0:
+    v, r = unit_residue(ur, P)
+    if v < 0:
         assert v % 2 == 1, "reduction must leave an odd pole"
         return Ramified
-    if ur.is_zero() or not trace_to_prime(residue_field(P).reduce(ur)):
-        return Split
-    return Inert
+    return Inert if v == 0 and trace_to_prime(r) else Split
 
 
 def _resolvent_odd(a: RatFunc, P: Place, v: int, k, r: int) -> ResolventBehavior:
@@ -437,8 +433,9 @@ def _ramified_groups(ext: Extension):
         elif trace:
             u = ff.one / a + ff.one
             for P in group_places(ff, g):
-                m = valuation(as_local_reduce(u, P)[0], P)
-                if isinstance(m, int) and m < 0:
+                ur = as_local_reduce(u, P)[0]
+                m = unit_residue(ur, P)[0] if ur else 0
+                if m < 0:
                     yield P.pi, -m + 1, False
         elif v > 0:
             if v % 2:

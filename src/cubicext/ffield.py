@@ -19,10 +19,10 @@ Representation invariants:
     pow.  For m > 1 that read first builds, never at import, array tables
     exp[k] = g^k (two periods) and log, for the least generator g in counter
     order, and the closures capture them: multiply, divide, inverse and
-    power are lookups.  Addition is XOR in characteristic 2; for odd p it goes
-    through Zech logarithms, zech[k] = log(1 + g^k) (K. Huber, IEEE Trans.
-    IT 36, 1990), since 1 + v in counter form only bumps the lowest digit
-    of v.
+    power are lookups (``FieldElem /`` is one call).  Addition is XOR in
+    characteristic 2; for odd p it goes through Zech logarithms, zech[k] =
+    log(1 + g^k) (K. Huber, IEEE Trans. IT 36, 1990), since 1 + v in counter
+    form only bumps the lowest digit of v.
   * Table memory is 12(q-1) + 4 bytes, plus 4(q-1) for zech when p is odd:
     0.75 MiB at q = 2^16, 12 MiB at the MAX_ORDER cap q = 2^20 (16 MiB for
     odd p just below it).  For odd p the build adds digit vectors packed
@@ -60,18 +60,18 @@ than with the polynomial machinery) because the square/cube classifiers
 below need it; polyring re-exports it.
 
 The package's one list kernel (_Kernel, _trim ... _deflate), Frobenius walk
-and scan of monic irreducibles live here, at the bottom of the import
-graph.  The walk (_distinct_degree) yields the groups gcd(x^(q^i) - x, f)
-of distinct-degree factorization lazily, for factor_fq and for the one
-irreducibility test, Ben-Or's (FOCS 1981), which reads its first group
-only, so a candidate with a root costs one Frobenius power (on random
-candidates it beats the full criterion: Gao and Panario, Found. Comput.
-Math. 1997); it finds every field modulus and every place of the lazy
-scan.  _ptrim, _pmul, _pmod and _ppowmod stay, uncalled, as the tests'
-oracle.  So does ``record``: it makes the package's frozen value classes
-as @dataclass(frozen=True) would (fields are the annotations less ClassVar
-ones; equal only within one class) without generating code or importing
-dataclasses.
+and scan of monic irreducibles live here, at the bottom of the import graph:
+ffield imports nothing from the package but errors.  The walk
+(_distinct_degree) yields the groups gcd(x^(q^i) - x, f) of distinct-degree
+factorization lazily, for factor_fq and for the one irreducibility test,
+Ben-Or's (FOCS 1981), which reads its first group only, so a candidate with
+a root costs one Frobenius power (on random candidates it beats the full
+criterion: Gao and Panario, Found. Comput. Math. 1997); it finds every field
+modulus and every place of the lazy scan.  _ptrim, _pmul, _pmod and _ppowmod
+stay, uncalled, as the tests' oracle.  So does ``record``: it makes the
+package's frozen value classes as @dataclass(frozen=True) would (fields are
+the annotations less ClassVar ones; equal only within one class) without
+generating code or importing dataclasses.
 """
 from __future__ import annotations
 

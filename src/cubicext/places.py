@@ -104,7 +104,8 @@ _REDUCIBLE = "the carrier of a finite place must be irreducible"
 class Place:
     """A place of GF(q)(x): finite (monic irreducible carrier) or infinite.
     _root is the counter value of the carrier's least root in GF(q^d) when
-    iter_places' walk found it, else None; ==, hash and repr ignore it."""
+    iter_places' walk found it, else None; ==, hash and repr ignore it.  A
+    place hashes its carrier's values once, when it is made."""
 
     __slots__ = ("ff", "pi", "_root", "_hash")
 

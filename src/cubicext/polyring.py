@@ -5,20 +5,20 @@ functions), or a PolyRing (polynomials again, for the nested reductions the
 identity checks use).  Coefficients are a trimmed tuple, low degree first;
 the zero polynomial has an empty tuple and degree -1.
 
-Add, sub, mul, divmod, monic, gcd, powmod, xgcd and Horner evaluation run
-in one kernel on coefficient lists, which lives in ffield and is
-parametrised by the domain's ffield._Kernel.  A Poly holds its
-coefficients as kernel values (vals), which every kernel call reads as they
-are: over a Field their counter values, unwrapped once when the Poly is
-built from FieldElems (another field's element is refused) and wrapped by
-coeffs, lc and coeff(i) on access, so the kernel computes on ints with the
-field's own _add/_sub/_mul/_pow (over GF(p) the quadratic loops reduce % p
-inline); over other domains the elements, on their operators, each coerced
-into the domain when the Poly is built (a GF(q) constant becomes a RatFunc,
-another field's element is refused), so equal Polys hash equal.  Division is
-the classical quadratic one and accepts non-monic divisors.  The squarefree
-decomposition, factor_fq's first step, alone answers what needs only
-multiplicities; it refuses a degree above FACTOR_DEGREE_LIMIT before any
+Add, sub, mul, divmod, monic, gcd, powmod, xgcd and Horner evaluation run in
+one kernel on coefficient lists, which lives in ffield and is parametrised by
+the domain's ffield._Kernel.  A Poly holds its coefficients as kernel values
+(vals), which every kernel call reads as they are: over a Field their counter
+values, unwrapped once when the Poly is built from FieldElems (another
+field's element is refused) and wrapped by coeffs, lc and coeff(i) on access,
+so the kernel computes on ints with the field's own _add/_sub/_mul/_pow (over
+GF(p) the quadratic loops reduce % p inline); over other domains the
+elements, on their operators, each coerced into the domain when the Poly is
+built (a GF(q) constant becomes a RatFunc, another field's element is
+refused), so equal Polys hash equal.  Division is the classical quadratic one
+and accepts non-monic divisors.  The squarefree decomposition, factor_fq's
+first step, stops at once when gcd(f, f') = 1 and alone answers what needs
+only multiplicities; it refuses a degree above FACTOR_DEGREE_LIMIT before any
 work, and so does factor_fq through it.  Its second step is ffield's one
 Frobenius walk (ffield._distinct_degree), whose first group is also
 is_irreducible's Ben-Or test; _powmod_q has no caller and stays for tests.
