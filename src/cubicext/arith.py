@@ -38,9 +38,11 @@ forms a -+ 2 on the kernel lists of num and den, takes its residue with one
 more ``_unit_value`` call, and reads a square class by Euler's test with the
 field's bound ``_pow``, as the characteristic-3 family does for -r at a zero
 of even order; a characteristic-2 zero of odd order is (2,1;1,1) at once.
-Only a characteristic-2 zero of even order (``resolvent_place_behavior``) and
-a char-3 pole of order divisible by three (the RatFunc surgery of
-``char3_local_form``) wrap the parameter as RatFunc and FieldElem again.
+A char-3 pole of order divisible by three takes ``char3_local_form``'s
+surgery at the place only (``_char3_surgery``): on the kernel lists of two
+units held mod pi^N, with no inverse, gcd or RatFunc.  Only a
+characteristic-2 zero of even order (``resolvent_place_behavior``) wraps the
+parameter as RatFunc and FieldElem again.
 
 The characteristic-2 resolvent is additive: ``as_local_reduce`` strips its
 even-order poles at one place.  Whether it has a global solution is a root
@@ -59,17 +61,18 @@ from .errors import (
     ConstantExtension,
     NonIntegralGenus,
     ReducibleInput,
+    SizeExceeded,
     WrongCharacteristic,
     WrongFieldClass,
     ZeroInput,
 )
 from .ffcubic import (Irreducible, LinTimesQuad, LinTimesSquare, ThreeDistinct, _bin_char3,
                       _bin_depressed, _bin_pure, _family_field)
-from .ffield import (Cube, _kernel, _scale, _sub, cube_classify, record, square_classify,
-                     trace_to_prime)
+from .ffield import (Cube, FieldElem, _add, _divmod, _kernel, _mul, _scale, _sub, cube_classify,
+                     record, square_classify, trace_to_prime)
 from .places import (_ROW_MAX_ORDER, Place, _unit_residue_value, divisor_groups, group_places,
                      residue_field, uniformizer, unit_residue, valuation)
-from .polyring import RatFunc, _squarefree_decomposition
+from .polyring import FACTOR_DEGREE_LIMIT, RatFunc, _squarefree_decomposition
 
 
 # ---------------------------------------------------------------------------
@@ -341,8 +344,15 @@ def char3_local_form(a: RatFunc, P: Place) -> Tuple[RatFunc, int, Tuple[RatFunc,
     Returns (a*, v*, steps): v* = v_P(a*) is >= 0 or negative prime to 3, and
     each step w in steps replaced a by (a^2 + w^3 + a*w)^2 / a^3 -- exactly
     the isomorphism-witness surgery, so the extension class is unchanged.
-    Each pass raises v_P by at least 2.  A vanishing numerator would mean w
-    itself is a root of y^3 + ay + a^2, so the input was reducible.
+    Each pass raises v_P by at least 2.  The numerator never vanishes: that
+    would make w = W/pi^(2k) a root of y^3 + ay + a^2, a quadratic in a of
+    discriminant w^2 (1 - w) in characteristic 3, so 1 - w would be a square
+    in K, and pi^(2k) - W with it in GF(q)[x].  But pi^(2k) - W is monic of
+    degree 2k deg P > deg W, so it is (pi^k + e)^2 only for e = 0 and W = 0,
+    and W, a lifted cube root of a nonzero residue, is not 0; at infinity
+    1 - W x^(2k) is no square likewise.  The package reads the same surgery
+    at the place alone (_char3_surgery); this global form is kept for the
+    tests.
     """
     ff = a.ff
     _family_field(ff.field, Char3)  # p = 3, or decompose_char3's error
@@ -359,24 +369,72 @@ def char3_local_form(a: RatFunc, P: Place) -> Tuple[RatFunc, int, Tuple[RatFunc,
         w1 = cube_classify(-(res * res)).roots[0]  # residue of -a^2 * pi^(6k)
         w2 = ff.from_poly(rd.lift(w1)) * pi ** (-2 * k)
         n = a * a + w2 ** 3 + a * w2
-        if n.is_zero():
-            raise ReducibleInput("the characteristic-3 cubic has a root in the base field")
         a = n * n / a ** 3
         steps.append(w2)
     return a, v, tuple(steps)
 
 
+def _char3_surgery(a: RatFunc, P: Place, v: int) -> Tuple[int, int]:
+    """char3_local_form's answer at P for a pole of order -v = 3k, read on
+    units mod pi^N: (v*, r) with v* = v_P(a*) when v* <= 0, a value of v*'s
+    parity when v* > 0, and r the counter value of the residue of
+    a* pi^(-v*) at v* = 0, of its square class at v* > 0.
+
+    Write a = pi^v nu/du with nu, du units (at infinity, x -> 1/x reverses
+    the coefficient lists and the place is pi = x).  A step w = W/pi^(2k),
+    W the lift of the cube root w1 of -alpha^2, alpha the residue of nu/du,
+    gives a* = pi^(v + 2s) M'^2 / (du nu^3), where M = nu^2 + W^3 du^2 +
+    pi^k nu W du = pi^s M'.  Precision: each step holds nu and du mod
+    pi^prec, prec = floor(-v/2) + 1 = floor(3k/2) + 1, which tells the three
+    outcomes apart: s < 3k/2 gives v* < 0, s = 3k/2 gives v* = 0 with M'
+    known mod pi, so its residue, and M = 0 mod pi^prec gives v* > 0.  A step
+    that continues used s digits and raised v by 2s, so prec - s =
+    floor(-v*/2) + 1 again, and N = floor(-v0/2) + 1 digits suffice from
+    the start.  At v* > 0 no digit more is needed: v* = 2s - 3k has k's
+    parity, and the residue m'^2/(delta nu^3) has the square class of alpha.
+    N deg P <= deg den/2 + deg P, checked against FACTOR_DEGREE_LIMIT first.
+    """
+    ff, pi, prec = a.ff, P.pi, -v // 2 + 1
+    if prec * P.degree > FACTOR_DEGREE_LIMIT:
+        raise SizeExceeded(f"a surgery mod a power of degree {prec * P.degree} exceeds"
+                           f" {FACTOR_DEGREE_LIMIT}")
+    K, ns, ds = _kernel(_family_field(ff.field, Char3)), a.num.vals, a.den.vals
+    if pi is None:  # a = x^(-v) rev(num)/rev(den) in 1/x, both units at x = 0
+        pi, ns, ds = ff.x.num, ns[::-1], ds[::-1]
+        P = Place(ff, pi)
+    else:
+        ds = _divmod(K, ds, (pi ** -v).vals)[0]
+    rd, mod, pv = residue_field(P), (pi ** prec).vals, pi.vals
+    k = rd.field
+    nu, du = _divmod(K, ns, mod)[1], _divmod(K, ds, mod)[1]
+    while True:
+        n, d = rd._eval(nu), rd._eval(du)
+        alpha = k._div(n, d)
+        W = rd.lift(FieldElem(k, k._pow(k._neg(k._mul(alpha, alpha)), k.order // 3))).vals
+        t = _mul(K, W, du)
+        M = _add(K, _mul(K, nu, _add(K, nu, _mul(K, (pi ** (-v // 3)).vals, t))),
+                 _mul(K, W, _mul(K, t, t)))
+        M, s = _divmod(K, M, mod)[1], 0
+        while s < prec and not rd._eval(M):
+            M, s = _divmod(K, M, pv)[0], s + 1
+        v, prec = v + 2 * s, prec - s
+        if v >= 0 or v % 3:
+            if v:  # v* < 0 reads no residue, v* > 0 only alpha's square class
+                return v, alpha
+            m = rd._eval(M)
+            return v, k._div(k._mul(m, m), k._mul(d, k._pow(n, 3)))
+        mod = (pi ** prec).vals
+        nu, du = (_divmod(K, _mul(K, M, M), mod)[1],
+                  _divmod(K, _mul(K, du, _mul(K, nu, _mul(K, nu, nu))), mod)[1])
+
+
 def signature_char3(ext: Extension, P: Place) -> Signature:
     a = ext.form.a
     v, k, r = _unit_residue_value(a.num, a.den, P)
+    if v < 0 and v % 3 == 0:  # only poles of order divisible by 3 need the surgery
+        v, r = _char3_surgery(a, P, v)
     if v < 0:
-        if v % 3 != 0:
-            return SIG_FULLY_RAMIFIED  # v prime to 3: one place, e = 3
-        # only poles of order divisible by 3 need the surgery
-        astar, v, _ = char3_local_form(a, P)
-        if v < 0:
-            return SIG_FULLY_RAMIFIED
-        v, k, r = _unit_residue_value(astar.num, astar.den, P)
+        return SIG_FULLY_RAMIFIED  # v prime to 3: one place, e = 3
     if v == 0:
         return _UNRAMIFIED[_bin(_bin_char3, _family_field(k, Char3), r)]
     # a* = 0 at P: Newton polygon gives one unit root and a pair of slope
@@ -418,16 +476,17 @@ def _ramified_groups(ext: Extension):
     else the squarefree product of the finite places whose valuation, and so
     different exponent d, they share; full tells e = 3 from (2,1;1,1).  Only
     char-2 zeros of even order and char-3 poles of order divisible by 3 are
-    split into places, for as_local_reduce and char3_local_form."""
+    split into places, for as_local_reduce and _char3_surgery.  An odd-p
+    trace form ramifies at a zero of a only through a -+ 2, read below, so
+    its walk reads the poles alone (divisor_groups with zeros false) and
+    a's numerator is never decomposed."""
     form, a, ff = ext.form, ext.form.a, ext.ff
     _family_field(ext.field, type(form))  # a pure form in characteristic 3, a char-3 one elsewhere
     pure, trace = isinstance(form, Pure), isinstance(form, DepressedTrace)
-    for g, v in divisor_groups(a):
+    for g, v in divisor_groups(a, zeros=not trace or ff.field.p == 2):
         if pure or (trace and v < 0):
             if v % 3:
                 yield g, 2, True
-        elif trace and ff.field.p != 2:
-            continue
         elif trace and v % 2:  # u = 1/a + 1 has an odd pole, which as_local_reduce keeps
             yield g, v + 1, False
         elif trace:
@@ -444,7 +503,7 @@ def _ramified_groups(ext: Extension):
             yield g, -v + 2, True
         else:
             for P in group_places(ff, g):
-                _, vstar, _ = char3_local_form(a, P)
+                vstar = _char3_surgery(a, P, v)[0]
                 if vstar < 0:
                     yield P.pi, -vstar + 2, True
                 elif vstar % 2:

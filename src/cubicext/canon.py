@@ -315,7 +315,11 @@ def _power_root_in(base, v: Value, n: int) -> Optional[Value]:
 
 def _global_power_root(u: RatFunc, n: int) -> Optional[RatFunc]:
     """The n-th root of u from its unit and the squarefree parts of num and
-    den: None unless n divides every multiplicity e, else prod g^(e/n)."""
+    den: None unless n divides every multiplicity e, else prod g^(e/n).
+    u = c^n with den monic forces num = lc r^n and den = s^n, so n must
+    divide both degrees; that is checked first, before any decomposition."""
+    if u.num.degree % n or u.den.degree % n:
+        return None
     ff = u.ff
     unit = _power_root_in(ff.field, u.num.lc, n)  # den is monic
     if unit is None:
@@ -609,7 +613,9 @@ def has_rational_root(shape: CanonicalCubic) -> Optional[Value]:
 
     Pure and inseparable pure shapes take a cube root of a from
     _power_root_in over either base: the least one of cube_classify over
-    GF(q), the global cube test over GF(q)(x).  Over GF(q)(x) trace and
+    GF(q), the global cube test over GF(q)(x), which answers None with no
+    decomposition when 3 does not divide deg num or deg den (a pole or zero
+    at infinity of order prime to 3).  Over GF(q)(x) trace and
     char-3 shapes have none when a has a pole P of order n prime to 3
     (_certifying_pole).  A root y of y^3 - 3y = a would need 3v_P(y) = -n,
     since v_P(y^3 - 3y) is 3v_P(y) if v_P(y) < 0, else >= 0.  In

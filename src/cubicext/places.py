@@ -402,18 +402,19 @@ def reduce_at(a: RatFunc, P: Place) -> FieldElem:
 # divisors and place enumeration
 # ---------------------------------------------------------------------------
 
-def divisor_groups(a: RatFunc) -> list:
+def divisor_groups(a: RatFunc, zeros: bool = True) -> list:
     """The divisor of a, grouped by valuation and unfactored: [(g, v)] with
     g None for infinity, else the squarefree product of the finite places
     where v_P(a) = v, from the squarefree decompositions of a's numerator
-    and denominator.  ZeroInput on 0; SizeExceeded as factor_fq's."""
+    and denominator.  With zeros false only the poles: the numerator is not
+    decomposed.  ZeroInput on 0; SizeExceeded as factor_fq's."""
     if a.is_zero():
         raise ZeroInput("the zero function has no divisor")
     v_inf = a.den.degree - a.num.degree
-    out = [(None, v_inf)] if v_inf else []
-    out += _squarefree_decomposition(a.num.monic())
+    out = [(None, v_inf)] if v_inf < 0 or v_inf and zeros else []
+    out += _squarefree_decomposition(a.num.monic()) if zeros else []
     out += [(g, -e) for g, e in _squarefree_decomposition(a.den)]
-    assert sum(v * (1 if g is None else g.degree) for g, v in out) == 0
+    assert not zeros or sum(v * (1 if g is None else g.degree) for g, v in out) == 0
     return out
 
 
