@@ -28,7 +28,7 @@ call: evaluate both sides, strip the carrier, divide by the field's bound
 ``_div``), and then only the bin of the residual cubic, never its
 roots: a list index into the table of one ``ffcubic._bin_*`` over the
 residue field (``_bin_table``, built once per field and family, for fields
-of at most ``places._ROW_MAX_ORDER`` elements), or the ``_bin_*`` itself on
+of at most ``ffield._ROW_MAX_ORDER`` elements), or the ``_bin_*`` itself on
 a larger field.  Either way the bin is read off the family's root core's
 roots through ffcubic's root table under the same bound (no ``Decomp`` is
 built), so building a bin table also fills the root table of its field
@@ -68,10 +68,10 @@ from .errors import (
 )
 from .ffcubic import (Irreducible, LinTimesQuad, LinTimesSquare, ThreeDistinct, _bin_char3,
                       _bin_depressed, _bin_pure, _family_field)
-from .ffield import (Cube, FieldElem, _add, _divmod, _kernel, _mul, _scale, _sub, cube_classify,
-                     record, square_classify, trace_to_prime)
-from .places import (_ROW_MAX_ORDER, Place, _unit_residue_value, divisor_groups, group_places,
-                     residue_field, uniformizer, unit_residue, valuation)
+from .ffield import (_ROW_MAX_ORDER, Cube, FieldElem, _add, _divmod, _kernel, _mul, _scale, _sub,
+                     cube_classify, record, square_classify, trace_to_prime)
+from .places import (Place, _unit_residue_value, divisor_groups, group_places, residue_field,
+                     uniformizer, unit_residue, valuation)
 from .polyring import FACTOR_DEGREE_LIMIT, RatFunc, _squarefree_decomposition
 
 
@@ -172,7 +172,7 @@ _UNRAMIFIED = {Irreducible: SIG_INERT, ThreeDistinct: SIG_SPLIT, LinTimesQuad: S
 def _bin_table(k, core) -> Optional[list]:
     """[core(k, v) for every counter value v of the residue field k], built
     on first use once per (field, core), or None when k has more than
-    places._ROW_MAX_ORDER elements.  It depends on the field alone, like
+    ffield._ROW_MAX_ORDER elements.  It depends on the field alone, like
     the Zech tables; nothing is kept per extension, place or input."""
     return [core(k, v) for v in range(k.order)] if k.order <= _ROW_MAX_ORDER else None
 

@@ -23,7 +23,9 @@ The reduction is one value-level core, _reduce_values, on the base's
 ffield._Kernel (counter values over GF(q), RatFuncs over GF(q)(x)); ffcubic
 calls it directly, and reduce_cubic is the one site that wraps its values:
 it normalises the map's raw entries on values (FracLinear._normalise, the
-normaliser the public constructor also ends in) and wraps each entry once.
+normaliser the public constructor also ends in): one division by the pivot
+per other nonzero entry, wrapped once, the base's shared one and zero for
+the rest.
 
 isom decides whether two canonical cubics define the same extension and
 raises ReducibleInput through require_irreducible, the package's one
@@ -168,20 +170,22 @@ class FracLinear:
         self._normalise(K, *map(K.value, self.entries()))
 
     def _normalise(self, K, m00, m01, m10, m11) -> "FracLinear":
-        """Store the kernel values m00, m01, m10, m11, scaled so the first
-        nonzero one is 1, wrapped once; SingularMatrix on det 0.  Past the
-        determinant check (m00, m01) != (0, 0), so that pivot is m00 or m01."""
-        mul, elem = K.mul, K.elem
+        """Store the kernel values m00, m01, m10, m11, divided by the first
+        nonzero one, the pivot, and wrapped; SingularMatrix on det 0.  Past
+        the determinant check (m00, m01) != (0, 0), so the pivot is m00 or
+        m01.  The pivot's entry and every zero entry are stored as the
+        domain's shared one and zero, so only the others are divided."""
+        mul, div, elem, dom = K.mul, K.div, K.elem, K.dom
         if mul(m00, m11) == mul(m01, m10):  # det 0 on canonical values
             raise SingularMatrix("zero determinant")
-        pivot = m00 or m01
-        if pivot != K.one:
-            inv = K.inv(pivot)
-            m00, m01, m10, m11 = mul(m00, inv), mul(m01, inv), mul(m10, inv), mul(m11, inv)
-        object.__setattr__(self, "m00", elem(m00))
-        object.__setattr__(self, "m01", elem(m01))
-        object.__setattr__(self, "m10", elem(m10))
-        object.__setattr__(self, "m11", elem(m11))
+        zero = dom.zero
+        if m00:
+            pivot, m00 = m00, dom.one
+            m01 = elem(div(m01, pivot)) if m01 else zero
+        else:
+            pivot, m00, m01 = m01, zero, dom.one
+        vars(self).update(m00=m00, m01=m01, m10=elem(div(m10, pivot)) if m10 else zero,
+                          m11=elem(div(m11, pivot)) if m11 else zero)
         return self
 
     @staticmethod
@@ -237,43 +241,43 @@ def _reduce_values(K, e, f, g) -> tuple:
     (root, b, c) for Reducible; the entries (m00, m01, m10, m11) stay raw
     kernel values, not normalised (decompose_any reads them as they are), and
     are None for the identity."""
-    add, sub, mul = K.add, K.sub, K.mul
+    add, sub, mul, div = K.add, K.sub, K.mul, K.div
     if not g:
         return Reducible, (K.zero, e, f), None
     f2 = mul(f, f)
     f3 = mul(f2, f)
-    if char_of(K.dom) == 3:
+    p, two, three, n27, minus2, minus3 = _constants(K)
+    if p == 3:
         e2 = mul(e, e)
         e3 = mul(e2, e)
         t = sub(add(mul(g, e3), f3), mul(f2, e2))  # g e^3 + f^3 - f^2 e^2
         if e and not t:
-            r = mul(f, K.inv(e))
+            r = div(f, e)
         elif not e and not f:
             return InseparablePure, (sub(K.zero, g),), None
         elif not e:
-            a = mul(mul(g, g), K.inv(f3))
-            return Char3, (a,), (K.one, K.zero, K.zero, mul(g, K.inv(f2)))
+            a = div(mul(g, g), f3)
+            return Char3, (a,), (K.one, K.zero, K.zero, div(g, f2))
         else:
             e4 = mul(e2, e2)
-            a = mul(t, K.inv(mul(e3, e3)))
+            a = div(t, mul(e3, e3))
             return Char3, (a,), (sub(K.zero, mul(f, e4)), mul(e4, e), t, K.zero)
     else:
-        two, three, n27, minus2, minus3 = _constants(K)
         g3, g27 = mul(three, g), mul(n27, mul(g, g))
         eg3 = mul(e, g3)
         efg3 = mul(eg3, f)
         # a detected rational root ends the reduction
         t = sub(add(g27, mul(two, f3)), mul(three, efg3))  # 9efg = 3 * 3efg
         if not t:
-            r = mul(mul(minus3, g), K.inv(f))  # f != 0 here, else g would be 0
+            r = div(mul(minus3, g), f)  # f != 0 here, else g would be 0
         elif not e and f == minus3:
             return DepressedTrace, (sub(K.zero, g),), None
         elif eg3 == f2:
-            a = mul(mul(g27, g), K.inv(sub(f3, g27)))
+            a = div(mul(g27, g), sub(f3, g27))
             return Pure, (a,), (g3, f, K.zero, g3)
         else:
             d = sub(eg3, f2)
-            a = sub(minus2, mul(mul(t, t), K.inv(mul(mul(d, d), d))))
+            a = sub(minus2, div(mul(t, t), mul(mul(d, d), d)))
             gd3 = mul(g3, d)
             return DepressedTrace, (a,), (gd3, mul(f, d), gd3,
                                           sub(add(f3, g27), mul(two, efg3)))  # 6efg
@@ -283,8 +287,9 @@ def _reduce_values(K, e, f, g) -> tuple:
 
 @functools.lru_cache(maxsize=None)
 def _constants(K) -> tuple:
-    """The kernel values of 2, 3, 27, -2, -3: _reduce_values' constants."""
-    return tuple(map(K.of_int, (2, 3, 27, -2, -3)))
+    """The characteristic, then the kernel values of 2, 3, 27, -2, -3:
+    _reduce_values' constants."""
+    return (char_of(K.dom),) + tuple(map(K.of_int, (2, 3, 27, -2, -3)))
 
 
 def cubic_of(shape) -> Cubic:

@@ -44,7 +44,7 @@ is built as conj(u)^2/N(u) with u = delta + W: one inverse in GF(s) per
 candidate delta.  Nothing is cached per input; the constants that depend
 only on the field live on the ``Field`` (the char-3 core's two maps too).
 The tables are constants of the same kind, both for fields of at most
-``places._ROW_MAX_ORDER`` = 2^8 elements.  ``_root_table`` keeps, per field
+``ffield._ROW_MAX_ORDER`` = 2^8 elements.  ``_root_table`` keeps, per field
 and family (Pure, DepressedTrace, Char3), one entry per counter value v:
 the root core's tuple of roots, filled from the core the first time
 ``_family_roots`` reads that entry, so a table is never built whole and
@@ -71,6 +71,7 @@ from .canon import (
 )
 from .errors import SizeExceeded, WrongCharacteristic, WrongFieldClass
 from .ffield import (
+    _ROW_MAX_ORDER,
     Field,
     FieldElem,
     _artin_schreier_value,
@@ -80,7 +81,6 @@ from .ffield import (
     _rth_roots,
     record,
 )
-from .places import _ROW_MAX_ORDER
 
 BRUTE_LIMIT = 1 << 16
 
@@ -393,7 +393,7 @@ def _depressed_roots(F: Field, v: int) -> list:
     ws = _quad_values(F, F._neg(v), 1)
     if not ws:
         return _torus_roots(F, v)
-    return [F._add(c, F._pow(c, -1)) for c in _root_values(F, ws[0], 3) or ()]
+    return [F._add(c, F._inv(c)) for c in _root_values(F, ws[0], 3) or ()]
 
 
 def _char3_roots(F: Field, v: int) -> list:
@@ -447,7 +447,7 @@ def _root_table(F: Field, family: type) -> Optional[list]:
     """The root table of a family (Pure, DepressedTrace or Char3) over F:
     one entry per counter value v, None until _family_roots first reads it
     and then tuple(_ROOTS[family](F, v)).  None for F of more than
-    places._ROW_MAX_ORDER elements.  Like arith._bin_table it depends on
+    ffield._ROW_MAX_ORDER elements.  Like arith._bin_table it depends on
     the field alone and holds at most one entry per element."""
     return [None] * F.order if F.order <= _ROW_MAX_ORDER else None
 

@@ -13,25 +13,35 @@ Representation invariants:
     back.  Elements are totally ordered by that value; every "least root" /
     "least witness" promise in this package refers to that order.
   * The arithmetic on counter values is bound per field on first read: the
-    first read of _add, _sub, _neg, _mul, _pow or _div sets all six to
-    closures for the field's shape (``Field._bind_ops``), so no call tests p
-    or m or reads a table off the field.  GF(p) computes inline with % p and
-    pow.  For m > 1 that read first builds, never at import, array tables
+    first read of _add, _sub, _neg, _mul, _pow, _div or _inv sets all seven
+    to closures for the field's shape (``Field._bind_ops``), so no call tests
+    p or m or reads a table off the field.  GF(p) computes inline with % p and
+    pow.  For m > 1 that read first builds, never at import, tables
     exp[k] = g^k (two periods) and log, for the least generator g in counter
     order, and the closures capture them: multiply, divide, inverse and
     power are lookups (``FieldElem /`` is one call).  Addition is XOR in
     characteristic 2; for odd p it goes through Zech logarithms, zech[k] =
     log(1 + g^k) (K. Huber, IEEE Trans. IT 36, 1990), since 1 + v in counter
     form only bumps the lowest digit of v.
-  * Table memory is 12(q-1) + 4 bytes, plus 4(q-1) for zech when p is odd:
-    0.75 MiB at q = 2^16, 12 MiB at the MAX_ORDER cap q = 2^20 (16 MiB for
-    odd p just below it).  For odd p the build adds digit vectors packed
-    into one int, a few int operations per step; its lookup lists, indexed
-    by packed half-vectors, hold at most 74,899 entries (GF(3^12)) and are
-    dropped after the build.  On a 2-core x86-64 host under CPython 3.11
-    the tables of GF(2^16) build in 11-19 ms, those of GF(2^20) in
-    0.4 s, GF(3^12) in 0.5 s and GF(7^7) and GF(1021^2) in 0.6-1.0 s, paid
-    once per process.
+  * The tables are lists up to q = _ROW_MAX_ORDER = 2^8, the bound of the
+    package's other per-field tables, and array('i') above it.  CPython
+    3.11 specialises an int subscript of a list but not of an array: on a
+    2-core x86-64 host a GF(2^8) _mul took 66-79 ns on lists against
+    106-131 ns on arrays.  Every entry of a list table up to the bound is an
+    int in [-1, 2^8], which CPython shares, so the lists hold 8 bytes an
+    entry, under 8 KiB a field.  Above the bound each entry would be an int
+    object of its own, scattered over the heap: with lists at q = 2^16 the
+    peak RSS of an in-process ff-decompose pass rose from 18.4 to 23.5 MB
+    and its GF(2^16) ops slowed from 6.9 to 8.3 ms a pass (medians of five
+    processes, best of 15 passes each).  Array memory is 12(q-1) + 4 bytes,
+    plus 4(q-1) for zech when p is odd: 0.75 MiB at q = 2^16, 12 MiB at the
+    MAX_ORDER cap q = 2^20 (16 MiB for odd p just below it).  For odd p the
+    build adds digit vectors packed into one int, a few int operations per
+    step; its lookup lists, indexed by packed half-vectors, hold at most
+    74,899 entries (GF(3^12)) and are dropped after the build.  On a 2-core
+    x86-64 host under CPython 3.11 the tables of GF(2^16) build in 11-19 ms,
+    those of GF(2^20) in 0.4 s, GF(3^12) in 0.5 s and GF(7^7) and
+    GF(1021^2) in 0.6-1.0 s, paid once per process.
   * The other per-field constants are built on first use as well and never
     depend on an input: the least non-square (``nonsquare``, odd p) and the
     least non-cube (``noncube``, q = 1 mod 3) for the r-th root routine;
@@ -84,6 +94,7 @@ from .errors import (DivisionByZero, DomainMismatch, FieldMismatch, NotPrime, Si
                      SizeExceeded)
 
 MAX_ORDER = 1 << 20  # guard for field constructions that would never finish
+_ROW_MAX_ORDER = 1 << 8  # fields up to this order get list tables, packed rows, bin/root tables
 
 
 # ---------------------------------------------------------------------------
@@ -93,8 +104,8 @@ MAX_ORDER = 1 << 20  # guard for field constructions that would never finish
 class _Kernel:
     """The coefficient arithmetic of one domain, as the list kernel runs it.
 
-    Over a Field the list entries are counter values and add/sub/mul/inv are
-    the field's bound ops on them; over GF(p) (p set, else 0) the loops of
+    Over a Field the list entries are counter values and add/sub/mul/inv/div
+    are the field's bound ops on them; over GF(p) (p set, else 0) the loops of
     _mul, _divmod, _gcd, _horner and _deflate reduce % p inline instead.
     Over any other domain the entries are the elements and the operations
     their operators.
@@ -103,7 +114,7 @@ class _Kernel:
     integer's entry, elsewhere from the ints cache keyed by n mod p.
     """
 
-    __slots__ = ("dom", "field", "p", "zero", "one", "add", "sub", "mul", "inv", "ints")
+    __slots__ = ("dom", "field", "p", "zero", "one", "add", "sub", "mul", "inv", "div", "ints")
 
     def __init__(self, dom):
         self.dom = dom
@@ -111,12 +122,12 @@ class _Kernel:
             self.field, self.p = dom, (dom.p if dom.m == 1 else 0)
             self.zero, self.one = 0, 1
             self.add, self.sub, self.mul = dom._add, dom._sub, dom._mul
-            self.inv = functools.partial(dom._div, 1)
+            self.inv, self.div = dom._inv, dom._div
         else:
             self.field, self.p = None, 0
             self.zero, self.one = dom.zero, dom.one
             self.add, self.sub, self.mul = operator.add, operator.sub, operator.mul
-            self.inv = self._inverse
+            self.inv, self.div = self._inverse, operator.truediv
             self.ints = {}
 
     def _inverse(self, c):
@@ -442,9 +453,9 @@ class Field:
     """The finite field GF(p^m).  Obtain instances through field_make.
 
     Besides the element constructors it holds the arithmetic on counter
-    values: the slots _add, _sub, _neg, _mul, _pow and _div, which _bind_ops
-    fills with closures for the field's shape on the first read of any of
-    them; FieldElem looks them up by name.  The
+    values: the slots _add, _sub, _neg, _mul, _pow, _div and _inv, which
+    _bind_ops fills with closures for the field's shape on the first read of
+    any of them; FieldElem looks them up by name.  The
     per-field constants of the module docstring (exp, log, zech, nonsquare,
     noncube, as_section, char3_maps) are slots built on first use as well;
     one the field's shape lacks (as_section for p > 3) raises AttributeError,
@@ -453,7 +464,7 @@ class Field:
 
     __slots__ = ("p", "m", "order", "modulus", "zero", "one", "exp", "log", "zech",
                  "nonsquare", "noncube", "as_section", "char3_maps",
-                 "_add", "_sub", "_neg", "_mul", "_pow", "_div")
+                 "_add", "_sub", "_neg", "_mul", "_pow", "_div", "_inv")
 
     def __init__(self, p: int, m: int):
         self.p = p
@@ -467,7 +478,7 @@ class Field:
         # only reached while a per-field slot is still unset
         if name in ("exp", "log", "zech") and self.m > 1:
             self._build_tables()
-        elif name in ("_add", "_sub", "_neg", "_mul", "_pow", "_div"):
+        elif name in ("_add", "_sub", "_neg", "_mul", "_pow", "_div", "_inv"):
             self._bind_ops()
         elif name == "nonsquare" and self.p != 2:
             self.nonsquare = self._least_non_power(2)
@@ -555,8 +566,8 @@ class Field:
                   if all(_powmod(K, d, n // ell, mod) != [1] for ell in _prime_divisors(n)))
         cols = [_divmod(K, [0] * j + gd, mod)[1] for j in range(m)]
         h = m // 2
-        exp = array("i", [0]) * (2 * n)
-        log = array("i", [0]) * q
+        table = list if q <= _ROW_MAX_ORDER else functools.partial(array, "i")
+        exp, log = table([0]) * (2 * n), table([0]) * q
         if p == 2:
             cols = [_counter(c, 2) for c in cols]
             lo, hi = _span(cols[:h], 2, operator.xor), _span(cols[h:], 2, operator.xor)
@@ -601,31 +612,39 @@ class Field:
                 x = s - ((s + over & tops) >> top) * p
         if x != 1:  # g is a unit of order q - 1 only if the modulus is irreducible
             raise AssertionError(f"{self!r}: the modulus {self.modulus} is reducible")
-        memoryview(exp)[n:] = memoryview(exp)[:n]
+        exp[n:] = exp[:n]
         self.exp, self.log, self.zech = exp, log, None
         if p != 2:
             # zech[k] = succ[g^k] with succ[v] = log(1 + v): 1 + v in counter
             # form bumps the lowest digit of v, which wraps at p - 1
-            succ = array("i", log[1:]) + log[:1]
+            succ = log[1:] + log[:1]
             succ[p - 1::p] = log[::p]
             succ[p - 1] = -1  # 1 + (-1) = 0
-            self.zech = array("i", map(succ.__getitem__, exp[:n]))
+            self.zech = table(map(succ.__getitem__, exp[:n]))
 
     # -- arithmetic on counter values ----------------------------------------
 
     def _bind_ops(self):
-        """Bind _add, _sub, _neg, _mul, _pow and _div on counter values as
-        closures for the field's shape: GF(p), GF(2^m) or odd GF(p^m)."""
+        """Bind _add, _sub, _neg, _mul, _pow, _div and _inv on counter values
+        as closures for the field's shape: GF(p), GF(2^m) or odd GF(p^m).
+        _div and _inv run in one frame; only to raise DivisionByZero for 0
+        does the GF(2^m) or odd GF(p^m) one call pw."""
         p, n = self.p, self.order - 1
         if self.m == 1:
-            def pw(a, e):
+            def pw(a, e=-1):  # _inv too, at the default e
                 try:
                     return pow(a, e, p)
                 except ValueError:  # only 0 has no inverse mod p
                     raise DivisionByZero("inverse of 0") from None
+
+            def div(a, b):
+                try:
+                    return a * pow(b, -1, p) % p
+                except ValueError:
+                    raise DivisionByZero("inverse of 0") from None
             self._add, self._sub = (lambda a, b: (a + b) % p), (lambda a, b: (a - b) % p)
             self._neg, self._mul, self._pow = (lambda a: -a % p), (lambda a, b: a * b % p), pw
-            self._div = lambda a, b: a * pw(b, -1) % p
+            self._div, self._inv = div, pw
             return
         exp, log, zech, h = self.exp, self.log, self.zech, n // 2  # -1 = g^h
 
@@ -650,6 +669,7 @@ class Field:
         self._mul, self._pow = (lambda a, b: exp[log[a] + log[b]] if a and b else 0), pw
         # a or b is 0: a * b^-1, where pw raises DivisionByZero for b = 0
         self._div = lambda a, b: exp[log[a] - log[b] + n] if a and b else a * pw(b, -1)
+        self._inv = lambda a: exp[n - log[a]] if a else pw(0, -1)
 
     # -- constructors ------------------------------------------------------
 
@@ -745,7 +765,7 @@ class FieldElem:
         return FieldElem(self.field, self.field._neg(self.value))
 
     def inverse(self) -> "FieldElem":
-        return FieldElem(self.field, self.field._pow(self.value, -1))
+        return FieldElem(self.field, self.field._inv(self.value))
 
     def __pow__(self, e: int):
         if not isinstance(e, int):
@@ -957,7 +977,7 @@ def _quad_values(F: Field, b: int, c: int) -> tuple:
         roots = _root_values(F, disc, 2)
         if roots is None:
             return ()
-        half, mb = F._pow(2, -1), F._neg(b)
+        half, mb = F._inv(2), F._neg(b)
         if not disc:
             return (mul(mb, half),)
         r = roots[1]

@@ -32,26 +32,29 @@ residue_field returns a ResidueData bundle: the residue field GF(q^d)
 itself, the embedding GF(q) -> GF(q^d), and the distinguished root of the
 carrier (the least one), so that reduction is literally evaluation at the
 root.  At a place of degree d >= 2 whose residue field has at most
-_ROW_MAX_ORDER = 2^8 elements, f -> f(root) is GF(p)-linear, so it is one
-dot product: row i of a table holds, for every coefficient value c, the
-GF(p)-coordinates of image(c) * root^i packed into one int, W = _ROW_BITS
-bits per coordinate; f(root) is the sum of row i at f's i-th coefficient,
-taken in one C-level pass, and each W-bit field of the sum, reduced mod p,
-is a digit of the counter value.  The rows grow lazily to the longest
-polynomial evaluated.  A row has q <= 2^4 entries (q^2 <= q^d <= 2^8), and
-each coordinate sum of a polynomial of length n is below n * p, so the rows
-grow only while len(rows) * p < 2^W, which is asserted.  Every other place
-takes one Horner pass in the residue field on the coefficients' images
-under the embedding's table.  The cache of residue fields keeps every
-table, and the bound on the order keeps them few and small: at most 120
-places over any GF(q) qualify, where a scan over the thousands of degree-2
-places of a larger GF(q) would hold q entries a row at each of them.
-_ROW_MAX_ORDER bounds the package's two other per-field tables too, so
-all three share one bound: arith's bin table per residue field and family,
-[ffcubic._bin_*(k, v) for every v], built whole on first use, and ffcubic's
-root table per field and family, whose entry for a parameter is filled from
-the family's root core the first time it is read.  On a larger field each
-signature and each decomposition runs the root core for its one value.
+_ROW_MAX_ORDER = 2^8 elements (ffield's bound), f -> f(root) is GF(p)-linear,
+so it is one dot product: row i of a table holds, for every coefficient
+value c, the GF(p)-coordinates of image(c) * root^i packed into one int,
+W = _ROW_BITS bits per coordinate; f(root) is the sum of row i at f's i-th
+coefficient, taken in one C-level pass, and each W-bit field of the sum,
+reduced mod p, is a digit of the counter value.  The rows grow lazily to
+the longest polynomial evaluated.  A row has q <= 2^4 entries
+(q^2 <= q^d <= 2^8), and each coordinate sum of a polynomial of length n is
+below n * p, so the rows grow only while len(rows) * p < 2^W, which is
+asserted.  Every other place takes one Horner pass in the residue field on
+the coefficients' images under the embedding's table.  The cache of residue
+fields keeps every table, and the bound on the order keeps them few and
+small: at most 120 places over any GF(q) qualify, where a scan over the
+thousands of degree-2 places of a larger GF(q) would hold q entries a row
+at each of them.
+_ROW_MAX_ORDER bounds the package's three other per-field tables too, so
+all four share one bound: ffield's exp, log and zech tables, which are
+lists up to it and arrays above; arith's bin table per residue field and
+family, [ffcubic._bin_*(k, v) for every v], built whole on first use; and
+ffcubic's root table per field and family, whose entry for a parameter is
+filled from the family's root core the first time it is read.  On a larger
+field each signature and each decomposition runs the root core for its one
+value.
 
 ResidueData.lift inverts reduction on polynomials of degree < d (arith's
 local normal forms, canon's Hensel roots): c itself at degree 1.  At d >= 2,
@@ -89,15 +92,14 @@ from typing import Iterator, Optional, Tuple, Union
 
 from .errors import (DomainMismatch, FieldMismatch, NegativeValuation, SizeExceeded,
                      ZeroDenominator, ZeroInput)
-from .ffield import (FieldElem, _deflate, _digits, _divmod, _horner, _irreducible, _irreducibles,
-                     _kernel, _mul, _span, _trim, field_make)
+from .ffield import (_ROW_MAX_ORDER, FieldElem, _deflate, _digits, _divmod, _horner, _irreducible,
+                     _irreducibles, _kernel, _mul, _span, _trim, field_make)
 from .polyring import (Embedding, FuncField, Poly, RatFunc, _squarefree_decomposition, _store,
                        embedding, factor_fq, func_field, is_irreducible, poly_roots)
 
 INFINITE_VALUATION = math.inf
 PLACE_SCAN_LIMIT = 1 << 16  # iter_places walks GF(q^d) up to this order, places_up_to no further
 _ROW_BITS = 32  # W: the bits of one packed coordinate in a ResidueData row
-_ROW_MAX_ORDER = 1 << 8  # fields up to this order get packed rows, bin tables and root tables
 _REDUCIBLE = "the carrier of a finite place must be irreducible"
 
 
