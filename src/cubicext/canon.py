@@ -20,8 +20,10 @@ of maps is then the matrix product.  Matrices are normalized projectively
 (first nonzero entry scaled to 1), so equal maps have equal entries.
 
 The reduction is one value-level core, _reduce_values, on the base's
-ffield._Kernel (counter values over GF(q), RatFuncs over GF(q)(x)); ffcubic
-calls it directly, and reduce_cubic is the one site that wraps its values:
+ffield._Kernel (counter values over GF(q), plain ints reduced % p only where
+compared or kept over GF(p) for p != 3, RatFuncs over GF(q)(x)); reduce_cubic
+and ffcubic's decompose_any read a cubic's values once (_cubic_values) and
+call it, and reduce_cubic is the one site that wraps its values:
 it normalises the map's raw entries on values (FracLinear._normalise, the
 normaliser the public constructor also ends in): one division by the pivot
 per other nonzero entry, wrapped once, the base's shared one and zero for
@@ -224,9 +226,8 @@ class FracLinear:
 
 def reduce_cubic(T: Cubic):
     """(canonical shape, map sending roots of T to roots of the shape)."""
-    b = T.base
-    K = _kernel(b)
-    cls, params, m = _reduce_values(K, K.value(T.e), K.value(T.f), K.value(T.g))
+    b, K, e, f, g = _cubic_values(T)
+    cls, params, m = _reduce_values(K, e, f, g)
     w = K.elem
     shape = (Reducible(w(params[0]), (w(params[1]), w(params[2]))) if cls is Reducible
              else cls(w(params[0])))
@@ -235,15 +236,54 @@ def reduce_cubic(T: Cubic):
     return shape, object.__new__(FracLinear)._normalise(K, *m)  # the map's one wrap
 
 
+def _cubic_values(T: Cubic) -> tuple:
+    """(base, kernel, e, f, g): T's base, its kernel and the kernel values of
+    T's coefficients, read once for reduce_cubic and decompose_any.  As the
+    kernel's value would, it raises FieldMismatch unless all three lie in
+    the base."""
+    b = T.base
+    K = _kernel(b)
+    e, f, g = T.e, T.f, T.g
+    if not K.field:  # GF(q)(x): the values are the coefficients
+        return b, K, e, f, g
+    if f.field is not b or g.field is not b:
+        raise FieldMismatch(f"{b} vs {(g if f.field is b else f).field}")
+    return b, K, e.value, f.value, g.value
+
+
 def _reduce_values(K, e, f, g) -> tuple:
     """reduce_cubic on the kernel values of X^3 + eX^2 + fX + g: (shape class,
     parameters, map entries).  The parameters are (a,) for a family and
     (root, b, c) for Reducible; the entries (m00, m01, m10, m11) stay raw
     kernel values, not normalised (decompose_any reads them as they are), and
-    are None for the identity."""
+    are None for the identity.
+
+    Over GF(p), p != 3, it follows the _Kernel convention (K.p set): the same
+    formulas run on plain ints, and only a value that is compared or kept is
+    reduced % p, once.  f is compared with -3 % p, not p - 3: the two differ
+    over GF(2).  Characteristic 3, GF(p^m) and GF(q)(x) run the kernel's ops."""
     add, sub, mul, div = K.add, K.sub, K.mul, K.div
     if not g:
         return Reducible, (K.zero, e, f), None
+    p = K.p
+    if p and p != 3:
+        f2, g3, g27 = f * f % p, 3 * g, 27 * g * g
+        eg3, f3 = e * g3 % p, f2 * f
+        efg3 = eg3 * f
+        t = (g27 + 2 * f3 - 3 * efg3) % p  # 9efg = 3 * 3efg
+        if not t:
+            r = div(-3 * g, f)  # f != 0 here, else g would be 0
+            er = (e + r) % p
+            return Reducible, (r, er, (f + r * er) % p), None
+        if not e and f == -3 % p:
+            return DepressedTrace, (-g % p,), None
+        if eg3 == f2:  # f^3 - 27g^2 = -t != 0
+            g3 %= p
+            return Pure, (div(g27 * g, (f3 - g27) % p),), (g3, f, 0, g3)
+        d = eg3 - f2
+        d3, gd3 = d * d * d, g3 * d % p
+        return DepressedTrace, (div(-2 * d3 - t * t, d3 % p),), (
+            gd3, f * d % p, gd3, (f3 + g27 - 2 * efg3) % p)  # 6efg
     f2 = mul(f, f)
     f3 = mul(f2, f)
     p, two, three, n27, minus2, minus3 = _constants(K)

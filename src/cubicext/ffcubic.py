@@ -67,6 +67,7 @@ from .canon import (
     InseparablePure,
     Pure,
     Reducible,
+    _cubic_values,
     _reduce_values,
 )
 from .errors import SizeExceeded, WrongCharacteristic, WrongFieldClass
@@ -471,7 +472,10 @@ def decompose_any(c) -> Decomp:
     is pulled back through the inverse map z -> (m00 z - m10)/(m11 - m01 z).
     No root sits on its pole: the pole's image under the forward map is the
     image of infinity, never a root of the reduced cubic.  A shape's family
-    parameter is checked as decompose_* check it.
+    parameter is checked as decompose_* check it.  The base, kernel and
+    coefficient values come from canon's _cubic_values, read once.  Over GF(p)
+    (the kernel's p set) the pull-back follows the kernel's convention: it
+    runs on ints, and the pole test and the root check each reduce % p once.
     """
     if type(c) in _ROOTS:
         if type(c) in _WRONG_P:
@@ -479,21 +483,23 @@ def decompose_any(c) -> Decomp:
         c = c.cubic()
     elif not isinstance(c, Cubic):
         raise TypeError(f"expected a cubic or canonical shape, got {type(c).__name__}")
-    F = _require_finite(c.base)
-    K = _kernel(F)
-    e, f, g = cv = (K.value(c.e), K.value(c.f), K.value(c.g))
+    F, K, e, f, g = _cubic_values(c)
+    _require_finite(F)
     cls, params, m = _reduce_values(K, e, f, g)
     roots = _family_roots(F, *params, cls) if cls in _WRONG_P else _ROOTS[cls](F, *params)
     if m is not None:
-        add, sub, mul = F._add, F._sub, F._mul
+        add, sub, mul, p = F._add, F._sub, F._mul, K.p
         m00, m01, m10, m11 = m
         pulled = []
         for z in roots:
-            den = sub(m11, mul(m01, z))
+            if p:  # GF(p): on ints, reduced % p only where compared
+                den, num = (m11 - m01 * z) % p, m00 * z - m10
+            else:
+                den, num = sub(m11, mul(m01, z)), sub(mul(m00, z), m10)
             assert den, "no root sits on the pole"
-            y = F._div(sub(mul(m00, z), m10), den)
-            assert not add(mul(add(mul(add(y, e), y), f), y), g), \
-                "a pulled-back root must be a root"
+            y = F._div(num, den)
+            assert not ((((y + e) * y + f) * y + g) % p if p else
+                        add(mul(add(mul(add(y, e), y), f), y), g)), "a pulled-back root must be a root"
             pulled.append(y)
         roots = pulled
-    return _from_roots(F, cv, roots)
+    return _from_roots(F, (e, f, g), roots)

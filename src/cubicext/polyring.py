@@ -43,7 +43,8 @@ from . import ffield
 from .errors import (DivisionByZero, DomainMismatch, FieldMismatch,
                      SizeExceeded, ZeroDenominator, ZeroPolynomial)
 from .ffield import (Field, FieldElem, _Kernel, _add, _digits, _divmod, _gcd, _horner,
-                     _irreducible, _kernel, _monic, _mul, _powmod, _scale, _span, _sub, _trim)
+                     _irreducible, _kernel, _monic, _mul, _powmod, _render_value, _scale, _span,
+                     _sub, _trim)
 
 FACTOR_SEED = 2718281828459045
 FACTOR_DEGREE_LIMIT = 512
@@ -241,17 +242,21 @@ class Poly:
     # -- rendering -------------------------------------------------------------
 
     def render(self, var: str = "x") -> str:
-        terms = []
-        for i, c in enumerate(self.coeffs):
+        """Ascending-power text; over a field the coefficients are rendered
+        from their counter values (ffield._render_value), unwrapped, and a
+        coefficient 1 of a power of the variable is not rendered at all."""
+        K = _kernel(self.dom)
+        F, terms = K.field, []
+        for i, c in enumerate(self.vals):
             if not c:
                 continue
-            cs = c.render() if hasattr(c, "render") else str(c)
+            pw = var if i == 1 else f"{var}^{i}"
+            if i and c == K.one:
+                terms.append(pw)
+                continue
+            cs = _render_value(F, c) if F else c.render() if hasattr(c, "render") else str(c)
             if i == 0:
                 terms.append(cs)
-                continue
-            pw = var if i == 1 else f"{var}^{i}"
-            if c == self.dom.one:
-                terms.append(pw)
             else:
                 if "+" in cs or "-" in cs:
                     cs = f"({cs})"
