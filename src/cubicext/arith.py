@@ -55,7 +55,7 @@ import enum
 import functools
 from typing import List, Optional, Tuple, Union
 
-from .canon import (Char3, DepressedTrace, InseparablePure, Pure, Reducible,
+from .canon import (Char3, DepressedTrace, InseparablePure, Pure, Reducible, _family_field,
                     has_rational_root, _roots_in)
 from .errors import (
     ConstantExtension,
@@ -67,7 +67,7 @@ from .errors import (
     ZeroInput,
 )
 from .ffcubic import (Irreducible, LinTimesQuad, LinTimesSquare, ThreeDistinct, _bin_char3,
-                      _bin_depressed, _bin_pure, _family_field)
+                      _bin_depressed, _bin_pure)
 from .ffield import (_ROW_MAX_ORDER, Cube, FieldElem, _add, _divmod, _kernel, _mul, _scale, _sub,
                      cube_classify, record, square_classify, trace_to_prime)
 from .places import (Place, _unit_residue_value, divisor_groups, group_places, residue_field,
@@ -272,8 +272,10 @@ def resolvent_place_behavior(a: RatFunc, P: Place) -> ResolventBehavior:
     Odd characteristic: _resolvent_odd.
     Even characteristic: the resolvent is z^2 + z = 1/a + 1, the class of
     1/a^2 + 1 = (1/a + 1)^2; reduce the pole and read the residual trace.
+    Characteristic 3 raises WrongCharacteristic, as decompose_depressed does.
     """
     ff = a.ff
+    _family_field(ff.field, DepressedTrace)
     if a.is_zero():
         raise ReducibleInput("parameter 0 makes the trace form reducible")
     if ff.field.p != 2:

@@ -155,6 +155,17 @@ class Reducible:
 
 CanonicalCubic = Union[Pure, DepressedTrace, Char3, InseparablePure, Reducible]
 
+_WRONG_P = {Pure: "X^3 - a is inseparable in characteristic 3",
+            DepressedTrace: "X^3 - 3X - a degenerates to a pure cubic in characteristic 3",
+            Char3: "X^3 + aX + a^2 is the characteristic-3 family"}
+
+
+def _family_field(F: Field, family: type) -> Field:
+    """F, or the family's error: Char3 needs p = 3, the rest p != 3."""
+    if (F.p == 3) != (family is Char3):
+        raise WrongCharacteristic(_WRONG_P[family])
+    return F
+
 
 # ---------------------------------------------------------------------------
 # fractional-linear maps
@@ -398,21 +409,22 @@ def purely_cubic_root(a: Value) -> Optional[Value]:
 
 
 def is_galois(shape: CanonicalCubic) -> bool:
-    """Whether the (assumed irreducible) canonical cubic is Galois over its base."""
+    """Whether the (assumed irreducible) canonical cubic is Galois over its
+    base; a family outside its characteristic raises WrongCharacteristic, as
+    ffcubic's decompose_* do."""
     base = shape.base
-    p = char_of(base)
     if isinstance(shape, Reducible):
         raise ReducibleInput("Galois test expects an irreducible cubic")
     if isinstance(shape, InseparablePure):
         return False
+    F = _family_field(base if isinstance(base, Field) else base.field, type(shape))
     if isinstance(shape, Pure):
-        q = base.order if isinstance(base, Field) else base.field.order
-        return q % 3 == 1
+        return F.order % 3 == 1
     if isinstance(shape, Char3):
         return _power_root_in(base, -shape.a, 2) is not None
     # DepressedTrace
     a = shape.a
-    if p != 2:
+    if F.p != 2:
         return _power_root_in(base, -27 * (a * a - 4), 2) is not None
     if a.is_zero():
         raise ReducibleInput("X^3 - 3X is reducible")

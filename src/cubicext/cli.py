@@ -20,13 +20,14 @@ exceeded.  Errors go to stderr -- in JSON mode as a machine-readable object
 
 import argparse
 import json
+import operator
 import sys
 from typing import List, Optional, Tuple
 
 from . import arith, canon, ffcubic
-from .canon import Char3, Cubic, DepressedTrace, FracLinear, InseparablePure, Pure, Reducible
+from .canon import Char3, Cubic, DepressedTrace, InseparablePure, Pure, Reducible
 from .errors import CubicExtError, DegreeError, NotPrime, ParseError, SizeExceeded, UnboundSymbol
-from .ffield import Field, FieldElem, field_make
+from .ffield import Field, field_make
 from .places import places_up_to
 from .polyring import FACTOR_DEGREE_LIMIT, Poly, RatFunc, func_field
 
@@ -112,15 +113,12 @@ def parse_ast(source: str):
 
     def base():
         kind, val, at = peek()
-        if kind == "int":
+        if kind in ("int", "sym"):
             advance()
-            return ("int", val)
-        if kind == "sym":
-            advance()
-            return ("sym", val)
+            return (kind, val)
         if kind == "op" and val == "(":
             advance()
-            node = expr()
+            node = chain()
             expect_op(")")
             return node
         raise ParseError("expected an integer, symbol, or parenthesis", position=at)
@@ -137,27 +135,15 @@ def parse_ast(source: str):
             node = ("^", node, ("int", val))
         return node
 
-    def term():
-        node = factor()
-        while True:
-            kind, val, _ = peek()
-            if kind == "op" and val in "*/":
-                advance()
-                node = (val, node, factor())
-            else:
-                return node
+    def chain(ops="+-"):
+        """Operands joined left to right by ops: sums of products of factors."""
+        operand = factor if ops == "*/" else lambda: chain("*/")
+        node = operand()
+        while peek()[0] == "op" and peek()[1] in ops:
+            node = (advance()[1], node, operand())
+        return node
 
-    def expr():
-        node = term()
-        while True:
-            kind, val, _ = peek()
-            if kind == "op" and val in "+-":
-                advance()
-                node = (val, node, term())
-            else:
-                return node
-
-    node = expr()
+    node = chain()
     kind, _, at = peek()
     if kind != "end":
         raise ParseError("trailing input", position=at)
@@ -208,6 +194,9 @@ class _Scope:
         return Poly.const(self.dom, self.dom.from_elem(gen))
 
 
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+
+
 def eval_ast(node, scope: _Scope) -> Poly:
     """AST -> polynomial in X over the scope's scalars."""
     tag = node[0]
@@ -222,29 +211,13 @@ def eval_ast(node, scope: _Scope) -> Poly:
         if e * size > FACTOR_DEGREE_LIMIT:
             raise SizeExceeded(f"a power of degree or height {e * size} exceeds {FACTOR_DEGREE_LIMIT}")
         return base ** e
-    lhs = eval_ast(node[1], scope)
-    rhs = eval_ast(node[2], scope)
-    if tag == "+":
-        return lhs + rhs
-    if tag == "-":
-        return lhs - rhs
-    if tag == "*":
-        return lhs * rhs
+    lhs, rhs = eval_ast(node[1], scope), eval_ast(node[2], scope)
+    if tag in _ARITH:
+        return _ARITH[tag](lhs, rhs)
     # division: only by something free of X
     if rhs.degree > 0:
         raise DegreeError("X may not appear in a denominator")
-    c = rhs.coeff(0)
-    if isinstance(c, FieldElem):
-        inv = c.inverse()
-    else:
-        inv = c.ff.one / c
-    return lhs * Poly.const(scope.dom, inv)
-
-
-def _choose_dom(field: Field, sources: Tuple[str, ...]):
-    if any("x" in s for s in sources):
-        return func_field(field)
-    return field
+    return lhs * Poly.const(scope.dom, scope.dom.one / rhs.coeff(0))
 
 
 def parse_cubic(source: str, dom) -> Cubic:
@@ -271,12 +244,6 @@ parse_ratfunc = parse_element
 # rendering
 # ---------------------------------------------------------------------------
 
-def _render_map(mob: FracLinear) -> dict:
-    m00, m01, m10, m11 = mob.entries()
-    return {"m00": m00.render(), "m01": m01.render(),
-            "m10": m10.render(), "m11": m11.render()}
-
-
 _FORM_NAMES = {
     Pure: "pure",
     DepressedTrace: "depressed",
@@ -286,31 +253,16 @@ _FORM_NAMES = {
 }
 
 
-def _shape_result(shape, mob: FracLinear, base) -> dict:
-    out = {"form": _FORM_NAMES[type(shape)]}
-    if isinstance(shape, Reducible):
-        out["root"] = shape.root.render()
-        out["quad"] = [shape.quad[0].render(), shape.quad[1].render()]
-    else:
-        out["a"] = shape.a.render()
-    out["map"] = _render_map(mob)
-    out["base"] = repr(base) if isinstance(base, Field) else f"{base.field!r}(x)"
-    return out
+def _render(v):
+    """A field's value rendered: a tuple as a list, None as None."""
+    if isinstance(v, tuple):
+        return [c.render() for c in v]
+    return None if v is None else v.render()
 
 
-def _decomp_result(d: ffcubic.Decomp) -> dict:
-    out = {"kind": d.kind}
-    if isinstance(d, ffcubic.LinTimesQuad):
-        out["root"] = d.root.render()
-        out["quad"] = [d.quad[0].render(), d.quad[1].render()]
-    elif isinstance(d, ffcubic.ThreeDistinct):
-        out["roots"] = [r.render() for r in d.roots]
-    elif isinstance(d, ffcubic.LinTimesSquare):
-        out["simple"] = d.simple.render()
-        out["double"] = d.double.render()
-    elif isinstance(d, ffcubic.Triple):
-        out["root"] = d.root.render()
-    return out
+def _fields(rec) -> dict:
+    """A record's fields by name (ffield.record's __match_args__), rendered."""
+    return {k: _render(getattr(rec, k)) for k in rec.__match_args__}
 
 
 def _text_lines(obj, indent="") -> List[str]:
@@ -336,18 +288,28 @@ def _text_lines(obj, indent="") -> List[str]:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_classify(args) -> dict:
+def _base(args, *sources: str):
+    """GF(q) from --field, or GF(q)(x) when a source mentions x."""
     field = parse_field_spec(args.field)
-    dom = _choose_dom(field, (args.cubic,))
-    cubic = parse_cubic(args.cubic, dom)
-    shape, mob = canon.reduce_cubic(cubic)
-    return _shape_result(shape, mob, dom)
+    return func_field(field) if any("x" in s for s in sources) else field
+
+
+def _reduce(source: str, dom) -> tuple:
+    """(cubic, canonical shape, map) of a cubic source over dom."""
+    cubic = parse_cubic(source, dom)
+    return (cubic, *canon.reduce_cubic(cubic))
+
+
+def _cmd_classify(args) -> dict:
+    dom = _base(args, args.cubic)
+    _, shape, mob = _reduce(args.cubic, dom)
+    return {"form": _FORM_NAMES[type(shape)], **_fields(shape), "map": _fields(mob),
+            "base": repr(dom)}
 
 
 def _cmd_factor(args) -> dict:
-    field = parse_field_spec(args.field)
-    cubic = parse_cubic(args.cubic, field)
-    return _decomp_result(ffcubic.decompose_any(cubic))
+    d = ffcubic.decompose_any(parse_cubic(args.cubic, _base(args)))
+    return {"kind": d.kind, **_fields(d)}
 
 
 def _witness_json(res) -> Optional[dict]:
@@ -364,83 +326,52 @@ def _witness_json(res) -> Optional[dict]:
 
 
 def _cmd_isom(args) -> dict:
-    field = parse_field_spec(args.field)
-    dom = _choose_dom(field, (args.cubic1, args.cubic2))
-    s1, _ = canon.reduce_cubic(parse_cubic(args.cubic1, dom))
-    s2, _ = canon.reduce_cubic(parse_cubic(args.cubic2, dom))
+    dom = _base(args, args.cubic1, args.cubic2)
+    _, s1, _ = _reduce(args.cubic1, dom)
+    _, s2, _ = _reduce(args.cubic2, dom)
     res = canon.isom(s1, s2, search_bound=args.bound)
     return {"form1": _FORM_NAMES[type(s1)], "form2": _FORM_NAMES[type(s2)],
             "isomorphic": isinstance(res, canon.Isomorphic), "witness": _witness_json(res)}
 
 
-def _is_shanks_shape(cubic: Cubic) -> bool:
-    one = cubic.base.one
-    if cubic.g != one:
-        return False
-    return cubic.f == -(cubic.e + 3 * one)
-
-
 def _cmd_galois(args) -> dict:
-    field = parse_field_spec(args.field)
-    dom = _choose_dom(field, (args.cubic,))
-    cubic = parse_cubic(args.cubic, dom)
-    shape, _ = canon.reduce_cubic(cubic)
+    cubic, shape, _ = _reduce(args.cubic, _base(args, args.cubic))
     canon.require_irreducible(shape)
-    out = {"form": _FORM_NAMES[type(shape)], "galois": canon.is_galois(shape)}
-    if _is_shanks_shape(cubic) and field.p != 3:
-        dep, _ = canon.shanks_to_canonical(cubic.e)
-        out["shanks"] = {"parameter": cubic.e.render(),
-                         "canonical_a": dep.a.render()}
-    else:
-        out["shanks"] = None
-    return out
+    # Shanks' family X^3 + eX^2 - (e + 3)X + 1, outside characteristic 3
+    one = cubic.base.one
+    shanks = canon.char_of(cubic.base) != 3 and cubic.g == one and cubic.f == -(cubic.e + 3 * one)
+    return {"form": _FORM_NAMES[type(shape)], "galois": canon.is_galois(shape),
+            "shanks": {"parameter": cubic.e.render(),
+                       "canonical_a": canon.shanks_to_canonical(cubic.e)[0].a.render()}
+            if shanks else None}
 
 
-def _extension_of(args, source: str) -> Tuple[arith.Extension, dict]:
-    field = parse_field_spec(args.field)
-    ff = func_field(field)
-    cubic = parse_cubic(source, ff)
-    shape, _ = canon.reduce_cubic(cubic)
+def _extension_of(args) -> Tuple[arith.Extension, dict]:
+    _, shape, _ = _reduce(args.cubic, _base(args, "x"))  # always over GF(q)(x)
     if not isinstance(shape, InseparablePure):  # Extension rejects it instead
         canon.require_irreducible(shape)
-    ext = arith.Extension(shape)
-    head = {"form": _FORM_NAMES[type(shape)], "a": shape.a.render()}
-    return ext, head
+    return arith.Extension(shape), {"form": _FORM_NAMES[type(shape)], "a": shape.a.render()}
 
 
 def _cmd_splitting(args) -> dict:
-    ext, head = _extension_of(args, args.cubic)
-    rows = []
-    for P in places_up_to(ext.ff, args.max_degree):
-        sig = arith.signature(ext, P)
-        rows.append({"place": P.render(), "degree": P.degree, "signature": sig.render()})
-    head["places"] = rows
-    return head
+    ext, head = _extension_of(args)
+    return {**head, "places": [{"place": P.render(), "degree": P.degree,
+                                "signature": arith.signature(ext, P).render()}
+                               for P in places_up_to(ext.ff, args.max_degree)]}
 
 
 def _cmd_genus(args) -> dict:
-    ext, head = _extension_of(args, args.cubic)
-    g = arith.genus(ext)
-    rep = arith.ramification_report(ext)
-    head["genus"] = g
-    head["fully_ramified"] = [{"place": P.render(), "d": d} for P, d in rep.fully_ramified]
-    head["partially_ramified"] = [{"place": P.render(), "d": d}
-                                  for P, d in rep.partially_ramified]
-    return head
+    ext, head = _extension_of(args)
+    g, rep = arith.genus(ext), arith.ramification_report(ext)
+    return {**head, "genus": g, **{k: [{"place": P.render(), "d": d} for P, d in getattr(rep, k)]
+                       for k in ("fully_ramified", "partially_ramified")}}
 
 
 def _cmd_constant(args) -> dict:
-    ext, head = _extension_of(args, args.cubic)
+    ext, head = _extension_of(args)
     res = arith.is_constant_extension(ext)
-    if isinstance(res, arith.Constant):
-        head["constant"] = True
-        head["unit"] = res.unit.render() if res.unit is not None else None
-        head["certificate"] = None
-    else:
-        head["constant"] = False
-        head["unit"] = None
-        head["certificate"] = res.certificate.render()
-    return head
+    return {**head, "constant": isinstance(res, arith.Constant), "unit": None,
+            "certificate": None, **_fields(res)}
 
 
 # ---------------------------------------------------------------------------

@@ -67,10 +67,12 @@ from .canon import (
     InseparablePure,
     Pure,
     Reducible,
+    _WRONG_P,
     _cubic_values,
+    _family_field,
     _reduce_values,
 )
-from .errors import SizeExceeded, WrongCharacteristic, WrongFieldClass
+from .errors import SizeExceeded, WrongFieldClass
 from .ffield import (
     _ROW_MAX_ORDER,
     Field,
@@ -139,18 +141,6 @@ _BINS = {(0, 0): Irreducible, (1, 1): LinTimesQuad, (3, 3): ThreeDistinct,
 def _require_finite(F) -> Field:
     if not isinstance(F, Field):
         raise WrongFieldClass("decomposition types are defined over a finite field")
-    return F
-
-
-_WRONG_P = {Pure: "X^3 - a is inseparable in characteristic 3",
-            DepressedTrace: "X^3 - 3X - a degenerates to a pure cubic in characteristic 3",
-            Char3: "X^3 + aX + a^2 is the characteristic-3 family"}
-
-
-def _family_field(F: Field, family: type) -> Field:
-    """F, or the family's error: Char3 needs p = 3, the rest p != 3."""
-    if (F.p == 3) != (family is Char3):
-        raise WrongCharacteristic(_WRONG_P[family])
     return F
 
 

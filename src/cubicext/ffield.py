@@ -83,8 +83,9 @@ criterion: Gao and Panario, Found. Comput. Math. 1997); it finds every field
 modulus and every place of the lazy scan.  _ptrim, _pmul, _pmod and _ppowmod
 stay, uncalled, as the tests' oracle.  So does ``record``: it makes the
 package's frozen value classes as @dataclass(frozen=True) would (fields are
-the annotations less ClassVar ones; equal only within one class) without
-generating code or importing dataclasses.
+the annotations less ClassVar ones, named in order by ``__match_args__``;
+equal only within one class) without generating code or importing
+dataclasses.
 """
 from __future__ import annotations
 
@@ -870,7 +871,7 @@ def record(cls):
     init.__code__ = init.__code__.replace(co_varnames=("self",) + names)
     init.__defaults__ = tuple(ns[k] for k in names if k in ns)
     init.__qualname__ = cls.__qualname__ + ".__init__"
-    cls.__init__ = init
+    cls.__init__, cls.__match_args__ = init, names
     get = operator.attrgetter(*names) if names else lambda s: ()
     key = get if len(names) != 1 else lambda s: (get(s),)  # tuples, as dataclasses compare
     cls.__eq__ = lambda s, o: key(s) == key(o) if o.__class__ is s.__class__ else NotImplemented

@@ -348,6 +348,23 @@ def func_field(F: Field) -> FuncField:
     return FuncField(F)
 
 
+def _ratop(f, swap: bool = False):
+    """A RatFunc operator: f(a, b) on self and other (swapped if swap), where
+    other is coerced by RatFunc._coerce; NotImplemented if it cannot be."""
+    def op(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return f(o, self) if swap else f(self, o)
+    return op
+
+
+def _ratdiv(a: "RatFunc", b: "RatFunc") -> "RatFunc":
+    if b.is_zero():
+        raise DivisionByZero("division by the zero function")
+    return RatFunc(a.ff, a.num * b.den, a.den * b.num)
+
+
 class RatFunc:
     """Reduced fraction num/den of polynomials over GF(q), den monic."""
 
@@ -406,50 +423,17 @@ class RatFunc:
             return self.ff.from_poly(other)
         return None
 
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return RatFunc(self.ff, self.num * o.den + o.num * self.den, self.den * o.den)
-
-    __radd__ = __add__
+    __add__ = __radd__ = _ratop(lambda a, b: RatFunc(a.ff, a.num * b.den + b.num * a.den,
+                                                     a.den * b.den))
 
     def __neg__(self):
         return RatFunc(self.ff, -self.num, self.den, reduced=True)
 
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return RatFunc(self.ff, self.num * o.num, self.den * o.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if o.is_zero():
-            raise DivisionByZero("division by the zero function")
-        return RatFunc(self.ff, self.num * o.den, self.den * o.num)
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
+    __sub__ = _ratop(lambda a, b: a + (-b))
+    __rsub__ = _ratop(lambda a, b: a + (-b), swap=True)
+    __mul__ = __rmul__ = _ratop(lambda a, b: RatFunc(a.ff, a.num * b.num, a.den * b.den))
+    __truediv__ = _ratop(_ratdiv)
+    __rtruediv__ = _ratop(_ratdiv, swap=True)
 
     def __pow__(self, e: int):
         if not isinstance(e, int):
@@ -471,11 +455,7 @@ class RatFunc:
 
     # -- comparisons -------------------------------------------------------------
 
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.num == o.num and self.den == o.den
+    __eq__ = _ratop(lambda a, b: a.num == b.num and a.den == b.den)
 
     def __hash__(self):
         return hash((id(self.ff), self.num.vals, self.den.vals))
